@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .linalg import Matrix, make_rng, truncated_svd
 from .operators import CompletionMask
-from .trainer import TrajectoryLog, TrajectoryRecord
+from .trainer import Recorder, TrajectoryLog
 
 DAMPING = 1e-10
 
@@ -99,8 +99,9 @@ def altmin_complete(
 ) -> tuple[AltMinModel, TrajectoryLog]:
     """Alternating minimization; one logged iterate per full sweep.
 
-    Shares the trajectory schema with the gradient trainers so baseline and
-    network runs are directly comparable.
+    Logs through the gradient trainers' :class:`Recorder`, so baseline and
+    network runs share the trajectory schema and the divergence guard: a
+    sweep that leaves a non-finite loss raises :class:`DivergenceError`.
     """
     if iters < 1:
         raise ContractViolationError("need at least one sweep")
@@ -111,23 +112,9 @@ def altmin_complete(
     row_pos, row_vals = _grouped(mask.rows, mask.cols, y, mask.shape[0])
     col_pos, col_vals = _grouped(mask.cols, mask.rows, y, mask.shape[1])
 
-    log = TrajectoryLog(top_k=top_k)
-    if extra_metrics:
-        log.extras = {name: [] for name in extra_metrics}
-    probe_norm = float(np.linalg.norm(probe)) if probe is not None else None
-
-    def record(t: int, elapsed: float) -> None:
-        W = model.estimate()
-        res = mask.apply(W) - y
-        lo = 0.5 * float(res @ res)
-        svals = np.linalg.svd(W, compute_uv=False)[:top_k]
-        rec = None
-        if probe is not None:
-            rec = float(np.linalg.norm(W - probe)) / probe_norm
-        log.records.append(TrajectoryRecord(t, lo, rec, svals, elapsed))
-        if extra_metrics:
-            for name, fn in extra_metrics.items():
-                log.extras[name].append(float(fn(W)))
+    # the chain (Rf, Lf) multiplies to Lf @ Rf; the sweeps update both in place
+    record = Recorder([model.Rf, model.Lf], mask, y, top_k, probe,
+                      extra_metrics=extra_metrics)
 
     record(0, 0.0)
     train_time = 0.0
@@ -137,4 +124,4 @@ def altmin_complete(
         half_sweep_right(model, col_pos, col_vals)
         train_time += time.perf_counter() - t0
         record(sweep, train_time)
-    return model, log
+    return model, record.log

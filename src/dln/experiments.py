@@ -354,15 +354,18 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
 
         if cfg.wants("altmin") and cfg.problem in ("complete", "movielens"):
             key = f"altmin/seed_{seed}"
-            surr = op.surrogate(y)
-            _, log = altmin_complete(
-                op, y, cfg.r_hat, cfg.altmin_iters, seed,
-                surrogate=surr, probe=M, top_k=top_k, extra_metrics=extra,
-            )
-            _write_logs(_seed_dir(out, "altmin", seed), log, cfg.problem, seed)
-            result.logs[key] = log
-            result.statuses[key] = "ok"
-            say(f"{key}: ok")
+            try:
+                surr = op.surrogate(y)
+                _, log = altmin_complete(
+                    op, y, cfg.r_hat, cfg.altmin_iters, seed,
+                    surrogate=surr, probe=M, top_k=top_k, extra_metrics=extra,
+                )
+                _write_logs(_seed_dir(out, "altmin", seed), log, cfg.problem, seed)
+                result.logs[key] = log
+                result.statuses[key] = "ok"
+            except DivergenceError as exc:
+                result.statuses[key] = f"diverged@{exc.iteration}"
+            say(f"{key}: {result.statuses[key]}")
 
     (out / "status.json").write_text(json.dumps(result.statuses, indent=2, sort_keys=True) + "\n")
     return result

@@ -130,6 +130,58 @@ def singular_values(a: Matrix) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
+def chain_product(layers: list[Matrix]) -> Matrix:
+    """End-to-end product of a layer chain (``layers[0]`` is applied first),
+    multiplied in a fixed left-to-right order."""
+    prod = layers[0]
+    for w in layers[1:]:
+        prod = w @ prod
+    return prod
+
+
+def chain_svd(
+    layers: list[Matrix],
+    top_k: int | None = None,
+    compute_uv: bool = False,
+    product: Matrix | None = None,
+) -> np.ndarray | SvdResult:
+    """Leading singular values of a layer chain's product, or with
+    ``compute_uv`` its leading triplets, n = min(top_k, d_out, d_in) of them.
+
+    When the narrowest interior width k is below min(d_out, d_in), the product
+    has rank at most k and is never decomposed whole. The chain splits there
+    into a left factor A (d_out x k) and a right factor B (k x d_in); thin QR
+    gives A = Q1 R1 and B^T = Q2 R2, and the SVD of the k x k core R1 R2^T
+    gives the values, with U = Q1 U_core and V = Q2 V_core. Values past k are
+    exact zeros. Triplets past k have no factored form; asking for them, or a
+    chain with no narrow width, takes the full SVD of the product (``product``
+    when the caller has it already), bit for bit what :func:`svd` and
+    ``np.linalg.svd`` return.
+    """
+    d_out, d_in = layers[-1].shape[0], layers[0].shape[1]
+    n = min(d_out, d_in) if top_k is None else min(top_k, d_out, d_in)
+    if n < 1:
+        raise ContractViolationError(f"top_k must be >= 1, got {top_k}")
+    widths = [w.shape[1] for w in layers[1:]]
+    k = min(widths, default=min(d_out, d_in))
+    if k >= min(d_out, d_in) or (compute_uv and n > k):
+        W = chain_product(layers) if product is None else product
+        if compute_uv:
+            return svd(W).truncate(n)
+        return np.linalg.svd(W, compute_uv=False)[:n]
+    j = widths.index(k) + 1
+    q1, r1 = np.linalg.qr(chain_product(layers[j:]))
+    q2, r2 = np.linalg.qr(chain_product(layers[:j]).T)
+    core = r1 @ r2.T
+    if not compute_uv:
+        s = np.zeros(n)
+        s[:min(n, k)] = np.linalg.svd(core, compute_uv=False)[:n]
+        return s
+    f = svd(core)
+    U, V = _normalize_signs(q1 @ f.U[:, :n], q2 @ f.V[:, :n])
+    return SvdResult(U, f.s[:n].copy(), V)
+
+
 def sample_orthogonal(n: int, rng: np.random.Generator) -> Matrix:
     """Haar-distributed n x n orthogonal matrix.
 

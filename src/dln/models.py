@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .linalg import (
     Matrix,
+    chain_product,
     load_matrix_bin,
     sample_orthogonal,
     sample_semi_orthogonal,
@@ -123,11 +124,7 @@ Model = WideDLN | CompressedDLN
 
 def end_to_end(model: Model) -> Matrix:
     """End-to-end product, multiplied in a fixed left-to-right order."""
-    layers = model.layers
-    prod = layers[0]
-    for w in layers[1:]:
-        prod = w @ prod
-    return prod
+    return chain_product(model.layers)
 
 
 def param_count(model: Model) -> int:

@@ -10,6 +10,13 @@ Logged wall-clock is training-only: the timer pauses around logging work
 comparisons between models are not polluted by the logging cadence. Timing is
 serialized separately (``timing.csv``) so the deterministic trajectory files
 are byte-identical across reruns.
+
+The logged spectrum of a low-rank model (the compressed network, and the
+alternating-minimization baseline, which logs through the same
+:class:`Recorder`) comes from its factors: thin QR of the two sides of the
+bottleneck and an r_hat x r_hat SVD (:func:`dln.linalg.chain_svd`), never a
+full SVD of the d_out x d_in end-to-end matrix. The wide network has no
+narrow width and keeps the full SVD.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, DivergenceError
-from .linalg import Matrix, svd
-from .models import CompressedDLN, Model, WideDLN, chain_gradients, end_to_end
+from .linalg import Matrix, chain_product, chain_svd
+from .models import CompressedDLN, WideDLN, chain_gradients
 from .operators import SensingOperator
 
 LOSS_CAP = 1e12
@@ -144,6 +151,59 @@ class TrajectoryLog:
                 )
 
 
+class Recorder:
+    """Logs one iterate of a layer chain (``layers[0]`` applied first).
+
+    Shared by the gradient trainers and the alternating-minimization baseline.
+    Each call evaluates the end-to-end matrix once and appends the train loss,
+    the recovery error against ``probe``, the top-k spectrum, a spectral
+    snapshot of ``track_spectral`` triplets and the extra metrics to ``log``.
+    The spectrum comes from :func:`chain_svd`, so a chain with a bottleneck is
+    decomposed through its factors. A non-finite loss raises
+    :class:`DivergenceError` before anything is logged. ``layers`` is read at
+    every call: callers update its matrices in place.
+    """
+
+    def __init__(
+        self,
+        layers: list[Matrix],
+        op: SensingOperator,
+        y: np.ndarray,
+        top_k: int,
+        probe: Matrix | None = None,
+        track_spectral: int = 0,
+        extra_metrics: dict[str, Callable[[Matrix], float]] | None = None,
+    ):
+        self.layers, self.op, self.y = layers, op, y
+        self.probe, self.track_spectral = probe, track_spectral
+        self.extra_metrics = extra_metrics or {}
+        self.log = TrajectoryLog(top_k=top_k)
+        self.log.extras = {name: [] for name in self.extra_metrics}
+        self.probe_norm = None
+        if probe is not None:
+            self.probe_norm = float(np.linalg.norm(probe))
+            if self.probe_norm == 0.0:
+                raise ContractViolationError("probe target must be nonzero")
+
+    def __call__(self, t: int, elapsed: float) -> None:
+        log, layers = self.log, self.layers
+        W = chain_product(layers)
+        res = self.op.apply(W) - self.y
+        lo = 0.5 * float(res @ res)
+        if not np.isfinite(lo):
+            raise DivergenceError(t, lo)
+        svals = chain_svd(layers, log.top_k, product=W)
+        rec = None
+        if self.probe is not None:
+            rec = float(np.linalg.norm(W - self.probe)) / self.probe_norm
+        log.records.append(TrajectoryRecord(t, lo, rec, svals, elapsed))
+        if self.track_spectral > 0:
+            f = chain_svd(layers, self.track_spectral, compute_uv=True, product=W)
+            log.spectral.append(SpectralSnapshot(t, f.U, f.s, f.V))
+        for name, fn in self.extra_metrics.items():
+            log.extras[name].append(float(fn(W)))
+
+
 def _train(
     layers: list[Matrix],
     rates: list[float],
@@ -154,41 +214,8 @@ def _train(
     track_spectral: int,
     extra_metrics: dict[str, Callable[[Matrix], float]] | None,
 ) -> TrajectoryLog:
-    log = TrajectoryLog(top_k=cfg.top_k)
-    if extra_metrics:
-        log.extras = {name: [] for name in extra_metrics}
-    probe_norm = None
-    if probe is not None:
-        probe_norm = float(np.linalg.norm(probe))
-        if probe_norm == 0.0:
-            raise ContractViolationError("probe target must be nonzero")
-
-    def record(t: int, elapsed: float) -> None:
-        W = end_to_end_of(layers)
-        res = op.apply(W) - y
-        lo = 0.5 * float(res @ res)
-        if not np.isfinite(lo):
-            raise DivergenceError(t, lo)
-        svals = np.linalg.svd(W, compute_uv=False)[: cfg.top_k]
-        rec = None
-        if probe is not None:
-            rec = float(np.linalg.norm(W - probe)) / probe_norm
-        log.records.append(TrajectoryRecord(t, lo, rec, svals, elapsed))
-        if track_spectral > 0:
-            f = svd(W)
-            k = min(track_spectral, f.s.size)
-            log.spectral.append(
-                SpectralSnapshot(t, f.U[:, :k].copy(), f.s[:k].copy(), f.V[:, :k].copy())
-            )
-        if extra_metrics:
-            for name, fn in extra_metrics.items():
-                log.extras[name].append(float(fn(W)))
-
-    def end_to_end_of(ls: list[Matrix]) -> Matrix:
-        prod = ls[0]
-        for w in ls[1:]:
-            prod = w @ prod
-        return prod
+    record = Recorder(layers, op, y, cfg.top_k, probe, track_spectral, extra_metrics)
+    log = record.log
 
     record(0, 0.0)
     if cfg.stop_tol is not None and log.records[0].train_loss <= cfg.stop_tol:

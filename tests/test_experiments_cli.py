@@ -103,6 +103,26 @@ class TestRun:
         assert not res.ok
         assert res.statuses["wide/seed_0"].startswith("diverged@")
 
+    def test_altmin_divergence_reported_not_raised(self, tmp_path, monkeypatch):
+        from dln import baselines
+
+        sweeps = []
+        original = baselines.half_sweep_left
+
+        def poisoned(model, row_pos, row_vals):
+            original(model, row_pos, row_vals)
+            sweeps.append(1)
+            if len(sweeps) == 2:
+                model.Lf[0, 0] = np.nan
+
+        monkeypatch.setattr(baselines, "half_sweep_left", poisoned)
+        cfg = tiny_config(tmp_path, problem="complete", p=0.6, model="altmin")
+        res = run(cfg)
+        assert not res.ok
+        assert res.statuses["altmin/seed_0"] == "diverged@2"
+        status = json.loads((tmp_path / "out" / "status.json").read_text())
+        assert status["altmin/seed_0"] == "diverged@2"
+
     def test_checkpoint_and_measurement_archive(self, tmp_path):
         from dln.models import CompressedDLN, load_model
 

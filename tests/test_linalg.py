@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from dln.errors import ContractViolationError
 from dln.linalg import (
     as_matrix,
+    chain_product,
+    chain_svd,
     frobenius_norm_sq,
     load_matrix_bin,
     load_matrix_csv,
@@ -191,6 +193,102 @@ def test_norm_submultiplicative(n, k, m, seed):
     nb = np.sqrt(frobenius_norm_sq(b))
     nab = np.sqrt(frobenius_norm_sq(matmul(a, b)))
     assert nab <= na * nb * (1 + 1e-12)
+
+
+def _bottleneck_chain(seed, depth, where, k, d_out, d_in, core_rank=None):
+    """Gaussian chain whose narrowest interior width k sits at boundary
+    ``where`` (1..depth-1); other interior widths are k + 1..k + 3. With
+    ``core_rank`` < k the layer after the bottleneck has that rank."""
+    rng = make_rng(seed)
+    widths = [d_in] + [k + 1 + int(rng.integers(0, 3)) for _ in range(depth - 1)] + [d_out]
+    widths[where] = k
+    layers = [rng.standard_normal((widths[i + 1], widths[i])) for i in range(depth)]
+    if core_rank is not None:
+        a = rng.standard_normal((widths[where + 1], core_rank))
+        layers[where] = a @ rng.standard_normal((core_rank, k))
+    return layers
+
+
+def _assert_sign_rule(U):
+    idx = np.argmax(np.abs(U), axis=0)
+    assert np.all(U[idx, np.arange(U.shape[1])] > 0)
+
+
+class TestChainSvd:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(2, 4),
+        where=st.sampled_from(["first", "middle", "last"]),
+        k=st.integers(1, 4),
+        d_out=st.integers(6, 12),
+        d_in=st.integers(6, 12),
+        deficient=st.booleans(),
+    )
+    def test_factored_matches_full_svd(self, seed, depth, where, k, d_out, d_in, deficient):
+        boundary = {"first": 1, "middle": depth // 2, "last": depth - 1}[where]
+        core_rank = max(k - 1, 0) if deficient else None
+        layers = _bottleneck_chain(seed, depth, boundary, k, d_out, d_in, core_rank)
+        W = chain_product(layers)
+        ref = np.linalg.svd(W, compute_uv=False)
+        scale = max(ref[0], np.finfo(float).tiny)
+
+        s = chain_svd(layers)
+        assert s.shape == ref.shape
+        assert np.max(np.abs(s - ref)) <= 1e-12 * scale
+        assert np.all(s[k:] == 0.0)
+
+        f = chain_svd(layers, top_k=k, compute_uv=True)
+        assert f.U.shape == (d_out, k) and f.V.shape == (d_in, k)
+        assert np.max(np.abs(f.s - ref[:k])) <= 1e-12 * scale
+        assert np.linalg.norm(f.reconstruct() - W) <= 1e-12 * max(np.linalg.norm(W), scale)
+        assert np.linalg.norm(f.U.T @ f.U - np.eye(k)) <= 1e-12
+        assert np.linalg.norm(f.V.T @ f.V - np.eye(k)) <= 1e-12
+        _assert_sign_rule(f.U)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(2, 4),
+           extra=st.integers(1, 5))
+    def test_top_k_past_bottleneck(self, seed, depth, extra):
+        k, d = 3, 9
+        layers = _bottleneck_chain(seed, depth, 1, k, d, d + 2)
+        W = chain_product(layers)
+        s = chain_svd(layers, top_k=k + extra)
+        assert s.size == k + extra and np.all(s[k:] == 0.0)
+        assert np.max(np.abs(s[:k] - np.linalg.svd(W, compute_uv=False)[:k])) <= 1e-12 * s[0]
+        # triplets past the bottleneck have no factored form: full SVD, bit for bit
+        f = chain_svd(layers, top_k=k + extra, compute_uv=True)
+        g = svd(W).truncate(k + extra)
+        for a, b in ((f.U, g.U), (f.s, g.s), (f.V, g.V)):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(2, 4),
+           d_out=st.integers(2, 7), d_in=st.integers(2, 7), top_k=st.integers(1, 8))
+    def test_wide_route_is_full_svd_bitwise(self, seed, depth, d_out, d_in, top_k):
+        rng = make_rng(seed)
+        inner = max(d_out, d_in)
+        widths = [d_in] + [inner + int(rng.integers(0, 2)) for _ in range(depth - 1)] + [d_out]
+        layers = [rng.standard_normal((widths[i + 1], widths[i])) for i in range(depth)]
+        W = chain_product(layers)
+        n = min(top_k, d_out, d_in)
+        assert np.array_equal(chain_svd(layers, top_k), np.linalg.svd(W, compute_uv=False)[:n])
+        assert np.array_equal(chain_svd(layers, top_k, product=W), chain_svd(layers, top_k))
+        f = chain_svd(layers, top_k, compute_uv=True)
+        U, s, Vt = np.linalg.svd(W, full_matrices=False)
+        assert np.array_equal(f.s, s[:n])
+        g = svd(W)
+        assert np.array_equal(f.U, g.U[:, :n]) and np.array_equal(f.V, g.V[:, :n])
+        _assert_sign_rule(f.U)
+
+    def test_chain_product_order(self):
+        a, b = np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]])
+        assert np.array_equal(chain_product([a, b]), b @ a)
+        assert chain_product([a]) is a
+
+    def test_top_k_must_be_positive(self):
+        with pytest.raises(ContractViolationError):
+            chain_svd([np.eye(3), np.eye(3)], top_k=0)
 
 
 class TestSerialization:
