@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ContractViolationError, ParseError, ResourceBudgetError
 from .experiments import (
     ABLATION_AXES,
     ExperimentConfig,
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ContractViolationError, ResourceBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ParseError as exc:

@@ -149,6 +149,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("r", f"rank must lie in 1..{cfg.d}")
         if not 1 <= cfg.r_hat <= cfg.d:
             raise ConfigError("r_hat", f"must lie in 1..{cfg.d}")
+        if cfg.sigma_values is not None:
+            if len(cfg.sigma_values) != cfg.r:
+                raise ConfigError(
+                    "sigma_values", f"got {len(cfg.sigma_values)} values for rank r={cfg.r}"
+                )
+            if any(not s > 0 for s in cfg.sigma_values):
+                raise ConfigError("sigma_values", "singular values must be positive")
     if cfg.L < 2:
         raise ConfigError("L", "depth must be at least 2")
     if cfg.eps <= 0:
@@ -161,6 +168,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("T", "need at least one iteration")
     if not cfg.seeds:
         raise ConfigError("seeds", "need at least one seed")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ConfigError("seeds", "seeds must be distinct")
     if cfg.problem == "complete" and not 0 < cfg.p <= 1:
         raise ConfigError("p", "observation probability must lie in (0, 1]")
     if cfg.problem == "sense" and cfg.m < 1:

@@ -51,15 +51,6 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> Matrix:
     return a
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit conformability check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ContractViolationError(
-            f"cannot multiply shapes {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
 def frobenius_norm_sq(a: Matrix) -> float:
     """Sum of squared entries."""
     return float(np.sum(a * a))

@@ -197,9 +197,12 @@ def chain_gradients(layers: list[Matrix], op: SensingOperator,
                     y: np.ndarray) -> tuple[list[Matrix], float]:
     """Per-layer gradients of the half squared residual, plus the loss.
 
-    With residual R = adjoint(apply(product) - y), the gradient of layer l is
-    (suffix after l)^T @ R @ (prefix before l)^T, empty products acting as the
-    identity. Works for a single-layer chain, where the gradient is R itself.
+    Reverse-mode backprop (the delta recursion). The forward pass keeps the
+    prefix products P_l = W_{l-1} ... W_0. The backward pass starts from
+    delta = adjoint(apply(product) - y); for l = n-1 down to 1 it takes the
+    gradient of layer l as delta @ P_l^T and then sets delta = W_l^T @ delta,
+    so the last delta is the gradient of the first layer. A single-layer
+    chain's gradient is the back-projected residual itself.
     """
     n = len(layers)
     prefixes: list[Matrix | None] = [None] * n
@@ -209,19 +212,13 @@ def chain_gradients(layers: list[Matrix], op: SensingOperator,
         prod = w @ prod if prod is not None else w
     res = op.apply(prod) - y
     lo = 0.5 * float(res @ res)
-    R = op.adjoint(res)
-    suffixes: list[Matrix | None] = [None] * n
-    suff = None
-    for l in range(n - 1, -1, -1):
-        suffixes[l] = suff
-        suff = suff @ layers[l] if suff is not None else layers[l]
+    delta = op.adjoint(res)
     grads = []
-    for l in range(n):
-        g = R if suffixes[l] is None else suffixes[l].T @ R
-        if prefixes[l] is not None:
-            g = g @ prefixes[l].T
-        grads.append(g)
-    return grads, lo
+    for l in range(n - 1, 0, -1):
+        grads.append(delta @ prefixes[l].T)
+        delta = layers[l].T @ delta
+    grads.append(delta)
+    return grads[::-1], lo
 
 
 def gradients(model: Model, op: SensingOperator, y: np.ndarray) -> list[Matrix]:

@@ -190,15 +190,3 @@ class CompletionMask:
 
 
 SensingOperator = Union[Identity, GaussianSensing, CompletionMask]
-
-
-def apply(op: SensingOperator, M: Matrix) -> Measurement:
-    return op.apply(M)
-
-
-def adjoint_apply(op: SensingOperator, y: Measurement) -> Matrix:
-    return op.adjoint(y)
-
-
-def surrogate(op: SensingOperator, y: Measurement) -> Matrix:
-    return op.surrogate(y)

@@ -207,6 +207,43 @@ class TestCli:
         rc = main(["factorize", "--eta", "-3", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def _assert_config_error(self, argv, capsys, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert "Traceback" not in err
+
+    def test_sigma_length_mismatch_exit_two(self, tmp_path, capsys):
+        self._assert_config_error(
+            ["factorize", "--sigma", "1,2", "--r", "3", "--out", str(tmp_path / "o")],
+            capsys, "sigma_values",
+        )
+
+    def test_nonpositive_sigma_exit_two(self, tmp_path, capsys):
+        self._assert_config_error(
+            ["factorize", "--sigma", "0.1,0", "--r", "2", "--out", str(tmp_path / "o")],
+            capsys, "sigma_values",
+        )
+
+    def test_duplicate_seeds_exit_two(self, tmp_path, capsys):
+        self._assert_config_error(
+            ["factorize", "--seeds", "0,0", "--out", str(tmp_path / "o")], capsys, "seeds",
+        )
+
+    def test_empty_mask_draw_exit_two(self, tmp_path, capsys):
+        self._assert_config_error(
+            ["complete", "--d", "5", "--r", "2", "--rhat", "3", "--p", "1e-5",
+             "--T", "5", "--out", str(tmp_path / "o")],
+            capsys, "mask draw came up empty",
+        )
+
+    def test_sensing_over_budget_exit_two(self, tmp_path, capsys):
+        # the budget is checked before the operator is drawn
+        self._assert_config_error(
+            ["sense", "--m", "200000", "--T", "5", "--out", str(tmp_path / "o")],
+            capsys, "budget",
+        )
+
     def test_divergence_exit_three(self, tmp_path):
         rc = main([
             "factorize", "--model", "wide", "--d", "12", "--r", "2", "--rhat", "4",

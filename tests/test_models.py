@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dln.errors import ContractViolationError
 from dln.linalg import make_rng, singular_values, truncated_svd
@@ -205,6 +207,83 @@ class TestGradients:
         for a, n in zip(analytic, numeric):
             denom = np.maximum(np.abs(n), 1e-3)
             assert np.max(np.abs(a - n) / denom) <= 1e-5
+
+
+def prefix_suffix_gradients(layers, op, y):
+    """Slow reference: the gradient of layer l is
+    (suffix after l)^T @ R @ (prefix before l)^T with R the back-projected
+    residual, every prefix and suffix multiplied out, empty products acting
+    as the identity."""
+    n = len(layers)
+    prefixes = [None] * n
+    prod = None
+    for l, w in enumerate(layers):
+        prefixes[l] = prod
+        prod = w @ prod if prod is not None else w
+    res = op.apply(prod) - y
+    lo = 0.5 * float(res @ res)
+    R = op.adjoint(res)
+    suffixes = [None] * n
+    suff = None
+    for l in range(n - 1, -1, -1):
+        suffixes[l] = suff
+        suff = suff @ layers[l] if suff is not None else layers[l]
+    grads = []
+    for l in range(n):
+        g = R if suffixes[l] is None else suffixes[l].T @ R
+        if prefixes[l] is not None:
+            g = g @ prefixes[l].T
+        grads.append(g)
+    return grads, lo, R
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 4),
+    op_name=st.sampled_from(["identity", "gaussian", "mask"]),
+    d_in=st.integers(2, 7),
+    d_out=st.integers(2, 7),
+    interior=st.sampled_from(["wide", "first", "middle", "last"]),
+)
+def test_delta_recursion_matches_prefix_suffix_reference(seed, depth, op_name, d_in,
+                                                         d_out, interior):
+    # identity and Gaussian sensing need a square target; the mask takes any
+    rng = make_rng(seed)
+    if op_name != "mask":
+        d_out = d_in
+    if op_name == "identity":
+        op = Identity(d_in)
+    elif op_name == "gaussian":
+        op = GaussianSensing(rng.standard_normal((int(rng.integers(1, 9)), d_in, d_in)))
+    else:
+        keep = rng.random((d_out, d_in)) < 0.5
+        keep[int(rng.integers(d_out)), int(rng.integers(d_in))] = True
+        rows, cols = np.nonzero(keep)
+        op = CompletionMask(rows, cols, d_out, d_in)
+    # interior widths: all max(d_in, d_out) for a wide chain, or a bottleneck
+    # of width k at the first, a middle or the last boundary and k + 1..k + 3
+    # elsewhere
+    if interior == "wide":
+        widths = [max(d_in, d_out)] * (depth - 1)
+    else:
+        k = int(rng.integers(1, min(d_in, d_out) + 1))
+        widths = [k + int(rng.integers(1, 4)) for _ in range(depth - 1)]
+        if depth > 1:
+            widths[{"first": 0, "middle": (depth - 1) // 2, "last": depth - 2}[interior]] = k
+    widths = [d_in, *widths, d_out]
+    layers = [rng.standard_normal((widths[i + 1], widths[i])) for i in range(depth)]
+    y = op.apply(rng.standard_normal((d_out, d_in)))
+
+    grads, lo = chain_gradients(layers, op, y)
+    ref, ref_lo, R = prefix_suffix_gradients(layers, op, y)
+    assert lo == ref_lo
+    assert len(grads) == depth
+    norms = [np.linalg.norm(w) for w in layers]
+    for l, (g, h) in enumerate(zip(grads, ref)):
+        assert g.shape == layers[l].shape
+        bound = 1e-12 * np.linalg.norm(R) * np.prod(norms[:l] + norms[l + 1:])
+        assert np.linalg.norm(g - h) <= bound
 
 
 class TestParamCount:

@@ -3,7 +3,7 @@ import pytest
 
 from dln.errors import ContractViolationError
 from dln.linalg import make_rng, truncated_svd
-from dln.operators import CompletionMask, GaussianSensing, Identity, adjoint_apply, apply, surrogate
+from dln.operators import CompletionMask, GaussianSensing, Identity
 from dln.data import SyntheticSpec, gen_gaussian_ops, gen_lowrank
 
 
@@ -122,12 +122,12 @@ def test_adjoint_identity_per_variant(rng):
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_module_level_wrappers(rng):
+def test_identity_methods_roundtrip(rng):
     op = Identity(3)
     m = rng.standard_normal((3, 3))
-    y = apply(op, m)
-    assert np.array_equal(adjoint_apply(op, y), m)
-    assert np.array_equal(surrogate(op, y), m)
+    y = op.apply(m)
+    assert np.array_equal(op.adjoint(y), m)
+    assert np.array_equal(op.surrogate(y), m)
 
 
 def test_gaussian_surrogate_concentration():
