@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__, diagnostics
 from .baselines import altmin_complete
 from .data import (
+    DEFAULT_SENSING_BUDGET_BYTES,
     MOVIELENS_SHAPE,
     SyntheticSpec,
     gen_gaussian_ops,
@@ -172,10 +173,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("seeds", "seeds must be distinct")
     if cfg.problem == "complete" and not 0 < cfg.p <= 1:
         raise ConfigError("p", "observation probability must lie in (0, 1]")
-    if cfg.problem == "sense" and cfg.m < 1:
-        raise ConfigError("m", "need at least one measurement")
-    if cfg.problem == "movielens" and not cfg.movielens_path:
-        raise ConfigError("movielens_path", "ratings file path is required")
+    if cfg.problem == "sense":
+        if cfg.m < 1:
+            raise ConfigError("m", "need at least one measurement")
+        need = cfg.m * cfg.d * cfg.d * 8
+        if need > DEFAULT_SENSING_BUDGET_BYTES:
+            raise ConfigError(
+                "m", f"sensing operator needs {need} bytes > budget {DEFAULT_SENSING_BUDGET_BYTES}"
+            )
+    if cfg.problem == "movielens":
+        if not cfg.movielens_path:
+            raise ConfigError("movielens_path", "ratings file path is required")
+        k = min(cfg.movielens_shape)
+        if not 1 <= cfg.r_hat <= k:
+            raise ConfigError("r_hat", f"must lie in 1..{k} for ratings of shape "
+                              f"{cfg.movielens_shape[0]}x{cfg.movielens_shape[1]}")
     if cfg.model == "altmin" and cfg.problem in ("factorize", "sense"):
         raise ConfigError("model", "the alternating baseline only handles completion problems")
     if cfg.oracle:

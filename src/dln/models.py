@@ -193,8 +193,8 @@ def loss(model: Model, op: SensingOperator, y: np.ndarray) -> float:
     return 0.5 * float(r @ r)
 
 
-def chain_gradients(layers: list[Matrix], op: SensingOperator,
-                    y: np.ndarray) -> tuple[list[Matrix], float]:
+def chain_gradients(layers: list[Matrix], op: SensingOperator, y: np.ndarray,
+                    work: list[Matrix | None] | None = None) -> tuple[list[Matrix], float]:
     """Per-layer gradients of the half squared residual, plus the loss.
 
     Reverse-mode backprop (the delta recursion). The forward pass keeps the
@@ -203,21 +203,34 @@ def chain_gradients(layers: list[Matrix], op: SensingOperator,
     gradient of layer l as delta @ P_l^T and then sets delta = W_l^T @ delta,
     so the last delta is the gradient of the first layer. A single-layer
     chain's gradient is the back-projected residual itself.
+
+    ``work`` lets a training loop keep the full-size intermediates from one
+    call to the next. It is a list of n + 1 slots for an n-layer chain: slot
+    l (1 <= l < n) receives the forward product W_l ... W_0, slot n the
+    back-projected residual, and slot 0 is unused (the first product is
+    ``layers[0]`` itself). A ``None`` slot is allocated and stored in the
+    list; a filled slot is written in place, so pass the same list, unchanged,
+    for every step of one chain (``[None] * (n + 1)`` to start). The returned
+    gradients never alias a slot.
     """
     n = len(layers)
+    if work is None:
+        work = [None] * (n + 1)
+    elif len(work) != n + 1:
+        raise ContractViolationError(f"work needs {n + 1} slots for {n} layers, got {len(work)}")
     prefixes: list[Matrix | None] = [None] * n
-    prod = None
-    for l, w in enumerate(layers):
+    prod = layers[0]
+    for l in range(1, n):
         prefixes[l] = prod
-        prod = w @ prod if prod is not None else w
+        prod = work[l] = np.matmul(layers[l], prod, out=work[l])
     res = op.apply(prod) - y
     lo = 0.5 * float(res @ res)
-    delta = op.adjoint(res)
+    delta = work[n] = op.adjoint(res, out=work[n])
     grads = []
     for l in range(n - 1, 0, -1):
         grads.append(delta @ prefixes[l].T)
         delta = layers[l].T @ delta
-    grads.append(delta)
+    grads.append(delta if n > 1 else delta.copy())
     return grads[::-1], lo
 
 

@@ -11,6 +11,13 @@ returns the back-projection exactly (no 1/m), Gaussian sensing averages by
 1/m, and the completion variant averages by 1/|mask|. The training loss is
 always the unnormalized residual; any measurement-count normalization is the
 caller's business (fold it into the step size).
+
+``adjoint(y, out=None)`` allocates its result unless ``out`` is given; then it
+writes into ``out`` and returns it. ``out`` must be a C-contiguous float64
+array of ``op.shape`` that is zero wherever the operator does not write (the
+completion mask writes only its observed entries). An array returned by an
+earlier ``adjoint`` call of the same operator meets that contract, so a
+training loop can keep one buffer for every step.
 """
 
 from __future__ import annotations
@@ -40,6 +47,13 @@ def _check_measurement(m: int, y: Measurement) -> np.ndarray:
     return y
 
 
+def _check_out(shape: tuple[int, int], out: Matrix) -> None:
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ContractViolationError(
+            f"adjoint output must be a C-contiguous float64 {shape[0]}x{shape[1]} array"
+        )
+
+
 @dataclass(frozen=True)
 class Identity:
     """Full observation of a d x d matrix; measurements are vec(M) row-major."""
@@ -58,8 +72,13 @@ class Identity:
         _check_target(self.shape, M)
         return M.ravel().copy()
 
-    def adjoint(self, y: Measurement) -> Matrix:
-        return _check_measurement(self.m, y).reshape(self.d, self.d).copy()
+    def adjoint(self, y: Measurement, out: Matrix | None = None) -> Matrix:
+        y = _check_measurement(self.m, y).reshape(self.d, self.d)
+        if out is None:
+            return y.copy()
+        _check_out(self.shape, out)
+        np.copyto(out, y)
+        return out
 
     def surrogate(self, y: Measurement) -> Matrix:
         # full observation: the back-projection is the target itself, so no
@@ -97,9 +116,14 @@ class GaussianSensing:
         _check_target(self.shape, M)
         return self.matrices.reshape(self.m, -1) @ M.ravel()
 
-    def adjoint(self, y: Measurement) -> Matrix:
+    def adjoint(self, y: Measurement, out: Matrix | None = None) -> Matrix:
         y = _check_measurement(self.m, y)
-        return (y @ self.matrices.reshape(self.m, -1)).reshape(self.d, self.d)
+        a = self.matrices.reshape(self.m, -1)
+        if out is None:
+            return (y @ a).reshape(self.d, self.d)
+        _check_out(self.shape, out)
+        np.matmul(y, a, out=out.reshape(-1))
+        return out
 
     def surrogate(self, y: Measurement) -> Matrix:
         return self.adjoint(y) / self.m
@@ -110,13 +134,16 @@ class CompletionMask:
     """Observed index set of a rows x cols matrix, stored sorted row-major.
 
     Measurement order is fixed: entries are read in row-major order over the
-    sorted index set.
+    sorted index set. ``flat`` holds the same entries as row-major flat
+    indices ``rows * n_cols + cols``; apply and adjoint gather and scatter
+    through it.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     n_rows: int
     n_cols: int = field(default=0)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_cols = self.n_cols or self.n_rows
@@ -136,6 +163,7 @@ class CompletionMask:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "n_cols", n_cols)
+        object.__setattr__(self, "flat", flat)
 
     @classmethod
     def from_pairs(cls, pairs, d: int, n_cols: int | None = None) -> "CompletionMask":
@@ -160,12 +188,15 @@ class CompletionMask:
 
     def apply(self, M: Matrix) -> Measurement:
         _check_target(self.shape, M)
-        return M[self.rows, self.cols].astype(np.float64)
+        return M.take(self.flat).astype(np.float64, copy=False)
 
-    def adjoint(self, y: Measurement) -> Matrix:
+    def adjoint(self, y: Measurement, out: Matrix | None = None) -> Matrix:
         y = _check_measurement(self.m, y)
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = y
+        if out is None:
+            out = np.zeros(self.shape)
+        else:
+            _check_out(self.shape, out)
+        out.put(self.flat, y)
         return out
 
     def surrogate(self, y: Measurement) -> Matrix:

@@ -223,9 +223,10 @@ def _train(
 
     train_time = 0.0
     last_logged = 0
+    work = [None] * (len(layers) + 1)  # chain_gradients' buffers, kept across steps
     for t in range(1, cfg.iters + 1):
         t0 = time.perf_counter()
-        grads, prev_loss = chain_gradients(layers, op, y)
+        grads, prev_loss = chain_gradients(layers, op, y, work)
         if not np.isfinite(prev_loss) or prev_loss > LOSS_CAP:
             raise DivergenceError(t - 1, prev_loss)
         if cfg.stop_tol is not None and prev_loss <= cfg.stop_tol:

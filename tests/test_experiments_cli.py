@@ -6,6 +6,8 @@ import pytest
 
 from dln.cli import main, read_config_file
 from dln.errors import ConfigError
+from dataclasses import replace
+
 from dln.experiments import (
     ExperimentConfig,
     ablate,
@@ -52,6 +54,22 @@ class TestConfig:
         cfg = tiny_config(tmp_path, model="altmin")
         with pytest.raises(ConfigError):
             validate_config(cfg)
+
+    def test_sensing_budget_checked(self, tmp_path):
+        # 4 GiB is 8 * 100^2 * 53687 bytes
+        validate_config(tiny_config(tmp_path, problem="sense", d=100, m=53_687))
+        with pytest.raises(ConfigError) as exc:
+            validate_config(tiny_config(tmp_path, problem="sense", d=100, m=53_688))
+        assert exc.value.field == "m"
+
+    @pytest.mark.parametrize("r_hat", [0, 6])
+    def test_ratings_rhat_checked_against_shape(self, tmp_path, r_hat):
+        cfg = default_config("movielens", out_dir="x", movielens_path="u.data",
+                             movielens_shape=(5, 8), r_hat=r_hat)
+        with pytest.raises(ConfigError) as exc:
+            validate_config(cfg)
+        assert exc.value.field == "r_hat"
+        validate_config(replace(cfg, r_hat=5))
 
     def test_effective_eta_normalization(self):
         sense = default_config("sense", out_dir="x", eta=10.0)
@@ -243,6 +261,24 @@ class TestCli:
             ["sense", "--m", "200000", "--T", "5", "--out", str(tmp_path / "o")],
             capsys, "budget",
         )
+
+    def test_sensing_over_budget_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        self._assert_config_error(
+            ["sense", "--m", "200000", "--T", "5", "--out", str(out)], capsys, "budget",
+        )
+        assert not out.exists()
+
+    def test_ratings_rhat_too_large_writes_nothing(self, tmp_path, capsys):
+        # rejected before the wide net trains, so no manifest or seed directory
+        data = tmp_path / "u.data"
+        data.write_text("".join(f"{u}\t{u + 1}\t3\t88125{u:04d}\n" for u in range(1, 21)))
+        out = tmp_path / "o"
+        self._assert_config_error(
+            ["movielens", "--data", str(data), "--rhat", "5000", "--T", "2",
+             "--out", str(out)], capsys, "r_hat",
+        )
+        assert not out.exists()
 
     def test_divergence_exit_three(self, tmp_path):
         rc = main([

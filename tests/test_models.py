@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,19 +239,9 @@ def prefix_suffix_gradients(layers, op, y):
     return grads, lo, R
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    depth=st.integers(1, 4),
-    op_name=st.sampled_from(["identity", "gaussian", "mask"]),
-    d_in=st.integers(2, 7),
-    d_out=st.integers(2, 7),
-    interior=st.sampled_from(["wide", "first", "middle", "last"]),
-)
-def test_delta_recursion_matches_prefix_suffix_reference(seed, depth, op_name, d_in,
-                                                         d_out, interior):
+def random_chain(rng, depth, op_name, d_in, d_out, interior):
+    """An operator, a chain of ``depth`` layers and measurements for it."""
     # identity and Gaussian sensing need a square target; the mask takes any
-    rng = make_rng(seed)
     if op_name != "mask":
         d_out = d_in
     if op_name == "identity":
@@ -274,6 +266,25 @@ def test_delta_recursion_matches_prefix_suffix_reference(seed, depth, op_name, d
     widths = [d_in, *widths, d_out]
     layers = [rng.standard_normal((widths[i + 1], widths[i])) for i in range(depth)]
     y = op.apply(rng.standard_normal((d_out, d_in)))
+    return op, layers, y
+
+
+CHAINS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 4),
+    op_name=st.sampled_from(["identity", "gaussian", "mask"]),
+    d_in=st.integers(2, 7),
+    d_out=st.integers(2, 7),
+    interior=st.sampled_from(["wide", "first", "middle", "last"]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**CHAINS)
+def test_delta_recursion_matches_prefix_suffix_reference(seed, depth, op_name, d_in,
+                                                         d_out, interior):
+    rng = make_rng(seed)
+    op, layers, y = random_chain(rng, depth, op_name, d_in, d_out, interior)
 
     grads, lo = chain_gradients(layers, op, y)
     ref, ref_lo, R = prefix_suffix_gradients(layers, op, y)
@@ -284,6 +295,61 @@ def test_delta_recursion_matches_prefix_suffix_reference(seed, depth, op_name, d
         assert g.shape == layers[l].shape
         bound = 1e-12 * np.linalg.norm(R) * np.prod(norms[:l] + norms[l + 1:])
         assert np.linalg.norm(g - h) <= bound
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(**CHAINS)
+def test_kept_work_list_matches_fresh_buffers(seed, depth, op_name, d_in, d_out, interior):
+    # a work list kept over successive steps gives the bits of a fresh call,
+    # and a later call leaves the gradients an earlier one returned alone
+    rng = make_rng(seed)
+    op, layers, y = random_chain(rng, depth, op_name, d_in, d_out, interior)
+    work = [None] * (depth + 1)
+    before = None
+    for _ in range(3):
+        grads, lo = chain_gradients(layers, op, y, work)
+        fresh, fresh_lo = chain_gradients(layers, op, y)
+        assert lo == fresh_lo
+        assert all(same_bits(g, h) for g, h in zip(grads, fresh))
+        assert not any(np.shares_memory(g, s) for g in grads for s in work if s is not None)
+        if before is not None:
+            kept, copies = before
+            assert all(same_bits(g, c) for g, c in zip(kept, copies))
+        before = grads, [g.copy() for g in grads]
+        for w in layers:
+            w += 0.1 * rng.standard_normal(w.shape)
+
+
+def test_work_list_length_checked(rng):
+    layers = [rng.standard_normal((3, 3)) for _ in range(2)]
+    op = Identity(3)
+    with pytest.raises(ContractViolationError):
+        chain_gradients(layers, op, op.apply(np.eye(3)), [None] * 2)
+
+
+def test_kept_work_step_allocates_less_than_one_full_matrix():
+    # with its buffers kept, a compressed completion step allocates only
+    # measurement-length vectors and r_hat-sized matrices, no 300x500 array
+    rng = make_rng(5)
+    d_out, d_in, r_hat = 300, 500, 5
+    rows, cols = np.nonzero(rng.random((d_out, d_in)) < 0.05)
+    op = CompletionMask(rows, cols, d_out, d_in)
+    y = op.apply(rng.standard_normal((d_out, d_in)))
+    layers = [rng.standard_normal((r_hat, d_in)), rng.standard_normal((r_hat, r_hat)),
+              rng.standard_normal((d_out, r_hat))]
+    work = [None] * 4
+    chain_gradients(layers, op, y, work)
+    tracemalloc.start()
+    try:
+        chain_gradients(layers, op, y, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d_out * d_in * 8
 
 
 class TestParamCount:

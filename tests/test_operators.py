@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dln.errors import ContractViolationError
 from dln.linalg import make_rng, truncated_svd
@@ -140,3 +142,78 @@ def test_gaussian_surrogate_concentration():
     cosines = np.linalg.svd(f.U.T @ U, compute_uv=False)
     max_angle = np.degrees(np.arccos(np.clip(cosines.min(), -1, 1)))
     assert max_angle < 30.0
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_mask(rng, n_rows, n_cols):
+    """A mask of random density with at least one entry, given unsorted."""
+    keep = rng.random((n_rows, n_cols)) < rng.uniform(0.05, 1.0)
+    keep[int(rng.integers(n_rows)), int(rng.integers(n_cols))] = True
+    rows, cols = np.nonzero(keep)
+    perm = rng.permutation(rows.size)
+    return CompletionMask(rows[perm], cols[perm], n_rows, n_cols)
+
+
+def random_operator(rng, kind, d):
+    if kind == "identity":
+        return Identity(d)
+    if kind == "gaussian":
+        return GaussianSensing(rng.standard_normal((int(rng.integers(1, 9)), d, d)))
+    return random_mask(rng, d, int(rng.integers(1, 9)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 9),
+    n_cols=st.integers(1, 9),
+    square=st.booleans(),
+    order=st.sampled_from("CF"),
+)
+def test_mask_flat_indices_match_fancy_index_reference(seed, n_rows, n_cols, square, order):
+    # apply and adjoint go through flat row-major indices; the reference is
+    # the 2-D fancy indexing over (rows, cols) they replace
+    rng = make_rng(seed)
+    if square:
+        n_cols = n_rows
+    mask = random_mask(rng, n_rows, n_cols)
+    M = np.asarray(rng.standard_normal((n_rows, n_cols)), order=order)
+    assert same_bits(mask.apply(M), M[mask.rows, mask.cols].astype(np.float64))
+    y = rng.standard_normal(mask.m)
+    ref = np.zeros(mask.shape)
+    ref[mask.rows, mask.cols] = y
+    assert same_bits(mask.adjoint(y), ref)
+    assert same_bits(mask.adjoint(np.asarray(y[:, None], order=order)), ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["identity", "gaussian", "mask"]),
+    d=st.integers(1, 7),
+)
+def test_adjoint_into_reused_buffer_matches_fresh(seed, kind, d):
+    rng = make_rng(seed)
+    op = random_operator(rng, kind, d)
+    out = op.adjoint(rng.standard_normal(op.m))
+    for _ in range(3):
+        y = rng.standard_normal(op.m)
+        assert op.adjoint(y, out=out) is out
+        assert same_bits(out, op.adjoint(y))
+
+
+@pytest.mark.parametrize("op", [
+    Identity(3),
+    GaussianSensing(np.ones((2, 3, 3))),
+    CompletionMask.from_pairs([(0, 1), (2, 3)], 3, n_cols=4),
+], ids=["identity", "gaussian", "mask"])
+def test_adjoint_rejects_unusable_buffer(op):
+    y = np.ones(op.m)
+    rows, cols = op.shape
+    for bad in (np.zeros((rows + 1, cols)), np.zeros(op.shape, dtype=np.float32),
+                np.zeros(op.shape, order="F")):
+        with pytest.raises(ContractViolationError):
+            op.adjoint(y, out=bad)
