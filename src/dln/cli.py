@@ -34,40 +34,41 @@ EXIT_DIVERGED = 3
 EXIT_IO = 4
 
 _FIELD_ALIASES = {"rhat": "r_hat", "iters": "T", "data": "movielens_path"}
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _parse_value(field: dataclasses.Field, raw: str):
-    name = field.name
-    if name in ("seeds", "sigma_values"):
-        return tuple(int(v) if name == "seeds" else float(v) for v in raw.split(",") if v)
-    if name == "movielens_shape":
-        parts = [int(v) for v in raw.replace(":", ",").split(",") if v]
-        if len(parts) != 2:
-            raise ConfigError(name, "expected two values 'rows,cols'")
-        return (parts[0], parts[1])
-    if name == "sigma_range":
-        parts = [float(v) for v in raw.replace(":", ",").split(",") if v]
-        if len(parts) != 2:
-            raise ConfigError(name, "expected two values 'lo,hi'")
-        return (parts[0], parts[1])
-    if name in ("top_k", "stop_tol") and raw.lower() in ("", "none"):
+    """One config value from its text form, for flags, config files and sweeps.
+
+    The field's annotation picks the parse: a comma list for tuples ("lo,hi"
+    or "lo:hi" for pairs), "none" or nothing for optional fields, and
+    1/true/yes/on for booleans. A value that does not parse is a ConfigError.
+    """
+    name, kind = field.name, field.type
+    text = raw.strip()
+    if kind.endswith("| None") and text.lower() in ("", "none"):
         return None
-    if field.type.startswith("bool") or isinstance(field.default, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(field.default, int) and not isinstance(field.default, bool):
-        return int(raw)
-    if isinstance(field.default, float):
-        return float(raw)
-    if name in ("top_k",):
-        return int(raw)
-    if name in ("stop_tol",):
-        return float(raw)
-    return raw
+    if kind.startswith("bool"):
+        return text.lower() in ("1", "true", "yes", "on")
+    conv = int if "int" in kind else float if "float" in kind else None
+    if conv is None:
+        return raw
+    pair = kind.startswith("tuple") and "..." not in kind
+    if pair:
+        text = text.replace(":", ",")
+    try:
+        if not kind.startswith("tuple"):
+            return conv(text)
+        parts = tuple(conv(v) for v in text.split(",") if v)
+    except ValueError as exc:
+        raise ConfigError(name, f"cannot parse {raw!r}: {exc}") from None
+    if pair and len(parts) != 2:
+        raise ConfigError(name, "expected two values 'a,b'")
+    return parts
 
 
 def read_config_file(path: str | Path) -> dict:
     """Flat `key = value` file; '#' starts a comment; keys are config fields."""
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     out = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -81,9 +82,9 @@ def read_config_file(path: str | Path) -> dict:
             raise ConfigError("config", f"line {no}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         key = _FIELD_ALIASES.get(key, key)
-        if key not in fields:
+        if key not in _FIELDS:
             raise ConfigError(key, "unknown config field")
-        out[key] = _parse_value(fields[key], raw)
+        out[key] = _parse_value(_FIELDS[key], raw)
     return out
 
 
@@ -91,7 +92,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--manifest", help="manifest.json of a previous run to re-run")
     parser.add_argument("--out", help="output directory (falls back to $DLN_OUT_DIR)")
-    parser.add_argument("--model", choices=["wide", "compressed", "altmin", "all"])
+    parser.add_argument("--model", help="'all' (the default) or a comma list of "
+                        "wide, compressed, altmin")
     parser.add_argument("--d", type=int)
     parser.add_argument("--r", type=int)
     parser.add_argument("--rhat", dest="r_hat", type=int)
@@ -116,23 +118,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     out = {}
-    for f in dataclasses.fields(ExperimentConfig):
+    for f in _FIELDS.values():
         # the problem comes from the subcommand and out_dir from --out
-        if f.name in ("problem", "out_dir") or not hasattr(args, f.name):
+        val = getattr(args, f.name, None)
+        if f.name in ("problem", "out_dir") or val is None:
             continue
-        val = getattr(args, f.name)
-        if val is None:
-            continue
-        if f.name == "seeds":
-            val = tuple(int(v) for v in str(val).split(",") if v)
-        elif f.name == "sigma_values":
-            val = tuple(float(v) for v in str(val).split(",") if v)
-        elif f.name == "sigma_range" and isinstance(val, str):
-            parts = [float(v) for v in val.replace(":", ",").split(",") if v]
-            if len(parts) != 2:
-                raise ConfigError("sigma_range", "expected two values 'lo,hi'")
-            val = (parts[0], parts[1])
-        out[f.name] = val
+        out[f.name] = _parse_value(f, val) if isinstance(val, str) else val
     return out
 
 
@@ -161,10 +152,8 @@ def _build_config(args: argparse.Namespace, problem: str) -> ExperimentConfig:
             cfg = oracle_config(**base)
         else:
             cfg = default_config(problem, **base)
-    if not cfg.out_dir:
+    if args.out or not cfg.out_dir:
         cfg = dataclasses.replace(cfg, out_dir=_resolve_out(args, cfg.problem))
-    elif getattr(args, "out", None):
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
     return cfg
 
 
@@ -186,27 +175,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _build_config(args, "oracle-recipe")
     result = run(cfg)
     _print_status(result)
-    verdicts = [v for k, v in result.statuses.items() if k.endswith("/oracle")]
     for key, v in sorted(result.statuses.items()):
         if key.endswith("/oracle"):
             print(f"oracle {key.split('/')[1]}: {'PASS' if v == 'pass' else 'FAIL'}")
-    if not result.ok:
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return EXIT_OK if result.ok else EXIT_DIVERGED
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     problem = args.problem or "complete"
     cfg = _build_config(args, problem)
-    if args.axis == "init":
-        values = [v for v in args.values.split(",") if v]
-        bad = [v for v in values if v not in ("orthogonal", "uniform")]
-        if bad:
-            raise ConfigError("init_mode", f"unknown init mode {bad[0]!r}")
-    elif args.axis in ("rhat", "depth"):
-        values = [int(v) for v in args.values.split(",") if v]
-    else:
-        values = [float(v) for v in args.values.split(",") if v]
+    field = _FIELDS[ABLATION_AXES[args.axis]]
+    values = [_parse_value(field, v) for v in args.values.split(",") if v]
     out = ablate(cfg, args.axis, values)
     print(f"wrote {out / 'summary.csv'}")
     return EXIT_OK
@@ -260,10 +239,7 @@ def main(argv=None) -> int:
     except (ConfigError, ContractViolationError, ResourceBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

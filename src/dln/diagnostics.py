@@ -104,7 +104,6 @@ def detect_incremental(
     sigma_star = np.asarray(sigma_star, dtype=np.float64).ravel()
     if sigma_star.size < cfg.r or st.svals.shape[1] < cfg.r:
         raise ContractViolationError("trajectory or targets cover fewer than r components")
-    n = st.ts.size
     out: list[int | None] = []
     for i in range(cfg.r):
         c_val = cfg.c_val if cfg.c_val is not None else (cfg.c_val_rel * sigma_star[i]) ** 2
@@ -113,17 +112,21 @@ def detect_incremental(
             & (st.left_align[:, i] >= 1.0 - cfg.c_vec)
             & (st.right_align[:, i] >= 1.0 - cfg.c_vec)
         )
-        first = None
-        for k in range(n - 1, -1, -1):
-            if not ok[k]:
-                break
-            first = int(st.ts[k])
-        out.append(first)
+        k = settled_from(ok)
+        out.append(None if k is None else int(st.ts[k]))
     return out
 
 
-def holdout_rmse(W_hat: Matrix, test_entries) -> float:
-    """Root mean squared error over held-out (row, col, value) triples."""
+def settled_from(ok: np.ndarray) -> int | None:
+    """First index after which ``ok`` holds at every later sample, or None
+    when it fails at the last one."""
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    first = int(bad[-1]) + 1 if bad.size else 0
+    return None if first == len(ok) else first
+
+
+def _holdout_residual(W_hat: Matrix, test_entries) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction minus value at held-out (row, col, value) triples, and the values."""
     test = np.asarray(test_entries, dtype=np.float64)
     if test.size == 0:
         raise ContractViolationError("empty test set")
@@ -132,21 +135,21 @@ def holdout_rmse(W_hat: Matrix, test_entries) -> float:
     cols = test[:, 1].astype(np.int64)
     if rows.min() < 0 or rows.max() >= W_hat.shape[0] or cols.min() < 0 or cols.max() >= W_hat.shape[1]:
         raise ContractViolationError("test indices out of range")
-    err = W_hat[rows, cols] - test[:, 2]
+    return W_hat[rows, cols] - test[:, 2], test[:, 2]
+
+
+def holdout_rmse(W_hat: Matrix, test_entries) -> float:
+    """Root mean squared error over held-out (row, col, value) triples."""
+    err, _ = _holdout_residual(W_hat, test_entries)
     return float(np.sqrt(np.mean(err**2)))
 
 
 def holdout_relative_error(W_hat: Matrix, test_entries) -> float:
     """Relative l2 error over held-out entries (distinct from the RMSE)."""
-    test = np.asarray(test_entries, dtype=np.float64).reshape(-1, 3)
-    if test.size == 0:
-        raise ContractViolationError("empty test set")
-    rows = test[:, 0].astype(np.int64)
-    cols = test[:, 1].astype(np.int64)
-    denom = float(np.linalg.norm(test[:, 2]))
+    err, values = _holdout_residual(W_hat, test_entries)
+    denom = float(np.linalg.norm(values))
     if denom == 0.0:
         raise ContractViolationError("held-out values are all zero")
-    err = W_hat[rows, cols] - test[:, 2]
     return float(np.linalg.norm(err)) / denom
 
 

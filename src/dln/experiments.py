@@ -5,7 +5,7 @@ the requested models, and writes a self-describing output tree::
 
     out_dir/
       manifest.json            resolved config + package version (re-runnable)
-      status.json              per (model, seed) outcome and timings
+      status.json              per (model, seed) outcome, rewritten after each one
       <model>/seed_<k>/
         trajectory.csv         deterministic per-iterate metrics
         timing.csv             cumulative training-only wall-clock
@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,19 +50,19 @@ from .data import (
 from .errors import ConfigError, DivergenceError
 from .linalg import make_rng
 from .models import InitSpec, init_compressed, init_wide, save_model
-from .operators import CompletionMask, Identity
+from .operators import CompletionMask, Identity, SensingOperator
 from .theory import RecursionParams, initial_state, verify_against_training
 from .trainer import TrainConfig, TrajectoryLog, train_compressed, train_wide
 
 PROBLEMS = ("factorize", "sense", "complete", "movielens")
-MODELS = ("wide", "compressed", "altmin", "all")
-ABLATION_AXES = ("alpha", "rhat", "depth", "init")
+# ablation axis -> the config field it sweeps
+ABLATION_AXES = {"alpha": "alpha", "rhat": "r_hat", "depth": "L", "init": "init_mode"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str
-    model: str = "all"
+    model: str = "all"  # "all" or a comma list of MODEL_TABLE names
     d: int = 100
     r: int = 10
     r_hat: int = 20
@@ -88,12 +90,6 @@ class ExperimentConfig:
     save_models: bool = False
     threshold: float = 1e-2
     out_dir: str = ""
-
-    def resolved_top_k(self) -> int:
-        return self.top_k if self.top_k is not None else self.r_hat
-
-    def wants(self, model: str) -> bool:
-        return self.model in (model, "all")
 
 
 # per-problem recipe defaults; numbers chosen so every desk-scale run is
@@ -129,22 +125,17 @@ ORACLE_RECIPE = dict(
 def default_config(problem: str, **overrides) -> ExperimentConfig:
     if problem not in PROBLEMS:
         raise ConfigError("problem", f"unknown problem {problem!r}")
-    base = dict(RECIPES[problem])
-    base.update(overrides)
-    return ExperimentConfig(problem=problem, **base)
+    return ExperimentConfig(problem=problem, **{**RECIPES[problem], **overrides})
 
 
 def oracle_config(**overrides) -> ExperimentConfig:
-    base = dict(ORACLE_RECIPE)
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(**{**ORACLE_RECIPE, **overrides})
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.problem not in PROBLEMS:
         raise ConfigError("problem", f"must be one of {PROBLEMS}")
-    if cfg.model not in MODELS:
-        raise ConfigError("model", f"must be one of {MODELS}")
+    models = resolve_models(cfg)
     if cfg.problem != "movielens":
         if not 1 <= cfg.r <= cfg.d:
             raise ConfigError("r", f"rank must lie in 1..{cfg.d}")
@@ -159,12 +150,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError("sigma_values", "singular values must be positive")
     if cfg.L < 2:
         raise ConfigError("L", "depth must be at least 2")
-    if cfg.eps <= 0:
-        raise ConfigError("eps", "must be positive")
-    if cfg.eta <= 0:
-        raise ConfigError("eta", "must be positive")
-    if cfg.alpha <= 0:
-        raise ConfigError("alpha", "must be positive")
+    if cfg.init_mode not in ("orthogonal", "uniform"):
+        raise ConfigError("init_mode", f"unknown init mode {cfg.init_mode!r}")
+    for name in ("eps", "eta", "alpha"):
+        if not getattr(cfg, name) > 0:
+            raise ConfigError(name, "must be positive")
     if cfg.T < 1:
         raise ConfigError("T", "need at least one iteration")
     if not cfg.seeds:
@@ -188,12 +178,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not 1 <= cfg.r_hat <= k:
             raise ConfigError("r_hat", f"must lie in 1..{k} for ratings of shape "
                               f"{cfg.movielens_shape[0]}x{cfg.movielens_shape[1]}")
-    if cfg.model == "altmin" and cfg.problem in ("factorize", "sense"):
-        raise ConfigError("model", "the alternating baseline only handles completion problems")
     if cfg.oracle:
         if cfg.problem != "factorize":
             raise ConfigError("oracle", "oracle verification requires the factorize problem")
-        if not cfg.wants("compressed"):
+        if "compressed" not in models:
             raise ConfigError("oracle", "oracle verification requires the compressed model")
         if cfg.alpha != 1.0:
             raise ConfigError(
@@ -242,31 +230,10 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-def _synthetic_problem(cfg: ExperimentConfig, seed: int):
-    spec = SyntheticSpec(
-        d=cfg.d, r=cfg.r, seed=seed,
-        sigma_range=cfg.sigma_range, sigma_values=cfg.sigma_values,
-    )
-    M, U, s, V = gen_lowrank(spec)
-    if cfg.problem == "factorize":
-        op = Identity(cfg.d)
-    elif cfg.problem == "sense":
-        op = gen_gaussian_ops(cfg.d, cfg.m, seed)
-    else:
-        op = gen_mcar_mask(cfg.d, cfg.p, seed)
-    return M, U, s, V, op, op.apply(M)
-
-
 def _archive_measurements(dest: Path, op, y) -> None:
     if isinstance(op, CompletionMask):
         op.save_csv(dest / "mask.csv")
         np.savetxt(dest / "train_values.csv", y, fmt="%.17g")
-
-
-def _seed_dir(out: Path, model: str, seed: int) -> Path:
-    d = out / model / f"seed_{seed}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
 
 
 def _write_logs(dest: Path, log: TrajectoryLog, experiment: str, seed: int,
@@ -282,139 +249,198 @@ def _write_logs(dest: Path, log: TrajectoryLog, experiment: str, seed: int,
         diagnostics.write_diagnostics_csv(dest / "diagnostics.csv", experiment, seed, rows)
 
 
+@dataclass(frozen=True)
+class _Problem:
+    """One seed's measurements, with the target's factors where it is synthetic."""
+
+    op: SensingOperator
+    y: np.ndarray
+    M: np.ndarray | None
+    U: np.ndarray | None
+    s: np.ndarray | None
+    V: np.ndarray | None
+    eta: float
+    top_k: int
+    extra: dict | None
+
+
+def _seed_problem(cfg: ExperimentConfig, seed: int, ratings) -> _Problem:
+    if cfg.problem == "movielens":
+        op, y, test = split_ratings(ratings, cfg.train_frac, seed)
+        M = U = s = V = None
+        extra = {
+            "holdout_rmse": lambda W: diagnostics.holdout_rmse(W, test),
+            "holdout_rel_error": lambda W: diagnostics.holdout_relative_error(W, test),
+        }
+    else:
+        spec = SyntheticSpec(
+            d=cfg.d, r=cfg.r, seed=seed,
+            sigma_range=cfg.sigma_range, sigma_values=cfg.sigma_values,
+        )
+        M, U, s, V = gen_lowrank(spec)
+        if cfg.problem == "factorize":
+            op = Identity(cfg.d)
+        elif cfg.problem == "sense":
+            op = gen_gaussian_ops(cfg.d, cfg.m, seed)
+        else:
+            op = gen_mcar_mask(cfg.d, cfg.p, seed)
+        y = op.apply(M)
+        extra = None
+    top_k = min(cfg.r_hat if cfg.top_k is None else cfg.top_k, *op.shape)
+    return _Problem(op, y, M, U, s, V, effective_eta(cfg, op.m), top_k, extra)
+
+
+def _train_config(cfg: ExperimentConfig, seed: int, pb: _Problem, alpha: float) -> TrainConfig:
+    return TrainConfig(eta=pb.eta, alpha=alpha, iters=cfg.T, log_every=cfg.log_every,
+                       stop_tol=cfg.stop_tol, seed=seed, top_k=pb.top_k)
+
+
+# The fit functions name the initialisers and trainers through this module's
+# globals, so a wrapper set on `dln.experiments` at run time is the one called.
+def _fit_wide(cfg: ExperimentConfig, seed: int, pb: _Problem):
+    d_out, d_in = pb.op.shape
+    model = init_wide(d_in, cfg.L, InitSpec(cfg.eps, cfg.init_mode), make_rng(seed, 2), d_out=d_out)
+    return train_wide(model, pb.op, pb.y, _train_config(cfg, seed, pb, 1.0), probe=pb.M,
+                      track_spectral=cfg.track_spectral, extra_metrics=pb.extra)
+
+
+def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
+    d_out, d_in = pb.op.shape
+    t0 = time.perf_counter()
+    surr = pb.op.surrogate(pb.y)
+    model = init_compressed(
+        d_in, cfg.L, cfg.r_hat, InitSpec(cfg.eps, "spectral", surrogate=surr), d_out=d_out,
+    )
+    svd_s = time.perf_counter() - t0
+    trained, log = train_compressed(model, pb.op, pb.y, _train_config(cfg, seed, pb, cfg.alpha),
+                                    probe=pb.M, track_spectral=cfg.track_spectral,
+                                    extra_metrics=pb.extra)
+    log.svd_init_s = svd_s
+    return trained, log
+
+
+def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
+                       dest: Path) -> dict[str, str]:
+    if cfg.track_spectral > 0 and pb.s is not None:
+        r = min(cfg.track_spectral, cfg.r)
+        st = diagnostics.alignment(log, pb.U, pb.V, r)
+        fits = diagnostics.detect_incremental(st, pb.s, diagnostics.IncrementalConfig(r=r))
+        (dest / "incremental.json").write_text(
+            json.dumps({"fit_iterations": fits}, sort_keys=True) + "\n"
+        )
+    if not cfg.oracle:
+        return {}
+    params = RecursionParams(L=cfg.L, eta=pb.eta, eps=cfg.eps, sigma_star=pb.s)
+    report = verify_against_training(log, initial_state(params), cfg.r_hat)
+    report.to_json(dest / "oracle.json")
+    return {"oracle": "pass" if report.passed else "fail"}
+
+
+def _fit_altmin(cfg: ExperimentConfig, seed: int, pb: _Problem):
+    return altmin_complete(
+        pb.op, pb.y, cfg.r_hat, cfg.altmin_iters, seed,
+        surrogate=pb.op.surrogate(pb.y), probe=pb.M, top_k=pb.top_k, extra_metrics=pb.extra,
+    )
+
+
+class ModelEntry(NamedTuple):
+    """One model of the comparison.
+
+    ``fit(cfg, seed, problem)`` initialises and trains one seed and returns
+    ``(trained, log)``. ``mode(cfg)`` names the init a network's checkpoint
+    records; it is None for the ALS baseline, which archives no measurements
+    and saves no checkpoint. ``finish(cfg, problem, log, dest)`` writes extra
+    artefacts and returns extra status entries keyed by suffix.
+    """
+
+    problems: tuple[str, ...]
+    fit: Callable
+    mode: Callable[[ExperimentConfig], str] | None
+    finish: Callable | None = None
+
+
+# models run in this order, whatever order a model list gives
+MODEL_TABLE: dict[str, ModelEntry] = {
+    "wide": ModelEntry(PROBLEMS, _fit_wide, lambda cfg: cfg.init_mode),
+    "compressed": ModelEntry(PROBLEMS, _fit_compressed, lambda cfg: "spectral",
+                             _finish_compressed),
+    "altmin": ModelEntry(("complete", "movielens"), _fit_altmin, None),
+}
+
+
+def resolve_models(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The models ``cfg.model`` names, in table order: ``all`` is every model
+    that serves the problem, otherwise a comma list of table names."""
+    names = [n.strip() for n in cfg.model.split(",")]
+    if names == ["all"]:
+        return tuple(n for n, e in MODEL_TABLE.items() if cfg.problem in e.problems)
+    if names == [""]:
+        raise ConfigError("model", "empty model list")
+    for n in names:
+        if n not in MODEL_TABLE:
+            raise ConfigError("model", f"unknown model {n!r}; expected 'all' or a comma "
+                                       f"list of {', '.join(MODEL_TABLE)}")
+        if names.count(n) > 1:
+            raise ConfigError("model", f"model {n!r} is listed twice")
+        if cfg.problem not in MODEL_TABLE[n].problems:
+            raise ConfigError("model", f"model {n!r} does not serve the {cfg.problem} problem")
+    return tuple(n for n in MODEL_TABLE if n in names)
+
+
 def run(cfg: ExperimentConfig, echo=None) -> RunResult:
     """Execute one experiment config; returns statuses keyed by model/seed."""
     validate_config(cfg)
+    models = resolve_models(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out)
     result = RunResult(out_dir=out)
     say = echo or (lambda msg: None)
 
-    ratings = None
-    if cfg.problem == "movielens":
-        ratings = load_movielens(cfg.movielens_path, shape=tuple(cfg.movielens_shape))
+    ratings = (load_movielens(cfg.movielens_path, shape=tuple(cfg.movielens_shape))
+               if cfg.problem == "movielens" else None)
 
     for seed in cfg.seeds:
-        if cfg.problem == "movielens":
-            mask, y, test = split_ratings(ratings, cfg.train_frac, seed)
-            op, M, U, s, V = mask, None, None, None, None
-            d_in, d_out = mask.n_cols, mask.n_rows
-            extra = {
-                "holdout_rmse": lambda W, t=test: diagnostics.holdout_rmse(W, t),
-                "holdout_rel_error": lambda W, t=test: diagnostics.holdout_relative_error(W, t),
-            }
-        else:
-            M, U, s, V, op, y = _synthetic_problem(cfg, seed)
-            d_in = d_out = cfg.d
-            extra = None
-        eta = effective_eta(cfg, op.m)
-        top_k = min(cfg.resolved_top_k(), min(d_in, d_out))
-
-        if cfg.wants("wide"):
-            key = f"wide/seed_{seed}"
+        pb = _seed_problem(cfg, seed, ratings)
+        for name in models:
+            entry = MODEL_TABLE[name]
+            key = f"{name}/seed_{seed}"
             try:
-                model = init_wide(
-                    d_in, cfg.L, InitSpec(cfg.eps, cfg.init_mode), make_rng(seed, 2), d_out=d_out
-                )
-                tc = TrainConfig(eta=eta, alpha=1.0, iters=cfg.T, log_every=cfg.log_every,
-                                 stop_tol=cfg.stop_tol, seed=seed, top_k=top_k)
-                trained, log = train_wide(model, op, y, tc, probe=M,
-                                          track_spectral=cfg.track_spectral,
-                                          extra_metrics=extra)
-                dest = _seed_dir(out, "wide", seed)
-                rows = _spectral_diag_rows(cfg, log, U, V)
-                _write_logs(dest, log, cfg.problem, seed, rows)
-                _archive_measurements(dest, op, y)
-                if cfg.save_models:
-                    save_model(dest / "checkpoint", trained,
-                               extra={"eps": cfg.eps, "mode": cfg.init_mode, "seed": seed})
+                trained, log = entry.fit(cfg, seed, pb)
+                dest = out / name / f"seed_{seed}"
+                dest.mkdir(parents=True, exist_ok=True)
+                _write_logs(dest, log, cfg.problem, seed, _spectral_diag_rows(cfg, log, pb.U, pb.V))
+                if entry.mode is not None:
+                    _archive_measurements(dest, pb.op, pb.y)
+                    if cfg.save_models:
+                        save_model(dest / "checkpoint", trained,
+                                   extra={"eps": cfg.eps, "mode": entry.mode(cfg), "seed": seed})
+                if entry.finish is not None:
+                    for sub, verdict in entry.finish(cfg, pb, log, dest).items():
+                        result.statuses[f"{key}/{sub}"] = verdict
                 result.logs[key] = log
                 result.statuses[key] = "ok"
             except DivergenceError as exc:
                 result.statuses[key] = f"diverged@{exc.iteration}"
+            # replaced whole after every (model, seed), so a crash leaves a valid file
+            tmp = out / "status.json.tmp"
+            tmp.write_text(json.dumps(result.statuses, indent=2, sort_keys=True) + "\n")
+            os.replace(tmp, out / "status.json")
             say(f"{key}: {result.statuses[key]}")
-
-        if cfg.wants("compressed"):
-            key = f"compressed/seed_{seed}"
-            try:
-                t0 = time.perf_counter()
-                surr = op.surrogate(y)
-                model = init_compressed(
-                    d_in, cfg.L, cfg.r_hat,
-                    InitSpec(cfg.eps, "spectral", surrogate=surr), d_out=d_out,
-                )
-                svd_s = time.perf_counter() - t0
-                tc = TrainConfig(eta=eta, alpha=cfg.alpha, iters=cfg.T, log_every=cfg.log_every,
-                                 stop_tol=cfg.stop_tol, seed=seed, top_k=top_k)
-                trained, log = train_compressed(model, op, y, tc, probe=M,
-                                                track_spectral=cfg.track_spectral,
-                                                extra_metrics=extra)
-                log.svd_init_s = svd_s
-                dest = _seed_dir(out, "compressed", seed)
-                rows = _spectral_diag_rows(cfg, log, U, V)
-                _write_logs(dest, log, cfg.problem, seed, rows)
-                _archive_measurements(dest, op, y)
-                if cfg.save_models:
-                    save_model(dest / "checkpoint", trained,
-                               extra={"eps": cfg.eps, "mode": "spectral", "seed": seed})
-                if cfg.track_spectral > 0 and s is not None:
-                    _write_incremental(dest, cfg, log, U, V, s)
-                if cfg.oracle:
-                    params = RecursionParams(L=cfg.L, eta=eta, eps=cfg.eps, sigma_star=s)
-                    report = verify_against_training(
-                        log, initial_state(params), cfg.r_hat
-                    )
-                    report.to_json(dest / "oracle.json")
-                    result.statuses[key + "/oracle"] = "pass" if report.passed else "fail"
-                result.logs[key] = log
-                result.statuses[key] = "ok"
-            except DivergenceError as exc:
-                result.statuses[key] = f"diverged@{exc.iteration}"
-            say(f"{key}: {result.statuses[key]}")
-
-        if cfg.wants("altmin") and cfg.problem in ("complete", "movielens"):
-            key = f"altmin/seed_{seed}"
-            try:
-                surr = op.surrogate(y)
-                _, log = altmin_complete(
-                    op, y, cfg.r_hat, cfg.altmin_iters, seed,
-                    surrogate=surr, probe=M, top_k=top_k, extra_metrics=extra,
-                )
-                _write_logs(_seed_dir(out, "altmin", seed), log, cfg.problem, seed)
-                result.logs[key] = log
-                result.statuses[key] = "ok"
-            except DivergenceError as exc:
-                result.statuses[key] = f"diverged@{exc.iteration}"
-            say(f"{key}: {result.statuses[key]}")
-
-    (out / "status.json").write_text(json.dumps(result.statuses, indent=2, sort_keys=True) + "\n")
     return result
 
 
 def _spectral_diag_rows(cfg: ExperimentConfig, log: TrajectoryLog, U, V):
-    if cfg.track_spectral <= 0 or U is None:
+    if cfg.track_spectral <= 0 or U is None or not log.spectral:
         return []
     r = min(cfg.track_spectral, cfg.r)
     st = diagnostics.alignment(log, U, V, r)
     rows = diagnostics.spectral_rows(st)
-    for n in range(1, len(log.spectral)):
-        prev, cur = log.spectral[n - 1], log.spectral[n]
+    for prev, cur in zip(log.spectral, log.spectral[1:]):
         k = min(prev.U.shape[1], cur.U.shape[1], r)
-        rows.append(
-            (int(cur.t), "subspace_distance", None,
-             diagnostics.subspace_distance(prev.U, cur.U, k))
-        )
+        rows.append((int(cur.t), "subspace_distance", None,
+                     diagnostics.subspace_distance(prev.U, cur.U, k)))
     return rows
-
-
-def _write_incremental(dest: Path, cfg: ExperimentConfig, log: TrajectoryLog, U, V, s) -> None:
-    r = min(cfg.track_spectral, cfg.r)
-    st = diagnostics.alignment(log, U, V, r)
-    fits = diagnostics.detect_incremental(st, s, diagnostics.IncrementalConfig(r=r))
-    (dest / "incremental.json").write_text(
-        json.dumps({"fit_iterations": fits}, sort_keys=True) + "\n"
-    )
 
 
 def iters_to_threshold(log: TrajectoryLog, threshold: float) -> int | None:
@@ -427,34 +453,23 @@ def iters_to_threshold(log: TrajectoryLog, threshold: float) -> int | None:
 def ablate(cfg: ExperimentConfig, axis: str, values) -> Path:
     """Sweep exactly one axis over the given values; summary.csv per run."""
     if axis not in ABLATION_AXES:
-        raise ConfigError("axis", f"must be one of {ABLATION_AXES}")
+        raise ConfigError("axis", f"must be one of {tuple(ABLATION_AXES)}")
     validate_config(cfg)
     out = Path(cfg.out_dir)
+    subs = [replace(cfg, **{ABLATION_AXES[axis]: value}, out_dir=str(out / f"{axis}_{value}"))
+            for value in values]
+    for sub in subs:
+        validate_config(sub)
     out.mkdir(parents=True, exist_ok=True)
-    field_map = {"alpha": "alpha", "rhat": "r_hat", "depth": "L", "init": "init_mode"}
     rows = []
-    for value in values:
-        sub = replace(
-            cfg,
-            **{field_map[axis]: value},
-            out_dir=str(out / f"{axis}_{value}"),
-        )
+    for value, sub in zip(values, subs):
         res = run(sub)
         for key, log in res.logs.items():
             model, seed_name = key.split("/")
-            final = log.final()
-            rows.append(
-                [
-                    axis,
-                    value,
-                    model,
-                    seed_name.removeprefix("seed_"),
-                    "" if final.recovery_error is None else repr(final.recovery_error),
-                    _fmt_optional(iters_to_threshold(log, cfg.threshold)),
-                    repr(log.train_seconds()),
-                    repr(log.svd_init_s),
-                ]
-            )
+            rows.append([axis, value, model, seed_name.removeprefix("seed_"),
+                         _fmt_optional(log.final().recovery_error),
+                         _fmt_optional(iters_to_threshold(log, cfg.threshold)),
+                         repr(log.train_seconds()), repr(log.svd_init_s)])
         for key, status in res.statuses.items():
             if status != "ok" and not key.endswith("/oracle"):
                 model, seed_name = key.split("/")

@@ -56,10 +56,6 @@ def frobenius_norm_sq(a: Matrix) -> float:
     return float(np.sum(a * a))
 
 
-def frobenius_norm(a: Matrix) -> float:
-    return float(np.sqrt(np.sum(a * a)))
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Compact SVD: ``U @ diag(s) @ V.T`` reconstructs the input.
@@ -174,22 +170,16 @@ def chain_svd(
 
 
 def sample_orthogonal(n: int, rng: np.random.Generator) -> Matrix:
-    """Haar-distributed n x n orthogonal matrix.
+    """Haar-distributed n x n orthogonal matrix."""
+    return sample_semi_orthogonal(n, n, rng)
+
+
+def sample_semi_orthogonal(rows: int, cols: int, rng: np.random.Generator) -> Matrix:
+    """Haar-distributed semi-orthogonal matrix (orthonormal rows or columns).
 
     QR of an i.i.d. standard normal matrix with the R-diagonal sign
     correction, which makes the distribution exactly Haar.
     """
-    if n < 1:
-        raise ContractViolationError("need n >= 1")
-    z = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.sign(np.diag(r))
-    d[d == 0.0] = 1.0
-    return q * d
-
-
-def sample_semi_orthogonal(rows: int, cols: int, rng: np.random.Generator) -> Matrix:
-    """Haar-distributed semi-orthogonal matrix (orthonormal rows or columns)."""
     if rows < 1 or cols < 1:
         raise ContractViolationError("need rows, cols >= 1")
     if rows >= cols:

@@ -24,7 +24,6 @@ from .linalg import (
     Matrix,
     chain_product,
     load_matrix_bin,
-    sample_orthogonal,
     sample_semi_orthogonal,
     save_matrix_bin,
     truncated_svd,
@@ -62,14 +61,8 @@ def _check_chain(layers: list[Matrix]) -> None:
             )
 
 
-@dataclass
-class WideDLN:
-    """Full-width network; ``layers[0]`` is the first factor applied."""
-
-    layers: list[Matrix]
-
-    def __post_init__(self):
-        _check_chain(self.layers)
+class _Chain:
+    """Shape accessors of a network's ``layers`` (``layers[0]`` applied first)."""
 
     @property
     def depth(self) -> int:
@@ -85,7 +78,17 @@ class WideDLN:
 
 
 @dataclass
-class CompressedDLN:
+class WideDLN(_Chain):
+    """Full-width network; ``layers[0]`` is the first factor applied."""
+
+    layers: list[Matrix]
+
+    def __post_init__(self):
+        _check_chain(self.layers)
+
+
+@dataclass
+class CompressedDLN(_Chain):
     """Bottleneck network: w_last @ mids @ w_first, bottleneck width r_hat."""
 
     w_first: Matrix          # r_hat x d_in
@@ -103,20 +106,8 @@ class CompressedDLN:
         return [self.w_first, *self.mids, self.w_last]
 
     @property
-    def depth(self) -> int:
-        return len(self.mids) + 2
-
-    @property
     def r_hat(self) -> int:
         return self.w_first.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.w_first.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.w_last.shape[0]
 
 
 Model = WideDLN | CompressedDLN
@@ -151,7 +142,7 @@ def init_wide(d: int, L: int, spec: InitSpec, rng: np.random.Generator,
     layers: list[Matrix] = []
     for rows, cols in shapes:
         if spec.mode == "orthogonal":
-            q = sample_orthogonal(rows, rng) if rows == cols else sample_semi_orthogonal(rows, cols, rng)
+            q = sample_semi_orthogonal(rows, cols, rng)
             layers.append(eps * q)
         else:
             layers.append(rng.uniform(-eps, eps, size=(rows, cols)))

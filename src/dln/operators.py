@@ -86,7 +86,9 @@ class Identity:
         return self.adjoint(y)
 
 
-@dataclass(frozen=True)
+# operators with array fields compare and hash by identity (eq=False): numpy
+# arrays have no single truth value for the generated field-wise __eq__
+@dataclass(frozen=True, eq=False)
 class GaussianSensing:
     """m dense d x d sensing matrices; y_i = <A_i, M> = trace(A_i^T M)."""
 
@@ -129,7 +131,7 @@ class GaussianSensing:
         return self.adjoint(y) / self.m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompletionMask:
     """Observed index set of a rows x cols matrix, stored sorted row-major.
 
@@ -143,7 +145,7 @@ class CompletionMask:
     cols: np.ndarray
     n_rows: int
     n_cols: int = field(default=0)
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_cols = self.n_cols or self.n_rows

@@ -16,11 +16,13 @@ from scratch, which is what makes it usable as an oracle.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import settled_from
 from .errors import ContractViolationError, DivergenceError, NumericalError
 from .linalg import Matrix
 from .trainer import TrajectoryLog
@@ -159,8 +161,7 @@ def verify_against_training(
             state = recursion_step(state)
         expected = implied_singular_values(state, r_hat)[:k]
         dev = float(np.max(np.abs(rec.svals - expected) / expected))
-        if dev > max_dev:
-            max_dev = dev
+        max_dev = max(max_dev, dev)
         if dev > tol and first_fail is None:
             first_fail = rec.t
     return OracleReport(max_rel_dev=max_dev, first_fail_iter=first_fail,
@@ -245,17 +246,16 @@ def _rk4_step(sigma: np.ndarray, dt: float, params: FlowParams,
 
 def flow_integrate(state: FlowState, duration: float, dt: float) -> FlowState:
     """RK4 integration of sigma_i' = -L * sigma_i^(2-2/L) * (sigma_i - sigma*_i)."""
-    if dt <= 0 or duration < 0:
+    if duration < 0:
         raise ContractViolationError("need dt > 0 and duration >= 0")
-    steps = int(round(duration / dt))
-    sigma = state.sigma.copy()
-    for _ in range(steps):
-        sigma = _rk4_step(sigma, dt, state.params)
-    return FlowState(sigma=sigma, time=state.time + steps * dt, params=state.params)
+    series = _sampled_flow(state, duration, dt, sample_every=sys.maxsize)
+    return FlowState(sigma=series.sigmas[-1], time=float(series.times[-1]), params=state.params)
 
 
-def flow_series(state: FlowState, duration: float, dt: float,
-                sample_every: int = 1) -> FlowSeries:
+def _sampled_flow(state: FlowState, duration: float, dt: float, sample_every: int,
+                  gate=None) -> FlowSeries:
+    """RK4 flow sampled every ``sample_every`` steps and at the end; ``gate``
+    maps the current sigma to the active-component mask (None: all active)."""
     if dt <= 0 or sample_every < 1:
         raise ContractViolationError("need dt > 0 and sample_every >= 1")
     steps = int(round(duration / dt))
@@ -263,11 +263,16 @@ def flow_series(state: FlowState, duration: float, dt: float,
     times = [state.time]
     samples = [sigma.copy()]
     for n in range(1, steps + 1):
-        sigma = _rk4_step(sigma, dt, state.params)
+        sigma = _rk4_step(sigma, dt, state.params, None if gate is None else gate(sigma))
         if n % sample_every == 0 or n == steps:
             times.append(state.time + n * dt)
             samples.append(sigma.copy())
     return FlowSeries(np.array(times), np.vstack(samples), state.params)
+
+
+def flow_series(state: FlowState, duration: float, dt: float,
+                sample_every: int = 1) -> FlowSeries:
+    return _sampled_flow(state, duration, dt, sample_every)
 
 
 def gated_flow_series(state: FlowState, duration: float, dt: float,
@@ -278,27 +283,20 @@ def gated_flow_series(state: FlowState, duration: float, dt: float,
     activates only once the previous mode sits within ``gate_rel_tol``
     (relative) of its target. Component 1 is active from the start.
     """
-    if dt <= 0 or sample_every < 1:
-        raise ContractViolationError("need dt > 0 and sample_every >= 1")
-    params = state.params
-    k = params.sigma_star.size
-    steps = int(round(duration / dt))
-    sigma = state.sigma.copy()
+    target = state.params.sigma_star
+    k = target.size
     active = np.zeros(k)
     if k:
         active[0] = 1.0
-    times = [state.time]
-    samples = [sigma.copy()]
-    for n in range(1, steps + 1):
-        fitted = np.abs(sigma - params.sigma_star) <= gate_rel_tol * np.abs(params.sigma_star)
+
+    def gate(sigma: np.ndarray) -> np.ndarray:
+        fitted = np.abs(sigma - target) <= gate_rel_tol * np.abs(target)
         for i in range(1, k):
             if active[i] == 0.0 and active[i - 1] == 1.0 and fitted[i - 1]:
                 active[i] = 1.0
-        sigma = _rk4_step(sigma, dt, params, active)
-        if n % sample_every == 0 or n == steps:
-            times.append(state.time + n * dt)
-            samples.append(sigma.copy())
-    return FlowSeries(np.array(times), np.vstack(samples), params)
+        return active
+
+    return _sampled_flow(state, duration, dt, sample_every, gate)
 
 
 def dominance_witness(flow_a: FlowSeries, flow_b: FlowSeries, tol: float = 1e-9) -> bool:
@@ -319,14 +317,8 @@ def dominance_witness(flow_a: FlowSeries, flow_b: FlowSeries, tol: float = 1e-9)
 
 def fit_times(series: FlowSeries, rel_tol: float = 1e-2) -> list[float | None]:
     """First sampled time each component stays within rel_tol of its target."""
-    targets = series.params.sigma_star
     out: list[float | None] = []
-    for i, s in enumerate(targets):
-        ok = np.abs(series.sigmas[:, i] - s) <= rel_tol * abs(s)
-        good_from = None
-        for n in range(len(ok) - 1, -1, -1):
-            if not ok[n]:
-                break
-            good_from = n
-        out.append(None if good_from is None else float(series.times[good_from]))
+    for i, s in enumerate(series.params.sigma_star):
+        n = settled_from(np.abs(series.sigmas[:, i] - s) <= rel_tol * abs(s))
+        out.append(None if n is None else float(series.times[n]))
     return out

@@ -100,9 +100,6 @@ class TrajectoryLog:
             [np.nan if r.recovery_error is None else r.recovery_error for r in self.records]
         )
 
-    def sval_matrix(self) -> np.ndarray:
-        return np.vstack([r.svals for r in self.records])
-
     def final(self) -> TrajectoryRecord:
         return self.records[-1]
 
@@ -136,19 +133,9 @@ class TrajectoryLog:
     def write_jsonl(self, path: str | Path) -> None:
         with open(path, "w") as fh:
             for r in self.records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "t": r.t,
-                            "train_loss": r.train_loss,
-                            "recovery_error": r.recovery_error,
-                            "svals": [float(v) for v in r.svals],
-                            "elapsed_s": r.elapsed_s,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                rec = {"t": r.t, "train_loss": r.train_loss, "recovery_error": r.recovery_error,
+                       "svals": [float(v) for v in r.svals], "elapsed_s": r.elapsed_s}
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 class Recorder:

@@ -1,0 +1,93 @@
+"""Random command lines through `cli.main`, in process: every one must end in
+a documented exit code (0, 2, 3 or 4) with no traceback on stderr."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dln.cli import main
+
+# every run stays tiny: d <= 8, T <= 3, one or two seeds; malformed values mixed in
+COMMON = {
+    "--r": ["1", "2", "9"],
+    "--rhat": ["1", "3", "8", "0"],
+    "--L": ["1", "2", "3"],
+    "--eta": ["0.1", "1", "-1"],
+    "--alpha": ["1", "2"],
+    "--eps": ["1e-3", "0.5"],
+    "--seeds": ["0", "0,1", "1,0", "0,a", "1,1", "", ","],
+    "--sigma": ["0.1", "0.1,0.05", "0.1,zz", "0.1,0", "-1"],
+    "--sigma-range": ["0.02,0.05", "0.02:0.05", "0.1", "a,b"],
+    "--model": ["all", "wide", "compressed", "altmin", "compressed,altmin",
+                "altmin,wide", "wide,wide", "foo", "", "all,wide"],
+    "--log-every": ["1", "2"],
+    "--top-k": ["1", "2"],
+    "--track-spectral": ["0", "1", "2"],
+    "--init": ["orthogonal", "uniform"],
+    "--altmin-iters": ["1", "2"],
+}
+EXTRA = {
+    "factorize": {"--oracle": [None]},
+    "sense": {"--m": ["1", "5", "30"]},
+    "complete": {"--p": ["0.5", "1", "1e-5", "0"]},
+    "oracle": {},
+    "ablate": {"--problem": ["factorize", "complete"], "--p": ["0.5"], "--m": ["20"]},
+}
+CONFIG_LINES = ["d = abc", "d = 6", "seeds = 0,b", "model = compressed,altmin",
+                "sigma_range = 0.1", "top_k = none", "init_mode = foo", "T = 2"]
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(EXTRA)))
+    choices = {**COMMON, **EXTRA[command]}
+    flags = draw(st.dictionaries(st.sampled_from(sorted(choices)), st.none(), max_size=6))
+    pairs = [("--d", draw(st.sampled_from(["1", "4", "8", "0"]))),
+             ("--T", draw(st.sampled_from(["1", "2", "3"])))]
+    pairs += [(flag, draw(st.sampled_from(choices[flag]))) for flag in sorted(flags)]
+    if command == "ablate":
+        pairs.append(("--axis", draw(st.sampled_from(["alpha", "rhat", "depth", "init"]))))
+        pairs.append(("--values", draw(st.sampled_from(
+            ["1,2", "2,x", "2", "orthogonal", "uniform,foo", "", "0"]))))
+    config = draw(st.lists(st.sampled_from(CONFIG_LINES), max_size=2))
+    return command, pairs, config
+
+
+def _argv(command, pairs, out: Path) -> list[str]:
+    argv = [command]
+    for flag, value in pairs:
+        argv += [flag] if value is None else [flag, value]
+    return argv + ["--out", str(out)]
+
+
+def _exit_code(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(command_lines())
+@example(("factorize", [("--d", "4"), ("--T", "2"), ("--seeds", "0,a")], []))
+@example(("factorize", [("--d", "4"), ("--T", "2"), ("--r", "2"), ("--sigma", "0.1,zz")], []))
+@example(("factorize", [("--T", "2")], ["d = abc"]))
+@example(("ablate", [("--d", "4"), ("--T", "2"), ("--axis", "rhat"), ("--values", "2,x")], []))
+def test_cli_exits_with_a_documented_code(case):
+    command, pairs, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _argv(command, pairs, Path(tmp) / "out")
+        if config:
+            path = Path(tmp) / "run.cfg"
+            path.write_text("\n".join(config) + "\n")
+            argv += ["--config", str(path)]
+        code, err = _exit_code(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)

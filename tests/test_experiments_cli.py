@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from dln import experiments
 from dln.cli import main, read_config_file
 from dln.errors import ConfigError
 from dataclasses import replace
@@ -15,6 +16,7 @@ from dln.experiments import (
     effective_eta,
     load_manifest,
     oracle_config,
+    resolve_models,
     run,
     validate_config,
 )
@@ -165,6 +167,73 @@ class TestRun:
         assert fits[0] <= fits[1]
 
 
+class TestModelTable:
+    def test_model_list_matches_single_model_runs(self, tmp_path):
+        cfg = tiny_config(tmp_path, problem="complete", p=0.6, track_spectral=2)
+        run(replace(cfg, model="compressed,altmin", out_dir=str(tmp_path / "both")))
+        for model in ("compressed", "altmin"):
+            run(replace(cfg, model=model, out_dir=str(tmp_path / model)))
+            for name in ("trajectory.csv", "diagnostics.csv", "mask.csv", "train_values.csv"):
+                a = tmp_path / "both" / model / "seed_0" / name
+                b = tmp_path / model / model / "seed_0" / name
+                assert a.exists() == b.exists(), (model, name)
+                if a.exists():
+                    assert a.read_bytes() == b.read_bytes(), (model, name)
+        assert not (tmp_path / "both" / "wide").exists()
+
+    def test_list_order_follows_table(self, tmp_path):
+        cfg = tiny_config(tmp_path, problem="complete", p=0.6, model="altmin, compressed")
+        assert resolve_models(cfg) == ("compressed", "altmin")
+
+    def test_all_on_factorize_runs_the_two_networks(self, tmp_path):
+        res = run(tiny_config(tmp_path, model="all", T=5))
+        assert sorted(res.statuses) == ["compressed/seed_0", "wide/seed_0"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir() if p.is_dir()) == [
+            "compressed", "wide"]
+
+    @pytest.mark.parametrize("problem,model,needle", [
+        ("factorize", "wide,wide", "twice"),
+        ("factorize", "wide,foo", "unknown model 'foo'"),
+        ("factorize", "", "empty"),
+        ("sense", "compressed,altmin", "does not serve"),
+    ])
+    def test_bad_model_lists_rejected(self, tmp_path, problem, model, needle):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(tiny_config(tmp_path, problem=problem, model=model))
+        assert exc.value.field == "model" and needle in str(exc.value)
+
+    def test_trainers_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # perfbench's probe swaps these names on the module during a run
+        names = ("train_wide", "train_compressed", "altmin_complete", "init_wide",
+                 "init_compressed")
+        called = []
+        for name in names:
+            def wrapper(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+                called.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, wrapper)
+        res = run(tiny_config(tmp_path, problem="complete", p=0.6, model="all", T=5))
+        assert res.ok
+        assert set(called) == set(names)
+
+    def test_status_written_after_each_model_and_seed(self, tmp_path, monkeypatch):
+        original = experiments.train_compressed
+
+        def failing(model, op, y, tc, **kwargs):
+            if tc.seed == 1:
+                raise RuntimeError("trainer crashed")
+            return original(model, op, y, tc, **kwargs)
+
+        monkeypatch.setattr(experiments, "train_compressed", failing)
+        with pytest.raises(RuntimeError):
+            run(tiny_config(tmp_path, seeds=(0, 1), T=5))
+        out = tmp_path / "out"
+        status = json.loads((out / "status.json").read_text())
+        assert status == {"wide/seed_0": "ok", "compressed/seed_0": "ok", "wide/seed_1": "ok"}
+        assert sorted(p.name for p in out.iterdir() if p.is_file()) == [
+            "manifest.json", "status.json"]
+
+
 class TestAblate:
     def test_alpha_sweep_summary(self, tmp_path):
         cfg = tiny_config(tmp_path, problem="complete", p=0.6, model="compressed", T=80)
@@ -277,6 +346,31 @@ class TestCli:
         self._assert_config_error(
             ["movielens", "--data", str(data), "--rhat", "5000", "--T", "2",
              "--out", str(out)], capsys, "r_hat",
+        )
+        assert not out.exists()
+
+    def test_malformed_seeds_exit_two(self, tmp_path, capsys):
+        self._assert_config_error(
+            ["factorize", "--seeds", "0,a", "--out", str(tmp_path / "o")], capsys, "'seeds'",
+        )
+
+    def test_malformed_sigma_exit_two(self, tmp_path, capsys):
+        self._assert_config_error(
+            ["factorize", "--sigma", "0.1,zz", "--r", "2", "--out", str(tmp_path / "o")],
+            capsys, "'sigma_values'",
+        )
+
+    def test_malformed_config_file_value_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("d = abc\n")
+        self._assert_config_error(
+            ["factorize", "--config", str(path), "--out", str(tmp_path / "o")], capsys, "'d'",
+        )
+
+    def test_malformed_ablation_values_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        self._assert_config_error(
+            ["ablate", "--axis", "rhat", "--values", "2,x", "--out", str(out)], capsys, "'r_hat'",
         )
         assert not out.exists()
 

@@ -107,6 +107,17 @@ class TestCompletionMask:
         assert mask.adjoint([1.0]).shape == (2, 5)
 
 
+def test_array_operators_compare_by_identity_and_hash(rng):
+    # equal-valued masks or sensing operators are distinct objects; == must
+    # not fall through to numpy's ambiguous element-wise truth value
+    a = rng.standard_normal((3, 4, 4))
+    pairs = [(0, 0), (1, 2), (3, 1)]
+    for make in (lambda: CompletionMask.from_pairs(pairs, 4), lambda: GaussianSensing(a)):
+        first, second = make(), make()
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+
 def _operators_for_adjoint_check(rng):
     d = 5
     yield Identity(d), d
