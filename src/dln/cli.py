@@ -4,7 +4,9 @@ Subcommands: factorize, sense, complete, movielens, ablate, oracle. Each run
 writes a manifest that fully reproduces it (`--manifest` re-runs one). A flat
 `key = value` config file can seed any run; explicit flags win over the file.
 
-Exit codes: 0 success, 2 config error, 3 divergence, 4 I/O error. The output
+Exit codes: 0 success, 2 config error (including a mistyped, missing or
+unknown field in a manifest), 3 divergence, 4 I/O error (including a manifest
+that cannot be read or is not JSON with a "config" object). The output
 directory comes from --out, then the DLN_OUT_DIR environment variable, then
 ./dln_runs/<problem>.
 """
@@ -23,6 +25,7 @@ from .experiments import (
     ExperimentConfig,
     ablate,
     default_config,
+    field_rule,
     load_manifest,
     oracle_config,
     run,
@@ -40,30 +43,29 @@ _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 def _parse_value(field: dataclasses.Field, raw: str):
     """One config value from its text form, for flags, config files and sweeps.
 
-    The field's annotation picks the parse: a comma list for tuples ("lo,hi"
-    or "lo:hi" for pairs), "none" or nothing for optional fields, and
-    1/true/yes/on for booleans. A value that does not parse is a ConfigError.
+    The field's annotation picks the parse (:func:`field_rule`): a comma list
+    for tuples ("lo,hi" or "lo:hi" for pairs), "none" or nothing for optional
+    fields, and 1/true/yes/on for booleans. A value that does not parse is a
+    ConfigError.
     """
-    name, kind = field.name, field.type
+    conv, optional, is_tuple, pair = field_rule(field)
     text = raw.strip()
-    if kind.endswith("| None") and text.lower() in ("", "none"):
+    if optional and text.lower() in ("", "none"):
         return None
-    if kind.startswith("bool"):
+    if conv is bool:
         return text.lower() in ("1", "true", "yes", "on")
-    conv = int if "int" in kind else float if "float" in kind else None
-    if conv is None:
+    if conv is str:
         return raw
-    pair = kind.startswith("tuple") and "..." not in kind
     if pair:
         text = text.replace(":", ",")
     try:
-        if not kind.startswith("tuple"):
+        if not is_tuple:
             return conv(text)
         parts = tuple(conv(v) for v in text.split(",") if v)
     except ValueError as exc:
-        raise ConfigError(name, f"cannot parse {raw!r}: {exc}") from None
+        raise ConfigError(field.name, f"cannot parse {raw!r}: {exc}") from None
     if pair and len(parts) != 2:
-        raise ConfigError(name, "expected two values 'a,b'")
+        raise ConfigError(field.name, "expected two values 'a,b'")
     return parts
 
 

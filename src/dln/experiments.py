@@ -4,7 +4,8 @@ Each run resolves an :class:`ExperimentConfig` into seeded problems, trains
 the requested models, and writes a self-describing output tree::
 
     out_dir/
-      manifest.json            resolved config + package version (re-runnable)
+      manifest.json            resolved config, package version, numpy and BLAS
+                               build, BLAS thread settings (re-runnable)
       status.json              per (model, seed) outcome, rewritten after each one
       <model>/seed_<k>/
         trajectory.csv         deterministic per-iterate metrics
@@ -47,7 +48,7 @@ from .data import (
     load_movielens,
     split_ratings,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, ParseError
 from .linalg import make_rng
 from .models import InitSpec, init_compressed, init_wide, save_model
 from .operators import CompletionMask, Identity, SensingOperator
@@ -212,22 +213,80 @@ class RunResult:
         )
 
 
+def field_rule(f: dataclasses.Field) -> tuple[type, bool, bool, bool]:
+    """How a config field's annotation reads: its element type (bool, int,
+    float or str), whether it may be None, whether it is a tuple, and whether
+    that tuple is a pair. Flags, config files and manifests all go by it."""
+    kind = f.type
+    conv = (bool if kind.startswith("bool") else int if "int" in kind
+            else float if "float" in kind else str)
+    is_tuple = kind.startswith("tuple")
+    return conv, kind.endswith("| None"), is_tuple, is_tuple and "..." not in kind
+
+
+def _manifest_value(f: dataclasses.Field, value):
+    """A manifest's JSON value for one config field, checked by ``field_rule``:
+    an int stands for a float, a list for a tuple; anything else of the wrong
+    type is a ConfigError."""
+    conv, optional, is_tuple, pair = field_rule(f)
+    if value is None and optional:
+        return None
+
+    def element(v):
+        if conv is float and type(v) is int:
+            return float(v)
+        if type(v) is not conv:
+            raise ConfigError(f.name, f"expected {conv.__name__} values in the manifest, "
+                                      f"got {json.dumps(v)}")
+        return v
+
+    if not is_tuple:
+        return element(value)
+    if not isinstance(value, list) or (pair and len(value) != 2):
+        want = "a list of two" if pair else "a list of"
+        raise ConfigError(f.name, f"expected {want} {conv.__name__} values in the manifest, "
+                                  f"got {json.dumps(value)}")
+    return tuple(element(v) for v in value)
+
+
+def _environment() -> dict:
+    """What decides a run's bits besides its config: numpy, its BLAS build and
+    the BLAS thread settings."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_env": {var: os.environ.get(var)
+                       for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def write_manifest(cfg: ExperimentConfig, out: Path) -> None:
-    payload = {"version": __version__, "config": dataclasses.asdict(cfg)}
+    payload = {"version": __version__, "config": dataclasses.asdict(cfg),
+               "environment": _environment()}
     (out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path: str | Path) -> ExperimentConfig:
-    payload = json.loads(Path(path).read_text())
-    raw = payload["config"]
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    """The config of a manifest written by :func:`write_manifest`; its other
+    top-level keys (version, environment) are not read. A file that cannot be
+    read or is not a manifest is a ParseError; a missing, unknown or mistyped
+    config field is a ConfigError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read manifest {path}: {exc}") from None
+    raw = payload.get("config") if isinstance(payload, dict) else None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path} is not a manifest: no 'config' object")
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown field in manifest")
-    for key in ("seeds", "sigma_values", "sigma_range", "movielens_shape"):
-        if raw.get(key) is not None:
-            raw[key] = tuple(raw[key])
-    return ExperimentConfig(**raw)
+    missing = set(fields) - set(raw)
+    if missing:
+        raise ConfigError(sorted(missing)[0], "missing from manifest")
+    return ExperimentConfig(**{name: _manifest_value(fields[name], v) for name, v in raw.items()})
 
 
 def _archive_measurements(dest: Path, op, y) -> None:
@@ -320,10 +379,9 @@ def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
 
 
 def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
-                       dest: Path) -> dict[str, str]:
-    if cfg.track_spectral > 0 and pb.s is not None:
+                       dest: Path, st) -> dict[str, str]:
+    if st is not None:
         r = min(cfg.track_spectral, cfg.r)
-        st = diagnostics.alignment(log, pb.U, pb.V, r)
         fits = diagnostics.detect_incremental(st, pb.s, diagnostics.IncrementalConfig(r=r))
         (dest / "incremental.json").write_text(
             json.dumps({"fit_iterations": fits}, sort_keys=True) + "\n"
@@ -349,8 +407,10 @@ class ModelEntry(NamedTuple):
     ``fit(cfg, seed, problem)`` initialises and trains one seed and returns
     ``(trained, log)``. ``mode(cfg)`` names the init a network's checkpoint
     records; it is None for the ALS baseline, which archives no measurements
-    and saves no checkpoint. ``finish(cfg, problem, log, dest)`` writes extra
-    artefacts and returns extra status entries keyed by suffix.
+    and saves no checkpoint. ``finish(cfg, problem, log, dest, alignment)``
+    writes extra artefacts and returns extra status entries keyed by suffix;
+    ``alignment`` is the tracked spectrum's alignment with a synthetic target,
+    or None.
     """
 
     problems: tuple[str, ...]
@@ -409,14 +469,15 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
                 trained, log = entry.fit(cfg, seed, pb)
                 dest = out / name / f"seed_{seed}"
                 dest.mkdir(parents=True, exist_ok=True)
-                _write_logs(dest, log, cfg.problem, seed, _spectral_diag_rows(cfg, log, pb.U, pb.V))
+                st = _alignment(cfg, log, pb)
+                _write_logs(dest, log, cfg.problem, seed, _spectral_diag_rows(cfg, log, st))
                 if entry.mode is not None:
                     _archive_measurements(dest, pb.op, pb.y)
                     if cfg.save_models:
                         save_model(dest / "checkpoint", trained,
                                    extra={"eps": cfg.eps, "mode": entry.mode(cfg), "seed": seed})
                 if entry.finish is not None:
-                    for sub, verdict in entry.finish(cfg, pb, log, dest).items():
+                    for sub, verdict in entry.finish(cfg, pb, log, dest, st).items():
                         result.statuses[f"{key}/{sub}"] = verdict
                 result.logs[key] = log
                 result.statuses[key] = "ok"
@@ -430,11 +491,17 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
     return result
 
 
-def _spectral_diag_rows(cfg: ExperimentConfig, log: TrajectoryLog, U, V):
-    if cfg.track_spectral <= 0 or U is None or not log.spectral:
+def _alignment(cfg: ExperimentConfig, log: TrajectoryLog, pb: _Problem):
+    """The tracked spectrum's alignment with a synthetic target, or None."""
+    if cfg.track_spectral <= 0 or pb.U is None or not log.spectral:
+        return None
+    return diagnostics.alignment(log, pb.U, pb.V, min(cfg.track_spectral, cfg.r))
+
+
+def _spectral_diag_rows(cfg: ExperimentConfig, log: TrajectoryLog, st):
+    if st is None:
         return []
     r = min(cfg.track_spectral, cfg.r)
-    st = diagnostics.alignment(log, U, V, r)
     rows = diagnostics.spectral_rows(st)
     for prev, cur in zip(log.spectral, log.spectral[1:]):
         k = min(prev.U.shape[1], cur.U.shape[1], r)

@@ -189,17 +189,19 @@ def chain_gradients(layers: list[Matrix], op: SensingOperator, y: np.ndarray,
     """Per-layer gradients of the half squared residual, plus the loss.
 
     Reverse-mode backprop (the delta recursion). The forward pass keeps the
-    prefix products P_l = W_{l-1} ... W_0. The backward pass starts from
-    delta = adjoint(apply(product) - y); for l = n-1 down to 1 it takes the
-    gradient of layer l as delta @ P_l^T and then sets delta = W_l^T @ delta,
-    so the last delta is the gradient of the first layer. A single-layer
-    chain's gradient is the back-projected residual itself.
+    prefix products P_l = W_{l-1} ... W_0 up to R = P_{n-1}. The operator's
+    head (:meth:`head_gradients`) then gives the loss, the last layer's
+    gradient delta @ R^T and W_{n-1}^T @ delta, where delta =
+    adjoint(apply(W_{n-1} @ R) - y). For l = n-2 down to 1 the recursion
+    takes the gradient of layer l as delta @ P_l^T and then sets delta =
+    W_l^T @ delta, so the last delta is the gradient of the first layer. A
+    single-layer chain's gradient is the back-projected residual itself.
 
-    ``work`` lets a training loop keep the full-size intermediates from one
-    call to the next. It is a list of n + 1 slots for an n-layer chain: slot
-    l (1 <= l < n) receives the forward product W_l ... W_0, slot n the
-    back-projected residual, and slot 0 is unused (the first product is
-    ``layers[0]`` itself). A ``None`` slot is allocated and stored in the
+    ``work`` lets a training loop keep the large intermediates from one call
+    to the next. It is a list of n + 1 slots for an n-layer chain: slot l
+    (1 <= l < n - 1) receives the forward product W_l ... W_0, slots n - 1
+    and n are the head's two buffers, and slot 0 is unused (the first product
+    is ``layers[0]`` itself). A ``None`` slot is allocated and stored in the
     list; a filled slot is written in place, so pass the same list, unchanged,
     for every step of one chain (``[None] * (n + 1)`` to start). The returned
     gradients never alias a slot.
@@ -209,19 +211,22 @@ def chain_gradients(layers: list[Matrix], op: SensingOperator, y: np.ndarray,
         work = [None] * (n + 1)
     elif len(work) != n + 1:
         raise ContractViolationError(f"work needs {n + 1} slots for {n} layers, got {len(work)}")
+    if n == 1:
+        res = op.apply(layers[0]) - y
+        return [op.adjoint(res)], 0.5 * float(res @ res)
     prefixes: list[Matrix | None] = [None] * n
     prod = layers[0]
-    for l in range(1, n):
+    for l in range(1, n - 1):
         prefixes[l] = prod
         prod = work[l] = np.matmul(layers[l], prod, out=work[l])
-    res = op.apply(prod) - y
-    lo = 0.5 * float(res @ res)
-    delta = work[n] = op.adjoint(res, out=work[n])
-    grads = []
-    for l in range(n - 1, 0, -1):
+    head = work[n - 1:]
+    lo, grad, delta = op.head_gradients(layers[-1], prod, y, head)
+    work[n - 1:] = head
+    grads = [grad]
+    for l in range(n - 2, 0, -1):
         grads.append(delta @ prefixes[l].T)
         delta = layers[l].T @ delta
-    grads.append(delta if n > 1 else delta.copy())
+    grads.append(delta)
     return grads[::-1], lo
 
 

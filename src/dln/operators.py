@@ -18,6 +18,16 @@ array of ``op.shape`` that is zero wherever the operator does not write (the
 completion mask writes only its observed entries). An array returned by an
 earlier ``adjoint`` call of the same operator meets that contract, so a
 training loop can keep one buffer for every step.
+
+``head_gradients(L, R, y, work)`` is the last step of a layer chain's
+gradient: for the end-to-end product W = L @ R it returns the loss
+0.5 * |apply(W) - y|^2, delta @ R.T and L.T @ delta, where delta =
+adjoint(apply(W) - y). ``work`` is a two-slot list of buffers the operator
+fills on the first call and reuses after (the same list for every step of one
+chain). Identity and Gaussian sensing form W and delta in full. The
+completion mask walks W in row blocks small enough to stay in cache and never
+forms either at full size, unless one block would cover all of W or the inner
+width of L @ R is a block's height or more.
 """
 
 from __future__ import annotations
@@ -54,6 +64,20 @@ def _check_out(shape: tuple[int, int], out: Matrix) -> None:
         )
 
 
+# a completion head's row block and delta block together take about this much
+_BLOCK_BYTES = 1 << 20
+
+
+def _dense_head(op, L: Matrix, R: Matrix, y: Measurement,
+                work: list) -> tuple[float, Matrix, Matrix]:
+    """``head_gradients`` through the full product: W in ``work[0]``, delta in
+    ``work[1]``."""
+    W = work[0] = np.matmul(L, R, out=work[0])
+    res = op.apply(W) - y
+    delta = work[1] = op.adjoint(res, out=work[1])
+    return 0.5 * float(res @ res), delta @ R.T, L.T @ delta
+
+
 @dataclass(frozen=True)
 class Identity:
     """Full observation of a d x d matrix; measurements are vec(M) row-major."""
@@ -84,6 +108,8 @@ class Identity:
         # full observation: the back-projection is the target itself, so no
         # 1/m averaging is applied here
         return self.adjoint(y)
+
+    head_gradients = _dense_head
 
 
 # operators with array fields compare and hash by identity (eq=False): numpy
@@ -129,6 +155,8 @@ class GaussianSensing:
 
     def surrogate(self, y: Measurement) -> Matrix:
         return self.adjoint(y) / self.m
+
+    head_gradients = _dense_head
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +231,52 @@ class CompletionMask:
 
     def surrogate(self, y: Measurement) -> Matrix:
         return self.adjoint(y) / self.m
+
+    def head_gradients(self, L: Matrix, R: Matrix, y: Measurement,
+                       work: list) -> tuple[float, Matrix, Matrix]:
+        """Row-blocked head: ``work`` holds a b x n_cols product block and a
+        delta block that is zero between calls.
+
+        For each block B of b rows it forms L[B] @ R, gathers the block's
+        observed entries into the residual, scatters them into the delta
+        block, writes delta_B @ R.T into the gradient's rows B, adds
+        L[B].T @ delta_B to L.T @ delta and zeroes the scattered entries
+        again. BLAS can round an entry of a row block's product differently
+        from the same entry of the full product, and L.T @ delta sums the
+        blocks in order, so the loss and both products may differ from the
+        dense head's in the last bits.
+        """
+        d_out, k = L.shape
+        if d_out != self.n_rows or R.shape != (k, self.n_cols):
+            raise ContractViolationError(
+                f"head {L.shape} @ {R.shape} does not give a {self.n_rows}x{self.n_cols} matrix"
+            )
+        b = max(1, _BLOCK_BYTES // (16 * self.n_cols))
+        # one block covers W, or the k x n_cols accumulator rewritten for every
+        # block would cost more than the blocks save (a wide chain)
+        if d_out <= b or k >= b:
+            return _dense_head(self, L, R, y, work)
+        y = _check_measurement(self.m, y)
+        if work[0] is None:
+            work[0] = np.empty((b, self.n_cols))
+            work[1] = np.zeros((b, self.n_cols))
+        block, delta = work
+        # a block's flat indices address the buffers' leading rows
+        block_flat, delta_flat = block.reshape(-1), delta.reshape(-1)
+        starts = np.searchsorted(self.rows, np.arange(0, d_out + b, b).clip(max=d_out))
+        res = np.empty(self.m)
+        grad = np.empty((d_out, k))
+        lt_delta = np.zeros((k, self.n_cols))
+        for i, r0 in enumerate(range(0, d_out, b)):
+            r1, s0, s1 = min(r0 + b, d_out), starts[i], starts[i + 1]
+            idx = self.flat[s0:s1] - r0 * self.n_cols
+            np.matmul(L[r0:r1], R, out=block[:r1 - r0])
+            res_b = np.subtract(block_flat[idx], y[s0:s1], out=res[s0:s1])
+            delta_flat[idx] = res_b
+            np.matmul(delta[:r1 - r0], R.T, out=grad[r0:r1])
+            lt_delta += np.matmul(L[r0:r1].T, delta[:r1 - r0], out=block[:k])
+            delta_flat[idx] = 0.0
+        return 0.5 * float(res @ res), grad, lt_delta
 
     def save_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:

@@ -222,7 +222,10 @@ def _train(
                 record(t - 1, train_time)
             return log
         for w, rate, g in zip(layers, rates, grads):
-            w -= rate * g
+            # the gradients are fresh arrays: scaling one in place saves a
+            # temporary the size of its layer and gives the bits of w -= rate * g
+            np.multiply(g, rate, out=g)
+            w -= g
         train_time += time.perf_counter() - t0
         if t % cfg.log_every == 0 or t == cfg.iters:
             record(t, train_time)

@@ -1,8 +1,11 @@
-"""Random command lines through `cli.main`, in process: every one must end in
-a documented exit code (0, 2, 3 or 4) with no traceback on stderr."""
+"""Random command lines and edited manifests through `cli.main`, in process:
+every one must end in a documented exit code (0, 2, 3 or 4) with no traceback
+on stderr."""
 
 import contextlib
+import dataclasses
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dln.cli import main
+from dln.experiments import default_config
 
 # every run stays tiny: d <= 8, T <= 3, one or two seeds; malformed values mixed in
 COMMON = {
@@ -91,3 +95,48 @@ def test_cli_exits_with_a_documented_code(case):
         code, err = _exit_code(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+
+
+# manifests of tiny runs, edited: values of the wrong type, missing and extra
+# keys, and truncated text
+MANIFEST_BASES = {
+    "factorize": dict(d=4, r=1, r_hat=2, T=2, log_every=1, sigma_values=(0.1,), seeds=(0,)),
+    "complete": dict(d=6, r=1, r_hat=2, T=2, log_every=1, p=0.6, sigma_values=(0.1,),
+                     seeds=(0,), altmin_iters=2),
+}
+WRONG_VALUES = ["abc", "", 1, 2.5, True, None, [], [1, 2], [0.5], {"x": 1}, -1]
+
+
+@st.composite
+def manifest_texts(draw):
+    problem = draw(st.sampled_from(sorted(MANIFEST_BASES)))
+    config = dataclasses.asdict(default_config(problem, **MANIFEST_BASES[problem]))
+    keys = sorted(config)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        config[key] = draw(st.sampled_from(WRONG_VALUES))
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        config.pop(key, None)
+    if draw(st.booleans()):
+        config[draw(st.sampled_from(["extra", "rhat", "iters"]))] = 1
+    payload = {"version": "0", "config": config, "environment": {"numpy": "0"}}
+    for key in draw(st.lists(st.sampled_from(["version", "config", "environment"]),
+                             max_size=1)):
+        del payload[key]
+    text = json.dumps(payload)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return problem, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(manifest_texts())
+@example(("factorize", '{"version": "0", "config": {"d": "abc"'))
+def test_edited_manifest_exits_with_a_documented_code(case):
+    problem, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        path.write_text(text)
+        argv = [problem, "--manifest", str(path), "--out", str(Path(tmp) / "out")]
+        code, err = _exit_code(argv)
+    assert code in (0, 2, 3, 4), (text, code, err)
+    assert "Traceback" not in err, (text, err)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -165,6 +166,36 @@ class TestRun:
         fits = payload["fit_iterations"]
         assert len(fits) == 2 and all(f is not None for f in fits)
         assert fits[0] <= fits[1]
+
+
+    def test_alignment_computed_once_per_seed(self, tmp_path, monkeypatch):
+        from dln import diagnostics
+
+        calls = []
+        original = diagnostics.alignment
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "alignment", counted)
+        cfg = tiny_config(tmp_path, model="compressed", track_spectral=2, T=40)
+        assert run(cfg).ok
+        base = tmp_path / "out" / "compressed" / "seed_0"
+        assert (base / "incremental.json").exists() and (base / "diagnostics.csv").exists()
+        assert len(calls) == 1
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg = tiny_config(tmp_path, model="compressed", T=2)
+        run(cfg)
+        env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["thread_env"]["MKL_NUM_THREADS"] is None
+        assert load_manifest(tmp_path / "out" / "manifest.json") == cfg
 
 
 class TestModelTable:
@@ -424,6 +455,35 @@ class TestCli:
         rc = main(["factorize", "--manifest", str(out1 / "manifest.json"), "--out", str(out2)])
         assert rc == 0
         assert (out2 / "compressed" / "seed_0" / "oracle.json").exists()
+
+    def _manifest_exit(self, tmp_path, capsys, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        code = main(["factorize", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return code, err
+
+    def _edited_manifest(self, tmp_path, **config):
+        cfg = tiny_config(tmp_path, model="compressed", T=2)
+        payload = {"version": "0", "config": {**dataclasses.asdict(cfg), **config}}
+        return json.dumps(payload)
+
+    def test_manifest_mistyped_value_exit_two(self, tmp_path, capsys):
+        code, err = self._manifest_exit(tmp_path, capsys, self._edited_manifest(tmp_path, d="abc"))
+        assert code == 2 and "'d'" in err
+
+    def test_manifest_scalar_for_list_exit_two(self, tmp_path, capsys):
+        code, err = self._manifest_exit(tmp_path, capsys, self._edited_manifest(tmp_path, seeds=5))
+        assert code == 2 and "'seeds'" in err
+
+    def test_manifest_not_json_exit_four(self, tmp_path, capsys):
+        code, _ = self._manifest_exit(tmp_path, capsys, "d = 4\n")
+        assert code == 4
+
+    def test_manifest_without_config_exit_four(self, tmp_path, capsys):
+        code, _ = self._manifest_exit(tmp_path, capsys, json.dumps({"version": "0"}))
+        assert code == 4
 
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DLN_OUT_DIR", str(tmp_path / "envout"))

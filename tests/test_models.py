@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dln.errors import ContractViolationError
@@ -21,7 +21,7 @@ from dln.models import (
     param_count,
     save_model,
 )
-from dln.operators import CompletionMask, GaussianSensing, Identity
+from dln.operators import _BLOCK_BYTES, CompletionMask, GaussianSensing, Identity
 
 
 def finite_difference_grad(layers_shapes, build_loss, layers, step=1e-6):
@@ -320,6 +320,75 @@ def test_kept_work_list_matches_fresh_buffers(seed, depth, op_name, d_in, d_out,
             kept, copies = before
             assert all(same_bits(g, c) for g, c in zip(kept, copies))
         before = grads, [g.copy() for g in grads]
+        for w in layers:
+            w += 0.1 * rng.standard_normal(w.shape)
+
+
+def dense_chain_gradients(layers, op, y):
+    """Reference for the operator heads: the full product, apply, the full
+    back-projected residual, then the delta recursion over every layer."""
+    prefixes = [None] * len(layers)
+    prod = layers[0]
+    for l in range(1, len(layers)):
+        prefixes[l] = prod
+        prod = layers[l] @ prod
+    res = op.apply(prod) - y
+    delta = op.adjoint(res)
+    R_norm = np.linalg.norm(delta)
+    grads = []
+    for l in range(len(layers) - 1, 0, -1):
+        grads.append(delta @ prefixes[l].T)
+        delta = layers[l].T @ delta
+    return [delta] + grads[::-1], 0.5 * float(res @ res), R_norm
+
+
+def block_rows(d_in):
+    # rows per block of the mask's head: two b x d_in float64 buffers
+    return _BLOCK_BYTES // (16 * d_in)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(2, 4), d_in=st.integers(2200, 6000),
+       blocks=st.integers(1, 5), wide=st.booleans(), density=st.sampled_from([0.02, 0.1, 0.4]),
+       empty=st.sampled_from(["none", "rows", "block"]))
+@example(seed=1, depth=3, d_in=5000, blocks=4, wide=False, density=0.1, empty="block")
+@example(seed=2, depth=2, d_in=2400, blocks=3, wide=False, density=0.02, empty="rows")
+@example(seed=3, depth=4, d_in=3000, blocks=1, wide=False, density=0.4, empty="none")
+def test_blocked_mask_head_matches_dense_reference(seed, depth, d_in, blocks, wide, density,
+                                                   empty):
+    # the completion mask's row-blocked head against the full-product route,
+    # over kept work buffers: bitwise where one block covers the product or the
+    # last layer is at least a block wide, else within the reference's bound
+    rng = make_rng(seed)
+    b = block_rows(d_in)
+    d_out = max(2, blocks * b - int(rng.integers(0, b)))
+    keep = rng.random((d_out, d_in)) < density
+    if empty == "rows":
+        keep[rng.random(d_out) < 0.3] = False
+    elif empty == "block" and d_out > b:
+        keep[b:2 * b] = False
+    keep[int(rng.integers(d_out)), int(rng.integers(d_in))] = True
+    rows, cols = np.nonzero(keep)
+    op = CompletionMask(rows, cols, d_out, d_in)
+    y = op.apply(rng.standard_normal((d_out, d_in)))
+    k = b + int(rng.integers(0, 3)) if wide else int(rng.integers(1, b))
+    widths = [d_in] + [k + int(rng.integers(0, 3)) for _ in range(depth - 2)] + [k, d_out]
+    layers = [rng.standard_normal((widths[i + 1], widths[i])) for i in range(depth)]
+    exact = d_out <= b or k >= b
+    work = [None] * (depth + 1)
+    for _ in range(2):
+        grads, lo = chain_gradients(layers, op, y, work)
+        ref, ref_lo, R_norm = dense_chain_gradients(layers, op, y)
+        norms = [np.linalg.norm(w) for w in layers]
+        if exact:
+            assert lo == ref_lo
+            assert all(same_bits(g, h) for g, h in zip(grads, ref))
+        else:
+            assert abs(lo - ref_lo) <= 1e-12 * np.sqrt(2 * ref_lo) * np.prod(norms)
+        for l, (g, h) in enumerate(zip(grads, ref)):
+            assert g.shape == layers[l].shape
+            bound = 1e-12 * R_norm * np.prod(norms[:l] + norms[l + 1:])
+            assert np.linalg.norm(g - h) <= bound
         for w in layers:
             w += 0.1 * rng.standard_normal(w.shape)
 
