@@ -104,12 +104,61 @@ def svd(a: Matrix) -> SvdResult:
 
 
 def truncated_svd(a: Matrix, k: int) -> SvdResult:
-    """Leading k singular triplets, same ordering and signs as :func:`svd`."""
+    """Leading k singular triplets, same ordering and signs as :func:`svd`.
+
+    For k < min(a.shape) the triplets come from the eigendecomposition of the
+    smaller Gram matrix when :func:`gram_bound` certifies it; otherwise, and
+    always for k = min(a.shape), from the full SVD, bit for bit
+    ``svd(a).truncate(k)``.
+    """
     if not 1 <= k <= min(a.shape):
         raise ContractViolationError(
             f"truncation rank {k} out of range 1..{min(a.shape)}"
         )
+    if k < min(a.shape):
+        f = _gram_svd(a, k)
+        if f is not None:
+            return f
     return svd(a).truncate(k)
+
+
+# largest certified bound (:func:`gram_bound`) at which truncated_svd keeps the
+# Gram route's triplets
+GRAM_TOLERANCE = 1e-6
+
+
+def gram_bound(lam: np.ndarray, k: int, shape: tuple[int, int]) -> float:
+    """A-posteriori Davis–Kahan bound ``err / (gap - err)`` on the angle
+    between the top-k eigenspace of a Gram matrix with descending eigenvalues
+    ``lam`` and that of the exact Gram matrix of a ``shape`` input; inf when
+    lam_k <= 0 or the gap lam_k - lam_{k+1} does not exceed the rounding
+    error err = eps * max(shape) * trace. The same figure bounds the relative
+    error of the recovered singular values.
+    """
+    err = np.finfo(np.float64).eps * max(shape) * float(np.sum(lam))
+    gap = float(lam[k - 1] - lam[k])
+    if not (lam[k - 1] > 0 and gap > err):
+        return np.inf
+    return err / (gap - err)
+
+
+def _gram_svd(a: Matrix, k: int) -> SvdResult | None:
+    # eigh of the smaller Gram matrix A A^T (A = a or a^T); its top-k vectors
+    # are one side's singular vectors, A^T Q / s the other's
+    wide = a.shape[0] <= a.shape[1]
+    A = a if wide else a.T
+    try:
+        lam, Q = np.linalg.eigh(A @ A.T)
+    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure is rare
+        return None
+    lam, Q = lam[::-1], Q[:, ::-1]
+    if not gram_bound(lam, k, a.shape) <= GRAM_TOLERANCE:
+        return None
+    s = np.sqrt(lam[:k])
+    near = Q[:, :k]
+    far = (A.T @ near) / s
+    U, V = _normalize_signs(near, far) if wide else _normalize_signs(far, near)
+    return SvdResult(np.ascontiguousarray(U), s, np.ascontiguousarray(V))
 
 
 def singular_values(a: Matrix) -> np.ndarray:

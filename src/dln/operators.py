@@ -226,7 +226,7 @@ class CompletionMask:
             out = np.zeros(self.shape)
         else:
             _check_out(self.shape, out)
-        out.put(self.flat, y)
+        out.reshape(-1)[self.flat] = y
         return out
 
     def surrogate(self, y: Measurement) -> Matrix:

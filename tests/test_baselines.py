@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from dln.baselines import AltMinModel, _grouped, altmin_complete, altmin_init, half_sweep_left, half_sweep_right
+from dln.baselines import (
+    DAMPING,
+    AltMinModel,
+    _grouped,
+    altmin_complete,
+    altmin_init,
+    half_sweep_left,
+    half_sweep_right,
+)
 from dln.data import SyntheticSpec, gen_lowrank, gen_mcar_mask
 from dln.errors import ContractViolationError
 from dln.linalg import make_rng
@@ -34,6 +42,51 @@ def test_unobserved_row_keeps_factor():
     half_sweep_left(model, row_pos, row_vals)
     assert np.array_equal(model.Lf[1], frozen)
     assert not np.array_equal(model.Lf[0], frozen)
+
+
+def _per_row_sweeps(model, row_pos, row_vals, col_pos, col_vals):
+    # reference: one damped solve per row, then per column
+    damp = DAMPING * np.eye(model.Lf.shape[1])
+    for i, (cols, b) in enumerate(zip(row_pos, row_vals)):
+        if cols.size:
+            G = model.Rf[:, cols]
+            model.Lf[i] = np.linalg.solve(G @ G.T + damp, G @ b)
+    for j, (rows, b) in enumerate(zip(col_pos, col_vals)):
+        if rows.size:
+            H = model.Lf[rows, :]
+            model.Rf[:, j] = np.linalg.solve(H.T @ H + damp, H.T @ b)
+
+
+def test_batched_half_sweeps_match_per_row_solves_bitwise():
+    # rows 2 and 9 and columns 0 and 17 have no entries and keep their values
+    d_out, d_in, r_hat = 14, 23, 4
+    rng = make_rng(21)
+    keep = rng.random((d_out, d_in)) < 0.4
+    keep[[2, 9], :] = False
+    keep[:, [0, 17]] = False
+    rows, cols = np.nonzero(keep)
+    mask = CompletionMask(rows, cols, d_out, d_in)
+    y = rng.standard_normal(mask.m)
+    row_pos, row_vals = _grouped(mask.rows, mask.cols, y, d_out)
+    col_pos, col_vals = _grouped(mask.cols, mask.rows, y, d_in)
+    init = altmin_init(mask, y, r_hat, seed=4)
+    batched = AltMinModel(init.Lf.copy(), init.Rf.copy())
+    reference = AltMinModel(init.Lf.copy(), init.Rf.copy())
+    for _ in range(3):
+        half_sweep_left(batched, row_pos, row_vals)
+        half_sweep_right(batched, col_pos, col_vals)
+        _per_row_sweeps(reference, row_pos, row_vals, col_pos, col_vals)
+        assert np.array_equal(batched.Lf, reference.Lf)
+        assert np.array_equal(batched.Rf, reference.Rf)
+    assert np.array_equal(batched.Lf[[2, 9]], init.Lf[[2, 9]])
+    assert np.array_equal(batched.Rf[:, [0, 17]], init.Rf[:, [0, 17]])
+    assert not np.array_equal(batched.Lf, init.Lf)
+
+
+def test_spectral_init_time_is_logged():
+    M, mask, y = completion_problem(20, 3, 0.5, 2)
+    _, log = altmin_complete(mask, y, 3, 1, seed=2, surrogate=mask.surrogate(y))
+    assert log.svd_init_s > 0.0
 
 
 def test_half_sweeps_never_increase_loss():

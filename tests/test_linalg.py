@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 
 from dln.errors import ContractViolationError
 from dln.linalg import (
+    GRAM_TOLERANCE,
     as_matrix,
     chain_product,
     chain_svd,
     frobenius_norm_sq,
+    gram_bound,
     load_matrix_bin,
     load_matrix_csv,
     make_rng,
@@ -139,6 +143,96 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3), 4)
         with pytest.raises(ContractViolationError):
             truncated_svd(np.eye(3), 0)
+
+
+def _with_spectrum(seed, m, n, s):
+    # m x n matrix with singular values s (len(s) <= min(m, n)), Haar vectors
+    rng = make_rng(seed)
+    U = sample_semi_orthogonal(m, len(s), rng)
+    V = sample_semi_orthogonal(n, len(s), rng)
+    return (U * np.asarray(s)) @ V.T
+
+
+def _sin_theta(A, B):
+    # sine of the largest principal angle between span(A) and orthonormal B
+    return np.linalg.norm(A - B @ (B.T @ A), 2)
+
+
+def _assert_full_svd_route(a, k):
+    f, g = svd(a).truncate(k), truncated_svd(a, k)
+    assert np.array_equal(g.U, f.U)
+    assert np.array_equal(g.s, f.s)
+    assert np.array_equal(g.V, f.V)
+
+
+_shapes = st.tuples(st.integers(2, 30), st.integers(2, 30), st.integers(0, 2**32 - 1))
+
+
+class TestTruncatedSvdRoutes:
+    """The Gram route against the full SVD it replaces, wide and tall."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_shapes, st.data())
+    def test_gapped_input_agrees_within_bound(self, shape, data):
+        m, n, seed = shape
+        k = data.draw(st.integers(1, min(m, n) - 1))
+        rng = make_rng(seed, 1)
+        s = np.concatenate([np.sort(rng.uniform(1.0, 4.0, k))[::-1],
+                            np.sort(rng.uniform(0.0, 0.5, min(m, n) - k))[::-1]])
+        a = _with_spectrum(seed, m, n, s)
+        ref = svd(a)
+        bound = gram_bound(ref.s ** 2, k, a.shape)
+        assert bound <= GRAM_TOLERANCE
+        f = ref.truncate(k)
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("full SVD ran")):
+            g = truncated_svd(a, k)
+        # the bound for each route, plus a rounding floor of 16 eps max(m, n)
+        # for the reference's own vectors and for the measurement
+        tol = 2 * bound + 16 * np.finfo(np.float64).eps * max(m, n)
+        assert _sin_theta(g.U, f.U) <= tol
+        assert _sin_theta(g.V, f.V) <= tol
+        assert np.max(np.abs(g.s - f.s) / f.s) <= tol
+        assert np.linalg.norm(g.U.T @ g.U - np.eye(k)) <= tol
+        assert np.linalg.norm(g.V.T @ g.V - np.eye(k)) <= tol
+        idx = np.argmax(np.abs(g.U), axis=0)
+        assert np.all(g.U[idx, np.arange(k)] > 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_shapes)
+    def test_full_rank_truncation_is_full_svd(self, shape):
+        m, n, seed = shape
+        a = make_rng(seed).standard_normal((m, n))
+        _assert_full_svd_route(a, min(m, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_shapes, st.data())
+    def test_tied_gap_is_full_svd(self, shape, data):
+        # s_k = s_{k+1}, nonzero or zero: no certified gap
+        m, n, seed = shape
+        k = data.draw(st.integers(1, min(m, n) - 1))
+        s = np.linspace(3.0, 1.0, min(m, n))
+        s[k] = s[k - 1] = data.draw(st.sampled_from([s[k - 1], 0.0]))
+        s[k + 1:] = np.minimum(s[k + 1:], s[k])
+        _assert_full_svd_route(_with_spectrum(seed, m, n, s), k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_shapes, st.data())
+    def test_rank_deficient_input_is_full_svd(self, shape, data):
+        # k past the rank, as for a rank-r surrogate truncated at r_hat > r
+        m, n, seed = shape
+        k = data.draw(st.integers(2, min(m, n) - 1)) if min(m, n) > 2 else 1
+        rank = data.draw(st.integers(0, k - 1))
+        s = np.linspace(2.0, 1.0, rank)
+        a = _with_spectrum(seed, m, n, s) if rank else np.zeros((m, n))
+        _assert_full_svd_route(a, k)
+
+    def test_flat_tail_is_certified_from_its_gap(self):
+        # s_k / s_{k+1} = 1.004 at 60 x 90 still certifies; the bound is tiny
+        s = np.concatenate([np.linspace(5.0, 2.008, 6), np.linspace(2.0, 0.5, 54)])
+        a = _with_spectrum(3, 60, 90, s)
+        assert gram_bound(np.linalg.eigvalsh(a @ a.T)[::-1], 6, a.shape) <= GRAM_TOLERANCE
+        f, g = svd(a).truncate(6), truncated_svd(a, 6)
+        assert _sin_theta(g.U, f.U) <= 1e-9 and _sin_theta(g.V, f.V) <= 1e-9
 
 
 class TestSampleOrthogonal:
