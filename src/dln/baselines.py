@@ -3,8 +3,15 @@
 Each half sweep solves exact row-wise (or column-wise) least squares over the
 observed entries with a tiny Tikhonov damping, so the train loss never
 increases across half sweeps. Rows or columns with no observations keep their
-current factor values. The per-row normal equations are stacked and solved in
-one batched ``np.linalg.solve`` call, bit for bit one solve per row.
+current factor values.
+
+Rows are grouped by observation count, and columns the same way. A group of c
+rows with w entries each gathers the other factor into one c x w x r_hat stack
+H and forms its normal equations with two batched ``np.matmul`` calls and one
+batched ``np.linalg.solve``. No row is padded, so each slice of a stack keeps
+the row's own w x r_hat shape and numpy hands it to BLAS as a product of its
+own; BLAS sums the same terms in the same order as for the row alone, and the
+sweeps are bit for bit those of one damped solve per row.
 """
 
 from __future__ import annotations
@@ -32,12 +39,22 @@ class AltMinModel:
 
 
 def _grouped(indices: np.ndarray, other: np.ndarray, values: np.ndarray, n: int):
-    """Per-index observed positions and values, as two lists of arrays."""
+    """Observed entries of each index 0..n-1, grouped by observation count.
+
+    Returns ``(pos, vals)``: one ``(ids, positions)`` pair and one values
+    array per distinct nonzero count w, where ``ids`` holds the c indices with
+    w entries and ``positions`` and values are c x w, each row in entry order.
+    """
     order = np.argsort(indices, kind="stable")
-    idx, oth, val = indices[order], other[order], values[order]
-    bounds = np.searchsorted(idx, np.arange(n + 1))
-    pos = [oth[bounds[i]:bounds[i + 1]] for i in range(n)]
-    vals = [val[bounds[i]:bounds[i + 1]] for i in range(n)]
+    oth, val = other[order], values[order]
+    counts = np.bincount(indices, minlength=n)
+    starts = np.cumsum(counts) - counts
+    pos, vals = [], []
+    for w in np.unique(counts[counts > 0]):
+        ids = np.flatnonzero(counts == w)
+        take = starts[ids][:, None] + np.arange(w)
+        pos.append((ids, oth[take]))
+        vals.append(val[take])
     return pos, vals
 
 
@@ -71,28 +88,26 @@ def _damped_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
+def _solve_group(F: Matrix, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Damped least squares of each row of ``values`` against the rows of F
+    it observes: one r_hat vector per row of ``positions``."""
+    H = F[positions]
+    Ht = H.transpose(0, 2, 1)
+    rhs = np.matmul(Ht, values[..., None])[..., 0]
+    return _damped_solve(np.matmul(Ht, H), rhs)
+
+
 def half_sweep_left(model: AltMinModel, row_pos, row_vals) -> None:
-    """Re-solve every row of Lf against the current Rf (in place)."""
-    rows = [i for i, cols in enumerate(row_pos) if cols.size]
-    r_hat = model.Lf.shape[1]
-    gram, rhs = np.empty((len(rows), r_hat, r_hat)), np.empty((len(rows), r_hat))
-    for k, i in enumerate(rows):
-        G = model.Rf[:, row_pos[i]]
-        np.matmul(G, G.T, out=gram[k])
-        np.matmul(G, row_vals[i], out=rhs[k])
-    model.Lf[rows] = _damped_solve(gram, rhs)
+    """Re-solve every observed row of Lf against the current Rf (in place)."""
+    F = model.Rf.T
+    for (ids, positions), values in zip(row_pos, row_vals):
+        model.Lf[ids] = _solve_group(F, positions, values)
 
 
 def half_sweep_right(model: AltMinModel, col_pos, col_vals) -> None:
-    """Re-solve every column of Rf against the current Lf (in place)."""
-    cols = [j for j, rows in enumerate(col_pos) if rows.size]
-    r_hat = model.Lf.shape[1]
-    gram, rhs = np.empty((len(cols), r_hat, r_hat)), np.empty((len(cols), r_hat))
-    for k, j in enumerate(cols):
-        H = model.Lf[col_pos[j], :]
-        np.matmul(H.T, H, out=gram[k])
-        np.matmul(H.T, col_vals[j], out=rhs[k])
-    model.Rf[:, cols] = _damped_solve(gram, rhs).T
+    """Re-solve every observed column of Rf against the current Lf (in place)."""
+    for (ids, positions), values in zip(col_pos, col_vals):
+        model.Rf[:, ids] = _solve_group(model.Lf, positions, values).T
 
 
 def altmin_complete(

@@ -7,6 +7,8 @@ pair fully determines the draw; see ``linalg.make_rng``.
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,42 +118,85 @@ def load_movielens(path: str | Path, shape: tuple[int, int] = MOVIELENS_SHAPE) -
 
     IDs are 1-based in the file and mapped to 0-based indices; the canonical
     100K file has 943 users, 1682 items, and 100000 lines.
+
+    numpy's C reader parses the file and the ranges are checked on whole
+    columns. When either refuses the file, the line scanner reads it again to
+    raise the error with its line number; the result always comes from the C
+    reader.
     """
     n_users, n_items = shape
-    users, items, ratings, stamps = [], [], [], []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", line_no)
-            try:
-                u, i, r, ts = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise ParseError(f"non-integer field: {exc}", line_no) from exc
-            if not 1 <= u <= n_users:
-                raise ParseError(f"user id {u} outside 1..{n_users}", line_no)
-            if not 1 <= i <= n_items:
-                raise ParseError(f"item id {i} outside 1..{n_items}", line_no)
-            if not 1 <= r <= 5:
-                raise ParseError(f"rating {r} outside 1..5", line_no)
-            users.append(u - 1)
-            items.append(i - 1)
-            ratings.append(float(r))
-            stamps.append(ts)
-    if not users:
-        raise ParseError("empty ratings file")
-    users_a = np.array(users, dtype=np.int64)
-    items_a = np.array(items, dtype=np.int64)
-    flat = users_a * n_items + items_a
-    uniq, counts = np.unique(flat, return_counts=True)
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode the ratings file: {exc}") from None
+    try:
+        with warnings.catch_warnings():
+            # an empty file only warns, and so does a field such as 1.0 read
+            # as an integer by the numpy versions that still accept it
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t",
+                               comments=None, ndmin=2)
+    except (ValueError, Warning):  # the scanner below reports the refusal
+        table = None
+    if table is None or table.shape[1] != 4 or not np.all(
+            (table[:, :3] >= 1) & (table[:, :3] <= (n_users, n_items, 5))):
+        _scan_movielens(text, shape)
+        # Python's int() reads some fields the C reader does not, such as 1_000
+        raise ParseError("fields must be plain decimal integers")
+    users, items = table[:, 0] - 1, table[:, 1] - 1
+    _reject_duplicates(users, items, n_items)
+    return RatingsDataset(
+        users=users,
+        items=items,
+        ratings=table[:, 2].astype(np.float64),
+        timestamps=table[:, 3].copy(),
+        n_users=n_users,
+        n_items=n_items,
+    )
+
+
+def _reject_duplicates(users: np.ndarray, items: np.ndarray, n_items: int) -> None:
+    uniq, counts = np.unique(users * n_items + items, return_counts=True)
     if np.any(counts > 1):
         dup = int(uniq[np.argmax(counts > 1)])
         raise ParseError(
             f"duplicate (user, item) pair ({dup // n_items + 1}, {dup % n_items + 1})"
         )
+
+
+def _scan_movielens(text: str, shape: tuple[int, int]) -> RatingsDataset:
+    """Line-by-line reader of a `u.data` text: the reference for
+    :func:`load_movielens`, which calls it only to report a refused file."""
+    n_users, n_items = shape
+    users, items, ratings, stamps = [], [], [], []
+    for line_no, line in enumerate(io.StringIO(text), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", line_no)
+        try:
+            u, i, r, ts = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise ParseError(f"non-integer field: {exc}", line_no) from exc
+        if not 1 <= u <= n_users:
+            raise ParseError(f"user id {u} outside 1..{n_users}", line_no)
+        if not 1 <= i <= n_items:
+            raise ParseError(f"item id {i} outside 1..{n_items}", line_no)
+        if not 1 <= r <= 5:
+            raise ParseError(f"rating {r} outside 1..5", line_no)
+        if not -2**63 <= ts < 2**63:
+            raise ParseError(f"timestamp {ts} outside the 64-bit range", line_no)
+        users.append(u - 1)
+        items.append(i - 1)
+        ratings.append(float(r))
+        stamps.append(ts)
+    if not users:
+        raise ParseError("empty ratings file")
+    users_a = np.array(users, dtype=np.int64)
+    items_a = np.array(items, dtype=np.int64)
+    _reject_duplicates(users_a, items_a, n_items)
     return RatingsDataset(
         users=users_a,
         items=items_a,
@@ -212,11 +257,11 @@ def split_ratings(
         raise ContractViolationError("split leaves an empty train or test set")
     perm = make_rng(seed, 4).permutation(n)
     train_idx, test_idx = perm[:n_train], perm[n_train:]
-    mask = CompletionMask(ds.users[train_idx], ds.items[train_idx], ds.n_users, ds.n_items)
-    # measurement order must follow the mask's sorted row-major layout
-    full = np.full((ds.n_users, ds.n_items), np.nan)
-    full[ds.users[train_idx], ds.items[train_idx]] = ds.ratings[train_idx]
-    y = full[mask.rows, mask.cols]
+    # measurement order must follow the mask's sorted row-major layout; the
+    # pairs are distinct, so sorting their flat indices gives that order
+    order = train_idx[np.argsort(ds.users[train_idx] * ds.n_items + ds.items[train_idx])]
+    mask = CompletionMask(ds.users[order], ds.items[order], ds.n_users, ds.n_items)
+    y = ds.ratings[order]
     test = np.column_stack(
         [ds.users[test_idx], ds.items[test_idx], ds.ratings[test_idx]]
     ).astype(np.float64)

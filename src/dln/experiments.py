@@ -48,7 +48,7 @@ from .data import (
     load_movielens,
     split_ratings,
 )
-from .errors import ConfigError, DivergenceError, ParseError
+from .errors import ConfigError, ContractViolationError, DivergenceError, ParseError
 from .linalg import make_rng
 from .models import InitSpec, init_compressed, init_wide, save_model
 from .operators import CompletionMask, Identity, SensingOperator
@@ -190,6 +190,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
             )
     if not cfg.out_dir:
         raise ConfigError("out_dir", "output directory is required")
+    if cfg.problem == "complete":
+        # each seed's mask is drawn again by the run; an empty draw is found
+        # here, before anything is written
+        for seed in cfg.seeds:
+            try:
+                gen_mcar_mask(cfg.d, cfg.p, seed)
+            except ContractViolationError as exc:
+                raise ConfigError("p", f"seed {seed}: {exc}") from exc
 
 
 def effective_eta(cfg: ExperimentConfig, m: int) -> float:
@@ -365,8 +373,9 @@ def _fit_wide(cfg: ExperimentConfig, seed: int, pb: _Problem):
 
 def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
     d_out, d_in = pb.op.shape
-    t0 = time.perf_counter()
+    # the surrogate is built outside the timer, as for the ALS baseline
     surr = pb.op.surrogate(pb.y)
+    t0 = time.perf_counter()
     model = init_compressed(
         d_in, cfg.L, cfg.r_hat, InitSpec(cfg.eps, "spectral", surrogate=surr), d_out=d_out,
     )
@@ -451,14 +460,14 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
     """Execute one experiment config; returns statuses keyed by model/seed."""
     validate_config(cfg)
     models = resolve_models(cfg)
+    # a ratings file that does not parse leaves no output directory behind
+    ratings = (load_movielens(cfg.movielens_path, shape=tuple(cfg.movielens_shape))
+               if cfg.problem == "movielens" else None)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out)
     result = RunResult(out_dir=out)
     say = echo or (lambda msg: None)
-
-    ratings = (load_movielens(cfg.movielens_path, shape=tuple(cfg.movielens_shape))
-               if cfg.problem == "movielens" else None)
 
     for seed in cfg.seeds:
         pb = _seed_problem(cfg, seed, ratings)

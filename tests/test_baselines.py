@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dln.baselines import (
     DAMPING,
@@ -44,6 +46,16 @@ def test_unobserved_row_keeps_factor():
     assert not np.array_equal(model.Lf[0], frozen)
 
 
+def _per_row(indices, other, values, n):
+    # reference: each index's observed positions and values, in entry order
+    order = np.argsort(indices, kind="stable")
+    idx, oth, val = indices[order], other[order], values[order]
+    bounds = np.searchsorted(idx, np.arange(n + 1))
+    pos = [oth[bounds[i]:bounds[i + 1]] for i in range(n)]
+    vals = [val[bounds[i]:bounds[i + 1]] for i in range(n)]
+    return pos, vals
+
+
 def _per_row_sweeps(model, row_pos, row_vals, col_pos, col_vals):
     # reference: one damped solve per row, then per column
     damp = DAMPING * np.eye(model.Lf.shape[1])
@@ -69,18 +81,72 @@ def test_batched_half_sweeps_match_per_row_solves_bitwise():
     y = rng.standard_normal(mask.m)
     row_pos, row_vals = _grouped(mask.rows, mask.cols, y, d_out)
     col_pos, col_vals = _grouped(mask.cols, mask.rows, y, d_in)
+    row_lists = _per_row(mask.rows, mask.cols, y, d_out)
+    col_lists = _per_row(mask.cols, mask.rows, y, d_in)
     init = altmin_init(mask, y, r_hat, seed=4)
     batched = AltMinModel(init.Lf.copy(), init.Rf.copy())
     reference = AltMinModel(init.Lf.copy(), init.Rf.copy())
     for _ in range(3):
         half_sweep_left(batched, row_pos, row_vals)
         half_sweep_right(batched, col_pos, col_vals)
-        _per_row_sweeps(reference, row_pos, row_vals, col_pos, col_vals)
+        _per_row_sweeps(reference, *row_lists, *col_lists)
         assert np.array_equal(batched.Lf, reference.Lf)
         assert np.array_equal(batched.Rf, reference.Rf)
     assert np.array_equal(batched.Lf[[2, 9]], init.Lf[[2, 9]])
     assert np.array_equal(batched.Rf[:, [0, 17]], init.Rf[:, [0, 17]])
     assert not np.array_equal(batched.Lf, init.Lf)
+
+
+@st.composite
+def sweep_masks(draw):
+    """Masks with empty rows and columns, single-entry rows, a full row, and
+    (in the staircase shape) rows whose counts are all distinct."""
+    d_out = draw(st.integers(2, 12))
+    d_in = draw(st.integers(d_out, 24))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        # row i observes its first i columns, so counts 0, 1, ..., d_out - 1
+        keep = np.arange(d_in)[None, :] < np.arange(d_out)[:, None]
+    else:
+        keep = rng.random((d_out, d_in)) < draw(st.floats(0.05, 0.9))
+        empty_rows = draw(st.lists(st.integers(0, d_out - 1), max_size=2))
+        keep[empty_rows, :] = False
+        keep[:, draw(st.lists(st.integers(0, d_in - 1), max_size=2))] = False
+        for i in draw(st.lists(st.integers(0, d_out - 1), max_size=2)):
+            keep[i, :] = False
+            keep[i, rng.integers(d_in)] = True
+    keep[draw(st.integers(0, d_out - 1)), :] = True
+    rows, cols = np.nonzero(keep)
+    return CompletionMask(rows, cols, d_out, d_in), rng.standard_normal(rows.size), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_masks(), st.integers(1, 5))
+def test_grouped_sweeps_match_per_row_solves_on_random_masks(drawn, r_hat):
+    mask, y, seed = drawn
+    d_out, d_in = mask.shape
+    row_groups = _grouped(mask.rows, mask.cols, y, d_out)
+    col_groups = _grouped(mask.cols, mask.rows, y, d_in)
+    row_lists = _per_row(mask.rows, mask.cols, y, d_out)
+    col_lists = _per_row(mask.cols, mask.rows, y, d_in)
+    init = altmin_init(mask, y, min(r_hat, d_out), seed=seed)
+    batched = AltMinModel(init.Lf.copy(), init.Rf.copy())
+    reference = AltMinModel(init.Lf.copy(), init.Rf.copy())
+    for _ in range(3):
+        try:
+            _per_row_sweeps(reference, *row_lists, *col_lists)
+        except np.linalg.LinAlgError:
+            # factors that outgrow the damping leave a singular system; the
+            # grouped sweeps must meet the same one
+            with pytest.raises(np.linalg.LinAlgError):
+                half_sweep_left(batched, *row_groups)
+                half_sweep_right(batched, *col_groups)
+            return
+        half_sweep_left(batched, *row_groups)
+        half_sweep_right(batched, *col_groups)
+        assert np.array_equal(batched.Lf, reference.Lf)
+        assert np.array_equal(batched.Rf, reference.Rf)
 
 
 def test_spectral_init_time_is_logged():

@@ -1,11 +1,16 @@
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dln.data import (
     RatingsDataset,
     SyntheticSpec,
+    _scan_movielens,
     gen_gaussian_ops,
     gen_lowrank,
     gen_mcar_mask,
@@ -14,7 +19,8 @@ from dln.data import (
     split_ratings,
 )
 from dln.errors import ContractViolationError, ParseError, ResourceBudgetError
-from dln.linalg import singular_values
+from dln.linalg import make_rng, singular_values
+from dln.operators import CompletionMask
 
 
 class TestGenLowrank:
@@ -147,6 +153,112 @@ class TestLoadMovielens:
         ds = load_movielens(path)
         assert len(ds) == 100000
         assert ds.n_users == 943 and ds.n_items == 1682
+
+
+RATINGS_ALPHABET = "0123456789\t\n +-.#\r"
+SMALL_SHAPE = (3, 4)
+
+
+@st.composite
+def ratings_texts(draw):
+    """Texts near the `u.data` layout: mostly well-formed lines over a 3 x 4
+    shape with damaged fields, field counts and line ends mixed in, or raw
+    text over the same alphabet."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(RATINGS_ALPHABET, max_size=40))
+    good = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5),
+                     st.integers(-10**12, 10**12)).map(lambda v: "\t".join(map(str, v)))
+    field = st.one_of(st.integers(-1, 6).map(str), st.integers(0, 2**64).map(str),
+                      st.text(RATINGS_ALPHABET, max_size=4),
+                      st.tuples(st.sampled_from(["", " ", "+", "-", "0"]), st.integers(0, 6),
+                                st.sampled_from(["", " ", "."])).map(lambda t: "%s%d%s" % t))
+    damaged = st.lists(field, min_size=3, max_size=5).map("\t".join)
+    lines = draw(st.lists(st.integers(0, 9).flatmap(
+        lambda k: good if k < 7 else damaged if k < 9 else st.sampled_from(["", " ", "\t", "#"])),
+        max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _read_both(text: str):
+    with tempfile.TemporaryDirectory() as td:
+        path = Path(td) / "u.data"
+        path.write_bytes(text.encode())
+        outcomes = []
+        for read in (lambda: _scan_movielens(path.read_text(), SMALL_SHAPE),
+                     lambda: load_movielens(path, shape=SMALL_SHAPE)):
+            try:
+                outcomes.append(read())
+            except Exception as exc:  # compared by type, message and line below
+                outcomes.append(exc)
+    return outcomes
+
+
+class TestLoaderMatchesScanner:
+    @settings(max_examples=300, deadline=None)
+    @given(ratings_texts())
+    @example("1\t1\t5\t874965758\r\n2\t3\t1\t88\r3\t4\t2\t-7\n\n")
+    @example("1\t1\t5\t7\n1\t1\t4\t8\n")
+    @example("1\t1\t5\t99999999999999999999\n")
+    @example(" +1 \t1\t5\t7\n \n")
+    @example("1\t1\t5.0\t7\n")
+    @example("1\t1\t5\t7\n2\t5\t3\t8\n")
+    @example("1\t0\t5\t7\n")
+    @example("0\t1\t5\t7\n")
+    @example("1\t1\t0\t7\n")
+    @example("\n\r\n")
+    def test_same_dataset_or_same_error(self, text):
+        scanned, loaded = _read_both(text)
+        if isinstance(scanned, Exception):
+            assert type(loaded) is type(scanned)
+            assert str(loaded) == str(scanned)
+            assert getattr(loaded, "line", None) == getattr(scanned, "line", None)
+            return
+        assert isinstance(loaded, RatingsDataset)
+        for name in ("users", "items", "ratings", "timestamps"):
+            a, b = getattr(loaded, name), getattr(scanned, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (loaded.n_users, loaded.n_items) == SMALL_SHAPE
+
+    def test_field_python_reads_but_c_does_not_is_refused(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text("1\t1\t5\t1_000\n")
+        with pytest.raises(ParseError, match="plain decimal integers"):
+            load_movielens(path, shape=SMALL_SHAPE)
+
+
+def _split_via_dense_table(ds, train_frac, seed):
+    # reference: the measurement order read back through a dense table
+    n_train = int(np.floor(train_frac * len(ds)))
+    perm = make_rng(seed, 4).permutation(len(ds))
+    train_idx, test_idx = perm[:n_train], perm[n_train:]
+    mask = CompletionMask(ds.users[train_idx], ds.items[train_idx], ds.n_users, ds.n_items)
+    full = np.full((ds.n_users, ds.n_items), np.nan)
+    full[ds.users[train_idx], ds.items[train_idx]] = ds.ratings[train_idx]
+    test = np.column_stack(
+        [ds.users[test_idx], ds.items[test_idx], ds.ratings[test_idx]]
+    ).astype(np.float64)
+    return mask, full[mask.rows, mask.cols], test
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(2, 40), st.data())
+def test_split_matches_dense_table_reference(n_users, n_items, data):
+    n = data.draw(st.integers(2, n_users * n_items))
+    frac = data.draw(st.floats(0.05, 0.95))
+    assume(1 <= int(np.floor(frac * n)) < n)
+    seed = data.draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(n_users * n_items, size=n, replace=False)
+    users, items = np.divmod(cells, n_items)
+    ds = RatingsDataset(users, items, rng.integers(1, 6, n).astype(np.float64),
+                        np.arange(n, dtype=np.int64), n_users, n_items)
+    mask, y, test = split_ratings(ds, frac, seed)
+    ref_mask, ref_y, ref_test = _split_via_dense_table(ds, frac, seed)
+    assert np.array_equal(mask.rows, ref_mask.rows) and np.array_equal(mask.cols, ref_mask.cols)
+    assert np.array_equal(y, ref_y)
+    assert np.array_equal(test, ref_test)
 
 
 class TestSplitRatings:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ class TestRun:
         assert (base / "incremental.json").exists() and (base / "diagnostics.csv").exists()
         assert len(calls) == 1
 
+    def test_spectral_init_time_excludes_the_surrogate(self, tmp_path, monkeypatch):
+        from dln.operators import CompletionMask
+
+        original = CompletionMask.surrogate
+
+        def slow(self, y):
+            time.sleep(0.2)
+            return original(self, y)
+
+        monkeypatch.setattr(CompletionMask, "surrogate", slow)
+        res = run(tiny_config(tmp_path, problem="complete", p=0.6,
+                              model="compressed,altmin", T=2))
+        assert res.ok
+        for key in ("compressed/seed_0", "altmin/seed_0"):
+            assert 0.0 < res.logs[key].svd_init_s < 0.2
+
     def test_manifest_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -355,6 +372,16 @@ class TestCli:
             capsys, "mask draw came up empty",
         )
 
+    def test_empty_mask_draw_on_a_later_seed_writes_nothing(self, tmp_path, capsys):
+        # seeds 0 and 1 draw entries at p=0.05, a later seed draws none
+        out = tmp_path / "o"
+        self._assert_config_error(
+            ["complete", "--d", "5", "--r", "2", "--rhat", "3", "--p", "0.05",
+             "--seeds", "0,1,2,3,4,5", "--out", str(out)],
+            capsys, "mask draw came up empty",
+        )
+        assert not (out / "manifest.json").exists()
+
     def test_sensing_over_budget_exit_two(self, tmp_path, capsys):
         # the budget is checked before the operator is drawn
         self._assert_config_error(
@@ -419,6 +446,17 @@ class TestCli:
             "--out", str(tmp_path / "o"), "--T", "5",
         ])
         assert rc == 4
+
+    @pytest.mark.parametrize("payload", [b"1\t1\t5\t7\n1\t0\t5\t8\n",
+                                         b"1\t1\t5\t7\n\xff\t1\t5\t7\n"])
+    def test_unreadable_ratings_file_exit_four_writes_nothing(self, tmp_path, capsys, payload):
+        data = tmp_path / "u.data"
+        data.write_bytes(payload)
+        out = tmp_path / "o"
+        rc = main(["movielens", "--data", str(data), "--T", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 4 and err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_oracle_subcommand_prints_pass(self, tmp_path, capsys):
         rc = main([
