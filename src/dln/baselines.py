@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
-from .linalg import Matrix, make_rng, truncated_svd
+from .errors import ContractViolationError, DivergenceError
+from .linalg import Matrix, truncated_svd
 from .operators import CompletionMask
 from .trainer import Recorder, TrajectoryLog
 
@@ -58,28 +58,14 @@ def _grouped(indices: np.ndarray, other: np.ndarray, values: np.ndarray, n: int)
     return pos, vals
 
 
-def altmin_init(
-    mask: CompletionMask,
-    y: np.ndarray,
-    r_hat: int,
-    seed: int,
-    surrogate: Matrix | None = None,
-) -> AltMinModel:
+def altmin_init(surrogate: Matrix, r_hat: int) -> AltMinModel:
     """Factors from the surrogate's leading triplets, split as U sqrt(s) and
-    sqrt(s) V^T; falls back to scaled Gaussian factors without a surrogate."""
-    d_out, d_in = mask.shape
-    if not 1 <= r_hat <= min(mask.shape):
-        raise ContractViolationError(f"r_hat {r_hat} out of range 1..{min(mask.shape)}")
-    if surrogate is not None:
-        f = truncated_svd(surrogate, r_hat)
-        root = np.sqrt(f.s)
-        return AltMinModel(Lf=f.U * root, Rf=(f.V * root).T.copy())
-    rng = make_rng(seed)
-    scale = 1.0 / np.sqrt(r_hat)
-    return AltMinModel(
-        Lf=scale * rng.standard_normal((d_out, r_hat)),
-        Rf=scale * rng.standard_normal((r_hat, d_in)),
-    )
+    sqrt(s) V^T."""
+    if not 1 <= r_hat <= min(surrogate.shape):
+        raise ContractViolationError(f"r_hat {r_hat} out of range 1..{min(surrogate.shape)}")
+    f = truncated_svd(surrogate, r_hat)
+    root = np.sqrt(f.s)
+    return AltMinModel(Lf=f.U * root, Rf=(f.V * root).T.copy())
 
 
 def _damped_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -115,25 +101,30 @@ def altmin_complete(
     y: np.ndarray,
     r_hat: int,
     iters: int,
-    seed: int,
-    surrogate: Matrix | None = None,
+    surrogate: Matrix,
     probe: Matrix | None = None,
     top_k: int = 10,
     extra_metrics=None,
 ) -> tuple[AltMinModel, TrajectoryLog]:
-    """Alternating minimization; one logged iterate per full sweep.
+    """Alternating minimization from :func:`altmin_init` of ``surrogate``;
+    one logged iterate per full sweep.
 
     Logs through the gradient trainers' :class:`Recorder`, so baseline and
     network runs share the trajectory schema and the divergence guard: a
-    sweep that leaves a non-finite loss raises :class:`DivergenceError`.
+    sweep that leaves a non-finite loss, or meets a singular damped system,
+    raises :class:`DivergenceError`.
     """
     if iters < 1:
         raise ContractViolationError("need at least one sweep")
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size != mask.m:
         raise ContractViolationError("measurement length does not match mask")
+    if surrogate.shape != mask.shape:
+        raise ContractViolationError(
+            f"surrogate shape {surrogate.shape} does not match mask {mask.shape}"
+        )
     t0 = time.perf_counter()
-    model = altmin_init(mask, y, r_hat, seed, surrogate)
+    model = altmin_init(surrogate, r_hat)
     init_s = time.perf_counter() - t0
     row_pos, row_vals = _grouped(mask.rows, mask.cols, y, mask.shape[0])
     col_pos, col_vals = _grouped(mask.cols, mask.rows, y, mask.shape[1])
@@ -147,8 +138,12 @@ def altmin_complete(
     train_time = 0.0
     for sweep in range(1, iters + 1):
         t0 = time.perf_counter()
-        half_sweep_left(model, row_pos, row_vals)
-        half_sweep_right(model, col_pos, col_vals)
+        try:
+            half_sweep_left(model, row_pos, row_vals)
+            half_sweep_right(model, col_pos, col_vals)
+        except np.linalg.LinAlgError:
+            # the factors outgrew the damping and a system is exactly singular
+            raise DivergenceError(sweep, float("nan")) from None
         train_time += time.perf_counter() - t0
         record(sweep, train_time)
     return model, record.log

@@ -30,6 +30,7 @@ from .experiments import (
     oracle_config,
     run,
 )
+from .models import INIT_MODES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,7 +111,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", dest="sigma_values",
                         help="explicit target spectrum, comma-separated")
     parser.add_argument("--sigma-range", dest="sigma_range", help="uniform spectrum range lo,hi")
-    parser.add_argument("--init", dest="init_mode", choices=["orthogonal", "uniform"])
+    parser.add_argument("--init", dest="init_mode", choices=INIT_MODES)
     parser.add_argument("--track-spectral", dest="track_spectral", type=int)
     parser.add_argument("--altmin-iters", dest="altmin_iters", type=int)
     parser.add_argument("--normalize-eta", dest="normalize_eta", action="store_true",

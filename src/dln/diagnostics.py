@@ -183,8 +183,9 @@ def write_diagnostics_csv(
 
 
 def spectral_rows(st: SpectralTrajectory) -> list[tuple[int, str, int | None, float]]:
-    """Flatten a spectral trajectory into tidy rows, including the subspace
-    drift between consecutive logged iterates."""
+    """Flatten a spectral trajectory into tidy rows: each logged iterate's
+    singular values and its left and right alignments. The subspace drift rows
+    need the logged singular vectors and are added by the experiment runner."""
     rows: list[tuple[int, str, int | None, float]] = []
     r = st.left_align.shape[1]
     for n, t in enumerate(st.ts):

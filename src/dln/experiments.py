@@ -10,13 +10,13 @@ the requested models, and writes a self-describing output tree::
       <model>/seed_<k>/
         trajectory.csv         deterministic per-iterate metrics
         timing.csv             cumulative training-only wall-clock
-        trajectory.jsonl       full records, one JSON object per iterate
         diagnostics.csv        tidy (experiment, seed, t, metric, component)
         oracle.json            recursion-oracle report (when requested)
         incremental.json       per-component fit iterations (when tracked)
 
 Random streams are split by purpose: (seed, 0) target, (seed, 1) operator or
-mask, (seed, 2) wide init, (seed, 3) baseline init, (seed, 4) ratings split.
+mask, (seed, 2) wide init, (seed, 4) ratings split. Tag 3 is unused: the ALS
+baseline starts from the surrogate, like the compressed network.
 
 Step-size normalization: the training loss is always the raw half squared
 residual, so recipes whose measurement count stacks many observations of the
@@ -50,7 +50,7 @@ from .data import (
 )
 from .errors import ConfigError, ContractViolationError, DivergenceError, ParseError
 from .linalg import make_rng
-from .models import InitSpec, init_compressed, init_wide, save_model
+from .models import INIT_MODES, init_compressed, init_wide, save_model
 from .operators import CompletionMask, Identity, SensingOperator
 from .theory import RecursionParams, initial_state, verify_against_training
 from .trainer import TrainConfig, TrajectoryLog, train_compressed, train_wide
@@ -151,7 +151,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError("sigma_values", "singular values must be positive")
     if cfg.L < 2:
         raise ConfigError("L", "depth must be at least 2")
-    if cfg.init_mode not in ("orthogonal", "uniform"):
+    if cfg.init_mode not in INIT_MODES:
         raise ConfigError("init_mode", f"unknown init mode {cfg.init_mode!r}")
     for name in ("eps", "eta", "alpha"):
         if not getattr(cfg, name) > 0:
@@ -307,7 +307,6 @@ def _write_logs(dest: Path, log: TrajectoryLog, experiment: str, seed: int,
                 extra_rows=None) -> None:
     log.write_csv(dest / "trajectory.csv")
     log.write_timing_csv(dest / "timing.csv")
-    log.write_jsonl(dest / "trajectory.jsonl")
     rows = list(extra_rows or [])
     for name, values in log.extras.items():
         for rec, value in zip(log.records, values):
@@ -366,19 +365,16 @@ def _train_config(cfg: ExperimentConfig, seed: int, pb: _Problem, alpha: float) 
 # globals, so a wrapper set on `dln.experiments` at run time is the one called.
 def _fit_wide(cfg: ExperimentConfig, seed: int, pb: _Problem):
     d_out, d_in = pb.op.shape
-    model = init_wide(d_in, cfg.L, InitSpec(cfg.eps, cfg.init_mode), make_rng(seed, 2), d_out=d_out)
+    model = init_wide(d_in, cfg.L, cfg.eps, cfg.init_mode, make_rng(seed, 2), d_out=d_out)
     return train_wide(model, pb.op, pb.y, _train_config(cfg, seed, pb, 1.0), probe=pb.M,
                       track_spectral=cfg.track_spectral, extra_metrics=pb.extra)
 
 
 def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
-    d_out, d_in = pb.op.shape
     # the surrogate is built outside the timer, as for the ALS baseline
     surr = pb.op.surrogate(pb.y)
     t0 = time.perf_counter()
-    model = init_compressed(
-        d_in, cfg.L, cfg.r_hat, InitSpec(cfg.eps, "spectral", surrogate=surr), d_out=d_out,
-    )
+    model = init_compressed(surr, cfg.L, cfg.r_hat, cfg.eps)
     svd_s = time.perf_counter() - t0
     trained, log = train_compressed(model, pb.op, pb.y, _train_config(cfg, seed, pb, cfg.alpha),
                                     probe=pb.M, track_spectral=cfg.track_spectral,
@@ -405,8 +401,8 @@ def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
 
 def _fit_altmin(cfg: ExperimentConfig, seed: int, pb: _Problem):
     return altmin_complete(
-        pb.op, pb.y, cfg.r_hat, cfg.altmin_iters, seed,
-        surrogate=pb.op.surrogate(pb.y), probe=pb.M, top_k=pb.top_k, extra_metrics=pb.extra,
+        pb.op, pb.y, cfg.r_hat, cfg.altmin_iters, pb.op.surrogate(pb.y),
+        probe=pb.M, top_k=pb.top_k, extra_metrics=pb.extra,
     )
 
 

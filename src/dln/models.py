@@ -30,24 +30,15 @@ from .linalg import (
 )
 from .operators import SensingOperator
 
-INIT_MODES = ("orthogonal", "uniform", "spectral")
+# the wide network's init modes; the compressed network's init is always spectral
+INIT_MODES = ("orthogonal", "uniform")
 
 
-@dataclass(frozen=True)
-class InitSpec:
-    """Initialization scale and mode; spectral mode carries its surrogate."""
-
-    scale: float
-    mode: str = "orthogonal"
-    surrogate: Matrix | None = None
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ContractViolationError("init scale must be positive")
-        if self.mode not in INIT_MODES:
-            raise ContractViolationError(f"unknown init mode {self.mode!r}")
-        if self.mode == "spectral" and self.surrogate is None:
-            raise ContractViolationError("spectral init requires a surrogate matrix")
+def _check_init(L: int, eps: float) -> None:
+    if L < 2:
+        raise ContractViolationError("need depth >= 2")
+    if not eps > 0:
+        raise ContractViolationError("init scale must be positive")
 
 
 def _check_chain(layers: list[Matrix]) -> None:
@@ -122,26 +113,24 @@ def param_count(model: Model) -> int:
     return sum(w.size for w in model.layers)
 
 
-def init_wide(d: int, L: int, spec: InitSpec, rng: np.random.Generator,
+def init_wide(d: int, L: int, eps: float, mode: str, rng: np.random.Generator,
               d_out: int | None = None) -> WideDLN:
-    """Wide network at scale ``spec.scale`` per factor.
+    """Wide network at scale ``eps`` per factor, ``mode`` one of INIT_MODES.
 
     Orthogonal mode draws an independent Haar (semi-)orthogonal factor per
     layer, so consecutive layers are exactly balanced at initialization.
     Square targets give d x d layers; rectangular ones keep square
     intermediates of the larger dimension with rectangular outer layers.
     """
-    if spec.mode == "spectral":
-        raise ContractViolationError("spectral init is only defined for the compressed model")
-    if L < 2:
-        raise ContractViolationError("need depth >= 2")
+    _check_init(L, eps)
+    if mode not in INIT_MODES:
+        raise ContractViolationError(f"unknown init mode {mode!r}")
     d_out = d if d_out is None else d_out
     inner = max(d, d_out)
     shapes = [(inner, d)] + [(inner, inner)] * (L - 2) + [(d_out, inner)]
-    eps = spec.scale
     layers: list[Matrix] = []
     for rows, cols in shapes:
-        if spec.mode == "orthogonal":
+        if mode == "orthogonal":
             q = sample_semi_orthogonal(rows, cols, rng)
             layers.append(eps * q)
         else:
@@ -149,28 +138,17 @@ def init_wide(d: int, L: int, spec: InitSpec, rng: np.random.Generator,
     return WideDLN(layers)
 
 
-def init_compressed(d: int, L: int, r_hat: int, spec: InitSpec,
-                    d_out: int | None = None) -> CompressedDLN:
-    """Spectrally initialized compressed network.
+def init_compressed(surrogate: Matrix, L: int, r_hat: int, eps: float) -> CompressedDLN:
+    """Compressed network spectrally initialized from a d_out x d_in surrogate.
 
     Outer layers are the scale-eps leading singular vectors of the surrogate
     (w_last = eps * U_rhat, w_first = eps * V_rhat^T); intermediates are
     eps * I, so every end-to-end singular value starts at eps^depth.
     """
-    if spec.mode != "spectral":
-        raise ContractViolationError("compressed model requires spectral init")
-    if L < 2:
-        raise ContractViolationError("need depth >= 2")
-    d_out = d if d_out is None else d_out
-    surr = spec.surrogate
-    if surr.shape != (d_out, d):
-        raise ContractViolationError(
-            f"surrogate shape {surr.shape} does not match target {(d_out, d)}"
-        )
-    if not 1 <= r_hat <= min(d, d_out):
-        raise ContractViolationError(f"r_hat {r_hat} out of range 1..{min(d, d_out)}")
-    f = truncated_svd(surr, r_hat)
-    eps = spec.scale
+    _check_init(L, eps)
+    if not 1 <= r_hat <= min(surrogate.shape):
+        raise ContractViolationError(f"r_hat {r_hat} out of range 1..{min(surrogate.shape)}")
+    f = truncated_svd(surrogate, r_hat)
     return CompressedDLN(
         w_first=eps * f.V.T.copy(),
         mids=[eps * np.eye(r_hat) for _ in range(L - 2)],

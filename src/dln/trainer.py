@@ -21,7 +21,6 @@ narrow width and keeps the full SVD.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -129,13 +128,6 @@ class TrajectoryLog:
         for r in self.records:
             lines.append(f"{r.t},{r.elapsed_s!r}")
         Path(path).write_text("\n".join(lines) + "\n")
-
-    def write_jsonl(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            for r in self.records:
-                rec = {"t": r.t, "train_loss": r.train_loss, "recovery_error": r.recovery_error,
-                       "svals": [float(v) for v in r.svals], "elapsed_s": r.elapsed_s}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 class Recorder:

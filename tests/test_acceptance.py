@@ -27,7 +27,6 @@ from dln.experiments import ExperimentConfig, default_config, load_manifest, run
 from dln.linalg import make_rng, svd, truncated_svd
 from dln.models import (
     CompressedDLN,
-    InitSpec,
     WideDLN,
     end_to_end,
     gradients,
@@ -69,7 +68,7 @@ def test_criterion_01_recursion_oracle_equivalence():
     sigma = (0.2, 0.17, 0.14, 0.11, 0.08)
     M, U, s, V, op, y = identity_problem(d, r, 0, sigma)
     surr = op.surrogate(y)
-    model = init_compressed(d, L, r_hat, InitSpec(eps, "spectral", surrogate=surr))
+    model = init_compressed(surr, L, r_hat, eps)
     cfg = TrainConfig(eta=eta, alpha=1.0, iters=T, log_every=1, top_k=r_hat)
     trained, log = train_compressed(model, op, y, cfg)
 
@@ -93,8 +92,8 @@ def test_criterion_02_init_error_inequality_20_seeds():
         M, U, s, V, op, y = identity_problem(
             d, r, seed, tuple(np.linspace(0.05, 0.02, r))
         )
-        wide = init_wide(d, L, InitSpec(eps, "orthogonal"), make_rng(seed, 2))
-        comp = init_compressed(d, L, r_hat, InitSpec(eps, "spectral", surrogate=op.surrogate(y)))
+        wide = init_wide(d, L, eps, "orthogonal", make_rng(seed, 2))
+        comp = init_compressed(op.surrogate(y), L, r_hat, eps)
         err_wide = float(np.sum((end_to_end(wide) - M) ** 2))
         err_comp = float(np.sum((end_to_end(comp) - M) ** 2))
         if not err_wide >= err_comp:
@@ -112,8 +111,8 @@ def factorization_runs():
         M, U, s, V = gen_lowrank(spec)
         op = Identity(d)
         y = op.apply(M)
-        wide = init_wide(d, L, InitSpec(eps, "orthogonal"), make_rng(seed, 2))
-        comp = init_compressed(d, L, r_hat, InitSpec(eps, "spectral", surrogate=op.surrogate(y)))
+        wide = init_wide(d, L, eps, "orthogonal", make_rng(seed, 2))
+        comp = init_compressed(op.surrogate(y), L, r_hat, eps)
         cfg_w = TrainConfig(eta=eta, alpha=1.0, iters=T, log_every=25, top_k=r_hat)
         cfg_c = TrainConfig(eta=eta, alpha=alpha, iters=T, log_every=25, top_k=r_hat)
         _, log_w = train_wide(wide, op, y, cfg_w, probe=M)
@@ -145,13 +144,13 @@ def test_criterion_04_completion_vs_altmin():
         mask = gen_mcar_mask(d, p, seed)
         y = mask.apply(M)
         surr = mask.surrogate(y)
-        comp = init_compressed(d, L, r_hat, InitSpec(eps, "spectral", surrogate=surr))
+        comp = init_compressed(surr, L, r_hat, eps)
         cfg = TrainConfig(eta=eta, alpha=alpha, iters=T, log_every=50, top_k=r_hat)
         _, log_c = train_compressed(comp, mask, y, cfg, probe=M)
         comp_final = log_c.final().recovery_error
         assert comp_final <= 1e-2, f"seed {seed}: compressed recovery {comp_final}"
 
-        _, log_a = altmin_complete(mask, y, r_hat, 60, seed, surrogate=surr, probe=M)
+        _, log_a = altmin_complete(mask, y, r_hat, 60, surr, probe=M)
         assert log_a.final().train_loss <= 1e-6, f"seed {seed}: baseline train loss"
         assert log_a.final().recovery_error >= 10 * comp_final, (
             f"seed {seed}: baseline recovered despite overspecified rank"
@@ -169,8 +168,8 @@ def test_criterion_05_sensing_dominance():
         op = gen_gaussian_ops(d, m, seed)
         y = op.apply(M)
         eta = 10.0 / op.m  # measurement count folded into the step size
-        wide = init_wide(d, L, InitSpec(eps, "orthogonal"), make_rng(seed, 2))
-        comp = init_compressed(d, L, r_hat, InitSpec(eps, "spectral", surrogate=op.surrogate(y)))
+        wide = init_wide(d, L, eps, "orthogonal", make_rng(seed, 2))
+        comp = init_compressed(op.surrogate(y), L, r_hat, eps)
         cfg_w = TrainConfig(eta=eta, alpha=1.0, iters=T, log_every=25, top_k=r_hat)
         cfg_c = TrainConfig(eta=eta, alpha=alpha, iters=T, log_every=25, top_k=r_hat)
         _, log_w = train_wide(wide, op, y, cfg_w, probe=M)
@@ -183,7 +182,7 @@ def test_criterion_06_incremental_learning():
     d, r, r_hat, L, eps, eta, T = 100, 5, 10, 3, 1e-3, 10.0, 40000
     sigma = tuple(0.12 * 0.4 ** np.arange(r))
     M, U, s, V, op, y = identity_problem(d, r, 0, sigma)
-    comp = init_compressed(d, L, r_hat, InitSpec(eps, "spectral", surrogate=op.surrogate(y)))
+    comp = init_compressed(op.surrogate(y), L, r_hat, eps)
     cfg = TrainConfig(eta=eta, alpha=1.0, iters=T, log_every=100, top_k=r_hat)
     _, log = train_compressed(comp, op, y, cfg, probe=M, track_spectral=r)
 
@@ -301,15 +300,15 @@ def _ratings_protocol(path, shape, T_wide, eps, out_prefix=""):
     d_out, d_in = mask.shape
     hold = {"holdout_rmse": lambda W: diagnostics.holdout_rmse(W, test)}
 
-    wide = init_wide(d_in, 3, InitSpec(eps, "orthogonal"), make_rng(0, 2), d_out=d_out)
+    wide = init_wide(d_in, 3, eps, "orthogonal", make_rng(0, 2), d_out=d_out)
     cfg_w = TrainConfig(eta=eta, alpha=1.0, iters=T_wide, log_every=10, top_k=10)
     _, log_w = train_wide(wide, mask, y, cfg_w, extra_metrics=hold)
 
-    comp = init_compressed(d_in, 3, 10, InitSpec(eps, "spectral", surrogate=surr), d_out=d_out)
+    comp = init_compressed(surr, 3, 10, eps)
     cfg_c = TrainConfig(eta=eta, alpha=5.0, iters=T_wide, log_every=10, top_k=10)
     _, log_c = train_compressed(comp, mask, y, cfg_c, extra_metrics=hold)
 
-    am, _ = altmin_complete(mask, y, 10, 40, 0, surrogate=surr)
+    am, _ = altmin_complete(mask, y, 10, 40, surr)
     alt_rmse = diagnostics.holdout_rmse(am.estimate(), test)
 
     hw = np.array(log_w.extras["holdout_rmse"])

@@ -30,7 +30,7 @@ def test_fully_observed_exact_fit_in_three_sweeps():
     M, U, s, V = gen_lowrank(SyntheticSpec(d=d, r=r_hat, seed=0, sigma_values=(3.0, 2.0, 1.0)))
     mask = gen_mcar_mask(d, 1.0, 0)
     y = mask.apply(M)
-    model, log = altmin_complete(mask, y, r_hat, 3, seed=0, surrogate=mask.surrogate(y), probe=M)
+    model, log = altmin_complete(mask, y, r_hat, 3, mask.surrogate(y), probe=M)
     assert log.final().train_loss <= 1e-10
 
 
@@ -38,7 +38,7 @@ def test_unobserved_row_keeps_factor():
     # a row with no observations never moves off its initialization
     mask = CompletionMask.from_pairs([(0, 0), (0, 1), (2, 1), (2, 2)], 3)
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    model = altmin_init(mask, y, 2, seed=1)
+    model = altmin_init(mask.surrogate(y), 2)
     frozen = model.Lf[1].copy()
     row_pos, row_vals = _grouped(mask.rows, mask.cols, y, 3)
     half_sweep_left(model, row_pos, row_vals)
@@ -83,7 +83,7 @@ def test_batched_half_sweeps_match_per_row_solves_bitwise():
     col_pos, col_vals = _grouped(mask.cols, mask.rows, y, d_in)
     row_lists = _per_row(mask.rows, mask.cols, y, d_out)
     col_lists = _per_row(mask.cols, mask.rows, y, d_in)
-    init = altmin_init(mask, y, r_hat, seed=4)
+    init = altmin_init(mask.surrogate(y), r_hat)
     batched = AltMinModel(init.Lf.copy(), init.Rf.copy())
     reference = AltMinModel(init.Lf.copy(), init.Rf.copy())
     for _ in range(3):
@@ -130,7 +130,7 @@ def test_grouped_sweeps_match_per_row_solves_on_random_masks(drawn, r_hat):
     col_groups = _grouped(mask.cols, mask.rows, y, d_in)
     row_lists = _per_row(mask.rows, mask.cols, y, d_out)
     col_lists = _per_row(mask.cols, mask.rows, y, d_in)
-    init = altmin_init(mask, y, min(r_hat, d_out), seed=seed)
+    init = altmin_init(mask.surrogate(y), min(r_hat, d_out))
     batched = AltMinModel(init.Lf.copy(), init.Rf.copy())
     reference = AltMinModel(init.Lf.copy(), init.Rf.copy())
     for _ in range(3):
@@ -151,13 +151,13 @@ def test_grouped_sweeps_match_per_row_solves_on_random_masks(drawn, r_hat):
 
 def test_spectral_init_time_is_logged():
     M, mask, y = completion_problem(20, 3, 0.5, 2)
-    _, log = altmin_complete(mask, y, 3, 1, seed=2, surrogate=mask.surrogate(y))
+    _, log = altmin_complete(mask, y, 3, 1, mask.surrogate(y))
     assert log.svd_init_s > 0.0
 
 
 def test_half_sweeps_never_increase_loss():
     M, mask, y = completion_problem(20, 4, 0.5, 3)
-    model = altmin_init(mask, y, 6, seed=3, surrogate=mask.surrogate(y))
+    model = altmin_init(mask.surrogate(y), 6)
     row_pos, row_vals = _grouped(mask.rows, mask.cols, y, mask.shape[0])
     col_pos, col_vals = _grouped(mask.cols, mask.rows, y, mask.shape[1])
 
@@ -180,21 +180,21 @@ def test_well_specified_rank_and_dense_sampling_recovers():
     # rank known exactly and 90% observed: the baseline does recover
     d, r = 40, 4
     M, mask, y = completion_problem(d, r, 0.9, 5)
-    model, log = altmin_complete(mask, y, r, 30, seed=5, surrogate=mask.surrogate(y), probe=M)
+    model, log = altmin_complete(mask, y, r, 30, mask.surrogate(y), probe=M)
     assert log.final().recovery_error <= 1e-6
 
 
 def test_deterministic_given_seed():
     M, mask, y = completion_problem(15, 3, 0.6, 7)
-    m1, l1 = altmin_complete(mask, y, 5, 4, seed=9)
-    m2, l2 = altmin_complete(mask, y, 5, 4, seed=9)
+    m1, l1 = altmin_complete(mask, y, 5, 4, mask.surrogate(y))
+    m2, l2 = altmin_complete(mask, y, 5, 4, mask.surrogate(y))
     assert np.array_equal(m1.Lf, m2.Lf)
     assert l1.losses().tolist() == l2.losses().tolist()
 
 
 def test_log_schema_matches_trainer():
     M, mask, y = completion_problem(15, 3, 0.6, 11)
-    _, log = altmin_complete(mask, y, 5, 4, seed=11, probe=M, top_k=5)
+    _, log = altmin_complete(mask, y, 5, 4, mask.surrogate(y), probe=M, top_k=5)
     assert log.ts().tolist() == [0, 1, 2, 3, 4]
     assert all(r.svals.size == 5 for r in log.records)
     assert all(r.recovery_error is not None for r in log.records)
@@ -202,9 +202,12 @@ def test_log_schema_matches_trainer():
 
 def test_validation_errors():
     mask = CompletionMask.from_pairs([(0, 0)], 2)
+    surr = mask.surrogate(np.array([1.0]))
     with pytest.raises(ContractViolationError):
-        altmin_complete(mask, [1.0], 3, 2, seed=0)  # r_hat > d
+        altmin_complete(mask, [1.0], 3, 2, surr)  # r_hat > d
     with pytest.raises(ContractViolationError):
-        altmin_complete(mask, [1.0, 2.0], 1, 2, seed=0)  # wrong y length
+        altmin_complete(mask, [1.0, 2.0], 1, 2, surr)  # wrong y length
     with pytest.raises(ContractViolationError):
-        altmin_complete(mask, [1.0], 1, 0, seed=0)  # no sweeps
+        altmin_complete(mask, [1.0], 1, 0, surr)  # no sweeps
+    with pytest.raises(ContractViolationError, match="surrogate shape"):
+        altmin_complete(mask, [1.0], 1, 2, np.eye(3))

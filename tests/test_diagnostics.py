@@ -17,7 +17,7 @@ from dln.diagnostics import (
 )
 from dln.errors import ContractViolationError
 from dln.linalg import make_rng, sample_orthogonal
-from dln.models import InitSpec, init_compressed
+from dln.models import init_compressed
 from dln.operators import Identity
 from dln.trainer import TrainConfig, train_compressed
 
@@ -45,7 +45,7 @@ def frozen_frame_run(d=20, r=2, r_hat=4, eta=10.0, iters=1500, log_every=50):
     M, U, s, V = gen_lowrank(SyntheticSpec(d=d, r=r, seed=6, sigma_values=sigma))
     op = Identity(d)
     y = op.apply(M)
-    model = init_compressed(d, 3, r_hat, InitSpec(1e-3, "spectral", surrogate=op.surrogate(y)))
+    model = init_compressed(op.surrogate(y), 3, r_hat, 1e-3)
     cfg = TrainConfig(eta=eta, iters=iters, log_every=log_every, top_k=r_hat)
     _, log = train_compressed(model, op, y, cfg, probe=M, track_spectral=r)
     return log, M, U, s, V

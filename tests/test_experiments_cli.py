@@ -92,7 +92,6 @@ class TestRun:
             base = out / model / "seed_0"
             assert (base / "trajectory.csv").exists()
             assert (base / "timing.csv").exists()
-            assert (base / "trajectory.jsonl").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["problem"] == "factorize"
         assert (out / "status.json").exists()
@@ -103,7 +102,7 @@ class TestRun:
         reloaded = load_manifest(tmp_path / "out" / "manifest.json")
         rerun_cfg = ExperimentConfig(**{**reloaded.__dict__, "out_dir": str(tmp_path / "out2")})
         run(rerun_cfg)
-        # CSV logs are the deterministic artifacts; jsonl carries wall-clock
+        # CSV logs are the deterministic artifacts; timing.csv carries wall-clock
         for model in ("wide", "compressed", "altmin"):
             for name in ("trajectory.csv", "diagnostics.csv"):
                 a = tmp_path / "out" / model / "seed_0" / name
@@ -251,15 +250,20 @@ class TestModelTable:
         assert exc.value.field == "model" and needle in str(exc.value)
 
     def test_trainers_looked_up_at_call_time(self, tmp_path, monkeypatch):
-        # perfbench's probe swaps these names on the module during a run
-        names = ("train_wide", "train_compressed", "altmin_complete", "init_wide",
-                 "init_compressed")
+        # perfbench's tracer swaps these names on their modules during a run;
+        # a name bound another way would leave its span empty
+        from dln import baselines, models
+
+        names = [(experiments, n) for n in ("train_wide", "train_compressed",
+                                            "altmin_complete", "init_wide", "init_compressed")]
+        names += [(models, "truncated_svd"), (baselines, "truncated_svd"),
+                  (baselines, "altmin_init")]
         called = []
-        for name in names:
-            def wrapper(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
-                called.append(_name)
+        for owner, name in names:
+            def wrapper(*args, _key=(owner, name), _fn=getattr(owner, name), **kwargs):
+                called.append(_key)
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(experiments, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
         res = run(tiny_config(tmp_path, problem="complete", p=0.6, model="all", T=5))
         assert res.ok
         assert set(called) == set(names)
@@ -439,6 +443,19 @@ class TestCli:
             "--seeds", "0", "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
+
+    def test_singular_als_system_exit_three(self, tmp_path, capsys):
+        # ALS factors outgrow the damping in the first sweep and one damped
+        # system is exactly singular
+        out = tmp_path / "o"
+        rc = main([
+            "complete", "--d", "10", "--r", "2", "--rhat", "5", "--p", "0.3",
+            "--seeds", "168", "--model", "altmin", "--sigma-range", "1,3", "--out", str(out),
+        ])
+        assert rc == 3
+        status = json.loads((out / "status.json").read_text())
+        assert status["altmin/seed_168"].startswith("diverged@")
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_ratings_file_exit_four(self, tmp_path):
         rc = main([

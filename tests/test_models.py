@@ -9,7 +9,6 @@ from dln.errors import ContractViolationError
 from dln.linalg import make_rng, singular_values, truncated_svd
 from dln.models import (
     CompressedDLN,
-    InitSpec,
     WideDLN,
     chain_gradients,
     end_to_end,
@@ -56,7 +55,7 @@ class TestEndToEnd:
         # at init the compressed product is eps^L times the outer frame
         d, r_hat, L, eps = 8, 3, 4, 1e-2
         surr = rng.standard_normal((d, d))
-        model = init_compressed(d, L, r_hat, InitSpec(eps, "spectral", surrogate=surr))
+        model = init_compressed(surr, L, r_hat, eps)
         f = truncated_svd(surr, r_hat)
         expected = eps**L * f.U @ f.V.T
         assert np.allclose(end_to_end(model), expected, atol=1e-18)
@@ -65,13 +64,13 @@ class TestEndToEnd:
 class TestInitWide:
     def test_end_to_end_scale(self):
         d, L, eps = 12, 3, 1e-3
-        model = init_wide(d, L, InitSpec(eps, "orthogonal"), make_rng(0, 2))
+        model = init_wide(d, L, eps, "orthogonal", make_rng(0, 2))
         sv = singular_values(end_to_end(model))
         assert np.max(np.abs(sv - eps**L)) <= 1e-18
 
     def test_balanced_at_init(self):
         d, eps = 9, 1e-3
-        model = init_wide(d, 3, InitSpec(eps, "orthogonal"), make_rng(1, 2))
+        model = init_wide(d, 3, eps, "orthogonal", make_rng(1, 2))
         for l in range(2):
             left = model.layers[l + 1].T @ model.layers[l + 1]
             right = model.layers[l] @ model.layers[l].T
@@ -79,31 +78,39 @@ class TestInitWide:
             assert np.allclose(right, eps**2 * np.eye(d), atol=1e-17)
 
     def test_same_seed_identical(self):
-        m1 = init_wide(6, 3, InitSpec(1e-2, "orthogonal"), make_rng(7, 2))
-        m2 = init_wide(6, 3, InitSpec(1e-2, "orthogonal"), make_rng(7, 2))
+        m1 = init_wide(6, 3, 1e-2, "orthogonal", make_rng(7, 2))
+        m2 = init_wide(6, 3, 1e-2, "orthogonal", make_rng(7, 2))
         for a, b in zip(m1.layers, m2.layers):
             assert np.array_equal(a, b)
 
     def test_uniform_mode_bounds(self):
-        model = init_wide(5, 2, InitSpec(1e-2, "uniform"), make_rng(3, 2))
+        model = init_wide(5, 2, 1e-2, "uniform", make_rng(3, 2))
         for w in model.layers:
             assert np.all(np.abs(w) <= 1e-2)
 
     def test_spectral_mode_rejected(self):
         with pytest.raises(ContractViolationError):
-            init_wide(4, 2, InitSpec(1e-3, "spectral", surrogate=np.eye(4)), make_rng(0))
+            init_wide(4, 2, 1e-3, "spectral", make_rng(0))
 
     def test_rectangular_outer_layers(self):
-        model = init_wide(10, 3, InitSpec(1e-3, "orthogonal"), make_rng(0, 2), d_out=6)
+        model = init_wide(10, 3, 1e-3, "orthogonal", make_rng(0, 2), d_out=6)
         assert end_to_end(model).shape == (6, 10)
         assert model.layers[1].shape == (10, 10)  # square intermediate at max dim
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan")])
+def test_nonpositive_init_scale_rejected(eps):
+    with pytest.raises(ContractViolationError):
+        init_wide(4, 2, eps, "orthogonal", make_rng(0, 2))
+    with pytest.raises(ContractViolationError):
+        init_compressed(np.eye(4), 2, 2, eps)
 
 
 class TestInitCompressed:
     def test_diagonal_surrogate(self):
         d, r_hat, eps = 5, 2, 1e-3
         surr = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
-        model = init_compressed(d, 3, r_hat, InitSpec(eps, "spectral", surrogate=surr))
+        model = init_compressed(surr, 3, r_hat, eps)
         assert np.allclose(model.w_last, eps * np.eye(d)[:, :r_hat])
         assert np.allclose(model.w_first, eps * np.eye(d)[:r_hat, :])
         for mid in model.mids:
@@ -112,7 +119,7 @@ class TestInitCompressed:
     def test_all_singular_values_eps_L(self, rng):
         d, L, r_hat, eps = 10, 3, 4, 1e-3
         surr = rng.standard_normal((d, d))
-        model = init_compressed(d, L, r_hat, InitSpec(eps, "spectral", surrogate=surr))
+        model = init_compressed(surr, L, r_hat, eps)
         sv = singular_values(end_to_end(model))[:r_hat]
         assert np.max(np.abs(sv - eps**L)) <= 1e-18
 
@@ -121,17 +128,17 @@ class TestInitCompressed:
         u = rng.standard_normal((d, 1))
         v = rng.standard_normal((d, 1))
         surr = u @ v.T
-        model = init_compressed(d, 3, r_hat, InitSpec(eps, "spectral", surrogate=surr))
+        model = init_compressed(surr, 3, r_hat, eps)
         f = truncated_svd(surr, r_hat)
         expected = eps**3 * (np.outer(f.U[:, 0], f.V[:, 0]) + np.outer(f.U[:, 1], f.V[:, 1]))
         assert np.allclose(end_to_end(model), expected, atol=1e-18)
 
     def test_r_hat_out_of_range(self):
         with pytest.raises(ContractViolationError):
-            init_compressed(4, 3, 5, InitSpec(1e-3, "spectral", surrogate=np.eye(4)))
+            init_compressed(np.eye(4), 3, 5, 1e-3)
 
     def test_depth_two_has_no_mids(self, rng):
-        model = init_compressed(6, 2, 3, InitSpec(1e-3, "spectral", surrogate=rng.standard_normal((6, 6))))
+        model = init_compressed(rng.standard_normal((6, 6)), 2, 3, 1e-3)
         assert model.mids == [] and model.depth == 2
 
 
@@ -424,9 +431,9 @@ def test_kept_work_step_allocates_less_than_one_full_matrix():
 class TestParamCount:
     def test_count_identity(self):
         d, L, r_hat = 10, 4, 3
-        wide = init_wide(d, L, InitSpec(1e-3, "orthogonal"), make_rng(0, 2))
+        wide = init_wide(d, L, 1e-3, "orthogonal", make_rng(0, 2))
         surr = np.eye(d)
-        comp = init_compressed(d, L, r_hat, InitSpec(1e-3, "spectral", surrogate=surr))
+        comp = init_compressed(surr, L, r_hat, 1e-3)
         assert param_count(wide) == L * d * d
         assert param_count(comp) == 2 * d * r_hat + (L - 2) * r_hat**2
 
@@ -441,8 +448,8 @@ def test_compressed_init_error_never_worse_than_wide():
         M, U, s, V = gen_lowrank(SyntheticSpec(d=d, r=r, seed=seed, sigma_values=tuple(np.linspace(0.3, 0.1, r))))
         op = Identity(d)
         y = op.apply(M)
-        wide = init_wide(d, L, InitSpec(eps, "orthogonal"), make_rng(seed, 2))
-        comp = init_compressed(d, L, r_hat, InitSpec(eps, "spectral", surrogate=op.surrogate(y)))
+        wide = init_wide(d, L, eps, "orthogonal", make_rng(seed, 2))
+        comp = init_compressed(op.surrogate(y), L, r_hat, eps)
         err_wide = np.sum((end_to_end(wide) - M) ** 2)
         err_comp = np.sum((end_to_end(comp) - M) ** 2)
         if err_wide < err_comp:

@@ -90,7 +90,7 @@ class TestRecursionStep:
 class TestVerifyAgainstTraining:
     def _training_log(self, eta=1.0, iters=500):
         from dln.data import SyntheticSpec, gen_lowrank
-        from dln.models import InitSpec, init_compressed
+        from dln.models import init_compressed
         from dln.operators import Identity
         from dln.trainer import TrainConfig, train_compressed
 
@@ -99,7 +99,7 @@ class TestVerifyAgainstTraining:
         M, U, s, V = gen_lowrank(SyntheticSpec(d=d, r=r, seed=0, sigma_values=sigma))
         op = Identity(d)
         y = op.apply(M)
-        model = init_compressed(d, 3, r_hat, InitSpec(1e-3, "spectral", surrogate=op.surrogate(y)))
+        model = init_compressed(op.surrogate(y), 3, r_hat, 1e-3)
         cfg = TrainConfig(eta=eta, iters=iters, log_every=10, top_k=r_hat)
         _, log = train_compressed(model, op, y, cfg)
         return log, s

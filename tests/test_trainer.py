@@ -7,7 +7,6 @@ from dln.linalg import make_rng, truncated_svd
 from dln.diagnostics import offdiagonal_leakage
 from dln.models import (
     CompressedDLN,
-    InitSpec,
     WideDLN,
     end_to_end,
     gradients,
@@ -49,7 +48,7 @@ class TestTrainWide:
         # full-observation run at the reference settings: logged loss never rises
         d, r = 100, 10
         M, U, s, V, op, y = make_factorization(d, r, 0, tuple(np.linspace(0.05, 0.02, r)))
-        model = init_wide(d, 3, InitSpec(1e-3, "orthogonal"), make_rng(0, 2))
+        model = init_wide(d, 3, 1e-3, "orthogonal", make_rng(0, 2))
         cfg = TrainConfig(eta=10.0, iters=1200, log_every=20, top_k=10)
         _, log = train_wide(model, op, y, cfg, probe=M)
         losses = log.losses()
@@ -57,14 +56,14 @@ class TestTrainWide:
 
     def test_divergence_raises_with_iteration(self):
         M, U, s, V, op, y = make_factorization(8, 2, 1, (0.5, 0.3))
-        model = init_wide(8, 3, InitSpec(0.5, "orthogonal"), make_rng(1, 2))
+        model = init_wide(8, 3, 0.5, "orthogonal", make_rng(1, 2))
         with pytest.raises(DivergenceError) as exc:
             train_wide(model, op, y, TrainConfig(eta=500.0, iters=500))
         assert exc.value.iteration >= 0
 
     def test_early_stop(self):
         M, U, s, V, op, y = make_factorization(10, 2, 2, (0.3, 0.2))
-        model = init_wide(10, 3, InitSpec(1e-2, "orthogonal"), make_rng(2, 2))
+        model = init_wide(10, 3, 1e-2, "orthogonal", make_rng(2, 2))
         cfg = TrainConfig(eta=1.0, iters=50000, log_every=100, stop_tol=1e-6)
         _, log = train_wide(model, op, y, cfg)
         assert log.final().train_loss <= 1e-6
@@ -75,7 +74,7 @@ class TestTrainCompressed:
     def test_alpha_one_matches_uniform_reference(self):
         d, r, r_hat, L, eps, eta, T = 12, 3, 5, 3, 1e-2, 0.5, 40
         M, U, s, V, op, y = make_factorization(d, r, 3, (0.4, 0.3, 0.2))
-        model = init_compressed(d, L, r_hat, InitSpec(eps, "spectral", surrogate=op.surrogate(y)))
+        model = init_compressed(op.surrogate(y), L, r_hat, eps)
         trained, _ = train_compressed(model, op, y, TrainConfig(eta=eta, alpha=1.0, iters=T))
 
         # independent uniform-rate reference loop
@@ -91,7 +90,7 @@ class TestTrainCompressed:
         # one step applied in reversed layer order gives identical parameters
         d, r_hat, eta, alpha = 8, 3, 0.3, 2.0
         M, U, s, V, op, y = make_factorization(d, 2, 4, (0.4, 0.2))
-        model = init_compressed(d, 3, r_hat, InitSpec(1e-2, "spectral", surrogate=op.surrogate(y)))
+        model = init_compressed(op.surrogate(y), 3, r_hat, 1e-2)
         trained, _ = train_compressed(model, op, y, TrainConfig(eta=eta, alpha=alpha, iters=1))
 
         layers = [w.copy() for w in model.layers]
@@ -107,7 +106,7 @@ class TestTrainCompressed:
         d, r, r_hat, eta, T = 30, 3, 6, 10.0, 2500
         sigma = (0.1, 0.08, 0.06)
         M, U, s, V, op, y = make_factorization(d, r, 5, sigma)
-        model = init_compressed(d, 3, r_hat, InitSpec(1e-3, "spectral", surrogate=op.surrogate(y)))
+        model = init_compressed(op.surrogate(y), 3, r_hat, 1e-3)
         cfg = TrainConfig(eta=eta, alpha=1.0, iters=T, log_every=50, top_k=r)
         _, log = train_compressed(model, op, y, cfg)
         params = RecursionParams(L=3, eta=eta, eps=1e-3, sigma_star=s)
@@ -118,7 +117,7 @@ class TestTrainCompressed:
         d, r, r_hat = 20, 2, 4
         M, U, s, V, op, y = make_factorization(d, r, 6, (0.1, 0.05))
         surr = op.surrogate(y)
-        model = init_compressed(d, 3, r_hat, InitSpec(1e-3, "spectral", surrogate=surr))
+        model = init_compressed(surr, 3, r_hat, 1e-3)
         trained, _ = train_compressed(model, op, y, TrainConfig(eta=10.0, alpha=1.0, iters=1500))
         frame = truncated_svd(surr, r_hat)
         assert offdiagonal_leakage(end_to_end(trained), frame.U, frame.V) <= 1e-10
@@ -127,7 +126,7 @@ class TestTrainCompressed:
 class TestTrajectoryLog:
     def _quick_log(self, tmp_path=None, probe=True):
         M, U, s, V, op, y = make_factorization(10, 2, 7, (0.3, 0.2))
-        model = init_compressed(10, 3, 4, InitSpec(1e-3, "spectral", surrogate=op.surrogate(y)))
+        model = init_compressed(op.surrogate(y), 3, 4, 1e-3)
         cfg = TrainConfig(eta=1.0, iters=90, log_every=20, top_k=4)
         _, log = train_compressed(model, op, y, cfg, probe=M if probe else None)
         return log
@@ -155,16 +154,6 @@ class TestTrajectoryLog:
         log.write_csv(path)
         row = path.read_text().strip().split("\n")[1].split(",")
         assert row[2] == ""
-
-    def test_jsonl_roundtrip(self, tmp_path):
-        import json
-
-        log = self._quick_log()
-        path = tmp_path / "traj.jsonl"
-        log.write_jsonl(path)
-        rows = [json.loads(line) for line in path.read_text().strip().split("\n")]
-        assert rows[0]["t"] == 0
-        assert rows[-1]["train_loss"] == log.final().train_loss
 
     def test_timing_csv_separate(self, tmp_path):
         log = self._quick_log()
