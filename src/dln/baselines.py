@@ -34,9 +34,6 @@ class AltMinModel:
     Lf: Matrix  # d_out x r_hat
     Rf: Matrix  # r_hat x d_in
 
-    def estimate(self) -> Matrix:
-        return self.Lf @ self.Rf
-
 
 def _grouped(indices: np.ndarray, other: np.ndarray, values: np.ndarray, n: int):
     """Observed entries of each index 0..n-1, grouped by observation count.
@@ -111,8 +108,8 @@ def altmin_complete(
 
     Logs through the gradient trainers' :class:`Recorder`, so baseline and
     network runs share the trajectory schema and the divergence guard: a
-    sweep that leaves a non-finite loss, or meets a singular damped system,
-    raises :class:`DivergenceError`.
+    sweep that leaves a loss that is not finite or exceeds ``LOSS_CAP``, or
+    meets a singular damped system, raises :class:`DivergenceError`.
     """
     if iters < 1:
         raise ContractViolationError("need at least one sweep")

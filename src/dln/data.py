@@ -19,7 +19,7 @@ from .linalg import Matrix, make_rng, sample_semi_orthogonal
 from .operators import CompletionMask, GaussianSensing
 
 # hard cap on dense sensing-operator storage before we refuse to allocate
-DEFAULT_SENSING_BUDGET_BYTES = 4 * 2**30
+SENSING_BUDGET_BYTES = 4 * 2**30
 
 MOVIELENS_SHAPE = (943, 1682)
 
@@ -70,31 +70,28 @@ def gen_lowrank(spec: SyntheticSpec) -> tuple[Matrix, Matrix, np.ndarray, Matrix
     return M, U, s, V
 
 
-def gen_mcar_mask(d: int, p: float, seed: int, n_cols: int | None = None) -> CompletionMask:
-    """Each entry observed independently with probability p."""
+def gen_mcar_mask(d: int, p: float, seed: int) -> CompletionMask:
+    """Each entry of a d x d matrix observed independently with probability p."""
     if not 0 < p <= 1:
         raise ContractViolationError("need p in (0, 1]")
-    n_cols = n_cols or d
     rng = make_rng(seed, 1)
-    keep = rng.random((d, n_cols)) < p
+    keep = rng.random((d, d)) < p
     rows, cols = np.nonzero(keep)
     if rows.size == 0:
         raise ContractViolationError(
             f"mask draw came up empty for d={d}, p={p}; use another seed"
         )
-    return CompletionMask(rows, cols, d, n_cols)
+    return CompletionMask(rows, cols, d, d)
 
 
-def gen_gaussian_ops(
-    d: int, m: int, seed: int, budget_bytes: int = DEFAULT_SENSING_BUDGET_BYTES
-) -> GaussianSensing:
+def gen_gaussian_ops(d: int, m: int, seed: int) -> GaussianSensing:
     """m dense d x d sensing matrices with i.i.d. standard normal entries."""
     if m < 1:
         raise ContractViolationError("need m >= 1")
     need = m * d * d * 8
-    if need > budget_bytes:
+    if need > SENSING_BUDGET_BYTES:
         raise ResourceBudgetError(
-            f"sensing operator needs {need} bytes > budget {budget_bytes}"
+            f"sensing operator needs {need} bytes > budget {SENSING_BUDGET_BYTES}"
         )
     rng = make_rng(seed, 1)
     return GaussianSensing(rng.standard_normal((m, d, d)))

@@ -25,24 +25,9 @@ def recovery_error(W_hat: Matrix, M_star: Matrix) -> float:
     return float(np.linalg.norm(W_hat - M_star)) / denom
 
 
-@dataclass(frozen=True)
-class IncrementalConfig:
-    """Tolerances for declaring component i fitted.
-
-    The singular-value tolerance is relative by default,
-    c_val_i = (c_val_rel * sigma*_i)^2; pass ``c_val`` for an absolute one.
-    """
-
-    r: int
-    c_val: float | None = None
-    c_val_rel: float = 1e-3
-    c_vec: float = 1e-3
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ContractViolationError("need r >= 1")
-        if self.c_vec < 0 or (self.c_val is not None and self.c_val < 0):
-            raise ContractViolationError("tolerances must be nonnegative")
+# fitted: (sigma_i - sigma*_i)^2 <= (C_VAL_REL * sigma*_i)^2, alignments >= 1 - C_VEC
+C_VAL_REL = 1e-3
+C_VEC = 1e-3
 
 
 @dataclass
@@ -93,24 +78,25 @@ def subspace_distance(U_a: Matrix, U_b: Matrix, r: int) -> float:
     return max(val, 0.0)
 
 
-def detect_incremental(
-    st: SpectralTrajectory, sigma_star: np.ndarray, cfg: IncrementalConfig
-) -> list[int | None]:
-    """Fit time t_i per component: the first logged iterate after which the
-    value and alignment conditions hold at every later logged iterate.
+def detect_incremental(st: SpectralTrajectory, sigma_star: np.ndarray,
+                       r: int) -> list[int | None]:
+    """Fit time t_i of each of the top r components: the first logged iterate
+    after which the value and alignment conditions (``C_VAL_REL``, ``C_VEC``)
+    hold at every later logged iterate.
 
     Components that never settle come back as None.
     """
+    if r < 1:
+        raise ContractViolationError("need r >= 1")
     sigma_star = np.asarray(sigma_star, dtype=np.float64).ravel()
-    if sigma_star.size < cfg.r or st.svals.shape[1] < cfg.r:
+    if sigma_star.size < r or st.svals.shape[1] < r:
         raise ContractViolationError("trajectory or targets cover fewer than r components")
     out: list[int | None] = []
-    for i in range(cfg.r):
-        c_val = cfg.c_val if cfg.c_val is not None else (cfg.c_val_rel * sigma_star[i]) ** 2
+    for i in range(r):
         ok = (
-            ((st.svals[:, i] - sigma_star[i]) ** 2 <= c_val)
-            & (st.left_align[:, i] >= 1.0 - cfg.c_vec)
-            & (st.right_align[:, i] >= 1.0 - cfg.c_vec)
+            ((st.svals[:, i] - sigma_star[i]) ** 2 <= (C_VAL_REL * sigma_star[i]) ** 2)
+            & (st.left_align[:, i] >= 1.0 - C_VEC)
+            & (st.right_align[:, i] >= 1.0 - C_VEC)
         )
         k = settled_from(ok)
         out.append(None if k is None else int(st.ts[k]))

@@ -39,8 +39,8 @@ import numpy as np
 from . import __version__, diagnostics
 from .baselines import altmin_complete
 from .data import (
-    DEFAULT_SENSING_BUDGET_BYTES,
     MOVIELENS_SHAPE,
+    SENSING_BUDGET_BYTES,
     SyntheticSpec,
     gen_gaussian_ops,
     gen_lowrank,
@@ -168,9 +168,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.m < 1:
             raise ConfigError("m", "need at least one measurement")
         need = cfg.m * cfg.d * cfg.d * 8
-        if need > DEFAULT_SENSING_BUDGET_BYTES:
+        if need > SENSING_BUDGET_BYTES:
             raise ConfigError(
-                "m", f"sensing operator needs {need} bytes > budget {DEFAULT_SENSING_BUDGET_BYTES}"
+                "m", f"sensing operator needs {need} bytes > budget {SENSING_BUDGET_BYTES}"
             )
     if cfg.problem == "movielens":
         if not cfg.movielens_path:
@@ -300,7 +300,10 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
 def _archive_measurements(dest: Path, op, y) -> None:
     if isinstance(op, CompletionMask):
         op.save_csv(dest / "mask.csv")
-        np.savetxt(dest / "train_values.csv", y, fmt="%.17g")
+        # np.savetxt(..., y, fmt="%.17g")'s bytes, 4096 lines per format call
+        with open(dest / "train_values.csv", "w") as fh:
+            for block in np.split(y, range(4096, y.size, 4096)):
+                fh.write(("%.17g\n" * block.size) % tuple(block.tolist()))
 
 
 def _write_logs(dest: Path, log: TrajectoryLog, experiment: str, seed: int,
@@ -387,7 +390,7 @@ def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
                        dest: Path, st) -> dict[str, str]:
     if st is not None:
         r = min(cfg.track_spectral, cfg.r)
-        fits = diagnostics.detect_incremental(st, pb.s, diagnostics.IncrementalConfig(r=r))
+        fits = diagnostics.detect_incremental(st, pb.s, r)
         (dest / "incremental.json").write_text(
             json.dumps({"fit_iterations": fits}, sort_keys=True) + "\n"
         )

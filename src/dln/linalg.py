@@ -31,29 +31,14 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> Matrix:
-    """Validate user input into a finite float64 row-major matrix.
-
-    A flat sequence is reshaped to rows x cols when both are given. Non-2-D
-    shapes and non-finite entries raise :class:`ContractViolationError`.
-    """
+def as_matrix(data) -> Matrix:
+    """``data`` as a finite float64 row-major 2-D matrix; else ContractViolationError."""
     a = np.array(data, dtype=np.float64, order="C")
-    if a.ndim == 1 and rows is not None and cols is not None:
-        if a.size != rows * cols:
-            raise ContractViolationError(
-                f"flat data of length {a.size} cannot fill {rows}x{cols}"
-            )
-        a = a.reshape(rows, cols)
     if a.ndim != 2:
         raise ContractViolationError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ContractViolationError("matrix entries must be finite")
     return a
-
-
-def frobenius_norm_sq(a: Matrix) -> float:
-    """Sum of squared entries."""
-    return float(np.sum(a * a))
 
 
 @dataclass(frozen=True)
@@ -161,11 +146,6 @@ def _gram_svd(a: Matrix, k: int) -> SvdResult | None:
     return SvdResult(np.ascontiguousarray(U), s, np.ascontiguousarray(V))
 
 
-def singular_values(a: Matrix) -> np.ndarray:
-    """Descending singular values only (cheaper than a full SVD)."""
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def chain_product(layers: list[Matrix]) -> Matrix:
     """End-to-end product of a layer chain (``layers[0]`` is applied first),
     multiplied in a fixed left-to-right order."""
@@ -218,11 +198,6 @@ def chain_svd(
     return SvdResult(U, f.s[:n].copy(), V)
 
 
-def sample_orthogonal(n: int, rng: np.random.Generator) -> Matrix:
-    """Haar-distributed n x n orthogonal matrix."""
-    return sample_semi_orthogonal(n, n, rng)
-
-
 def sample_semi_orthogonal(rows: int, cols: int, rng: np.random.Generator) -> Matrix:
     """Haar-distributed semi-orthogonal matrix (orthonormal rows or columns).
 
@@ -238,15 +213,6 @@ def sample_semi_orthogonal(rows: int, cols: int, rng: np.random.Generator) -> Ma
         d[d == 0.0] = 1.0
         return q * d
     return sample_semi_orthogonal(cols, rows, rng).T.copy()
-
-
-def save_matrix_csv(path: str | Path, a: Matrix) -> None:
-    np.savetxt(path, np.atleast_2d(a), delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path: str | Path) -> Matrix:
-    a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return as_matrix(a)
 
 
 def save_matrix_bin(path: str | Path, a: Matrix) -> None:

@@ -173,7 +173,7 @@ def chain_gradients(layers: list[Matrix], op: SensingOperator, y: np.ndarray,
     adjoint(apply(W_{n-1} @ R) - y). For l = n-2 down to 1 the recursion
     takes the gradient of layer l as delta @ P_l^T and then sets delta =
     W_l^T @ delta, so the last delta is the gradient of the first layer. A
-    single-layer chain's gradient is the back-projected residual itself.
+    chain has at least two layers.
 
     ``work`` lets a training loop keep the large intermediates from one call
     to the next. It is a list of n + 1 slots for an n-layer chain: slot l
@@ -185,13 +185,12 @@ def chain_gradients(layers: list[Matrix], op: SensingOperator, y: np.ndarray,
     gradients never alias a slot.
     """
     n = len(layers)
+    if n < 2:
+        raise ContractViolationError("need at least 2 layers")
     if work is None:
         work = [None] * (n + 1)
     elif len(work) != n + 1:
         raise ContractViolationError(f"work needs {n + 1} slots for {n} layers, got {len(work)}")
-    if n == 1:
-        res = op.apply(layers[0]) - y
-        return [op.adjoint(res)], 0.5 * float(res @ res)
     prefixes: list[Matrix | None] = [None] * n
     prod = layers[0]
     for l in range(1, n - 1):
@@ -206,11 +205,6 @@ def chain_gradients(layers: list[Matrix], op: SensingOperator, y: np.ndarray,
         delta = layers[l].T @ delta
     grads.append(delta)
     return grads[::-1], lo
-
-
-def gradients(model: Model, op: SensingOperator, y: np.ndarray) -> list[Matrix]:
-    """Analytic gradients for every layer, in layer order."""
-    return chain_gradients(model.layers, op, y)[0]
 
 
 def save_model(dirpath: str | Path, model: Model, extra: dict | None = None) -> None:

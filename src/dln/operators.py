@@ -24,10 +24,8 @@ gradient: for the end-to-end product W = L @ R it returns the loss
 0.5 * |apply(W) - y|^2, delta @ R.T and L.T @ delta, where delta =
 adjoint(apply(W) - y). ``work`` is a two-slot list of buffers the operator
 fills on the first call and reuses after (the same list for every step of one
-chain). Identity and Gaussian sensing form W and delta in full. The
-completion mask walks W in row blocks small enough to stay in cache and never
-forms either at full size, unless one block would cover all of W or the inner
-width of L @ R is a block's height or more.
+chain). Identity and Gaussian sensing form W and delta in full; the
+completion mask walks W in row blocks (:meth:`CompletionMask.head_gradients`).
 """
 
 from __future__ import annotations
@@ -185,9 +183,10 @@ class CompletionMask:
             raise ContractViolationError("empty observation set")
         if rows.min() < 0 or rows.max() >= self.n_rows or cols.min() < 0 or cols.max() >= n_cols:
             raise ContractViolationError("mask indices out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
         flat = rows * n_cols + cols
+        # np.lexsort((cols, rows))'s order; a stable sort is fast on sorted input
+        order = np.argsort(flat, kind="stable")
+        rows, cols, flat = rows[order], cols[order], flat[order]
         if np.any(np.diff(flat) == 0):
             raise ContractViolationError("duplicate indices in mask")
         object.__setattr__(self, "rows", rows)
@@ -235,7 +234,8 @@ class CompletionMask:
     def head_gradients(self, L: Matrix, R: Matrix, y: Measurement,
                        work: list) -> tuple[float, Matrix, Matrix]:
         """Row-blocked head: ``work`` holds a b x n_cols product block and a
-        delta block that is zero between calls.
+        delta block that is zero between calls, b rows chosen so the two take
+        about ``_BLOCK_BYTES`` together; no d_out x n_cols matrix is formed.
 
         For each block B of b rows it forms L[B] @ R, gathers the block's
         observed entries into the residual, scatters them into the delta
@@ -244,7 +244,9 @@ class CompletionMask:
         again. BLAS can round an entry of a row block's product differently
         from the same entry of the full product, and L.T @ delta sums the
         blocks in order, so the loss and both products may differ from the
-        dense head's in the last bits.
+        dense head's in the last bits. When one block covers W, or k >= b (a
+        wide chain, whose k x n_cols accumulator rewritten for every block
+        costs more than the blocks save), the dense head runs instead.
         """
         d_out, k = L.shape
         if d_out != self.n_rows or R.shape != (k, self.n_cols):
@@ -252,8 +254,6 @@ class CompletionMask:
                 f"head {L.shape} @ {R.shape} does not give a {self.n_rows}x{self.n_cols} matrix"
             )
         b = max(1, _BLOCK_BYTES // (16 * self.n_cols))
-        # one block covers W, or the k x n_cols accumulator rewritten for every
-        # block would cost more than the blocks save (a wide chain)
         if d_out <= b or k >= b:
             return _dense_head(self, L, R, y, work)
         y = _check_measurement(self.m, y)
@@ -279,11 +279,13 @@ class CompletionMask:
         return 0.5 * float(res @ res), grad, lt_delta
 
     def save_csv(self, path: str | Path) -> None:
+        """``csv.writer``'s bytes: a ``row,col`` header and one line per entry."""
+        pairs = np.column_stack((self.rows, self.cols))
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row", "col"])
-            for r, c in zip(self.rows, self.cols):
-                w.writerow([int(r), int(c)])
+            fh.write("row,col\r\n")
+            # 4096 lines per format call: few Python ints are alive at once
+            for block in np.split(pairs, range(4096, self.m, 4096)):
+                fh.write(("%d,%d\r\n" * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
     def load_csv(cls, path: str | Path, d: int, n_cols: int | None = None) -> "CompletionMask":

@@ -93,13 +93,6 @@ def implied_singular_values(state: RecursionState, r_hat: int) -> np.ndarray:
     )
 
 
-def run_recursion(params: RecursionParams, iters: int) -> list[RecursionState]:
-    states = [initial_state(params)]
-    for _ in range(iters):
-        states.append(recursion_step(states[-1]))
-    return states
-
-
 def stable_step_bound(sigma_max: float, L: int, alpha: float = 1.0) -> float:
     """Largest eta for which the converged recursion is locally stable.
 
@@ -111,6 +104,10 @@ def stable_step_bound(sigma_max: float, L: int, alpha: float = 1.0) -> float:
     if sigma_max <= 0:
         raise ContractViolationError("sigma_max must be positive")
     return 2.0 / (L * alpha ** (2.0 / L) * sigma_max ** (2.0 - 2.0 / L))
+
+
+# largest relative deviation from the recursion at which the oracle passes
+ORACLE_TOL = 1e-6
 
 
 @dataclass
@@ -136,9 +133,10 @@ class OracleReport:
 
 
 def verify_against_training(
-    log: TrajectoryLog, state0: RecursionState, r_hat: int, tol: float = 1e-6
+    log: TrajectoryLog, state0: RecursionState, r_hat: int
 ) -> OracleReport:
-    """Replay the recursion and compare with logged singular values.
+    """Replay the recursion and compare with logged singular values; the
+    report fails at the first logged iterate off by more than ``ORACLE_TOL``.
 
     The log must come from a full-observation run of a spectrally-initialized
     compressed network trained with a uniform rate matching ``state0.params``.
@@ -162,10 +160,10 @@ def verify_against_training(
         expected = implied_singular_values(state, r_hat)[:k]
         dev = float(np.max(np.abs(rec.svals - expected) / expected))
         max_dev = max(max_dev, dev)
-        if dev > tol and first_fail is None:
+        if dev > ORACLE_TOL and first_fail is None:
             first_fail = rec.t
     return OracleReport(max_rel_dev=max_dev, first_fail_iter=first_fail,
-                        passed=first_fail is None, tol=tol)
+                        passed=first_fail is None, tol=ORACLE_TOL)
 
 
 def spectral_lower_bound(A: Matrix, B: Matrix) -> tuple[float, float]:
@@ -215,10 +213,14 @@ class FlowSeries:
     params: FlowParams
 
 
-def default_flow_dt(params: FlowParams, base: float = 1e-3) -> float:
+# a flow component counts as fitted within this relative distance of its target
+FIT_REL_TOL = 1e-2
+
+
+def default_flow_dt(params: FlowParams) -> float:
     smax = float(np.max(params.sigma_star)) if params.sigma_star.size else 1.0
     smax = max(smax, 1e-12)
-    return base * smax ** (-(1.0 - 2.0 / params.L))
+    return 1e-3 * smax ** (-(1.0 - 2.0 / params.L))
 
 
 def _flow_rhs(sigma: np.ndarray, params: FlowParams, active: np.ndarray | None) -> np.ndarray:
@@ -276,11 +278,11 @@ def flow_series(state: FlowState, duration: float, dt: float,
 
 
 def gated_flow_series(state: FlowState, duration: float, dt: float,
-                      sample_every: int = 1, gate_rel_tol: float = 1e-2) -> FlowSeries:
+                      sample_every: int = 1) -> FlowSeries:
     """Flow where component i is frozen until component i-1 has been fitted.
 
     Models the sequential (one component at a time) fitting pattern: a mode
-    activates only once the previous mode sits within ``gate_rel_tol``
+    activates only once the previous mode sits within ``FIT_REL_TOL``
     (relative) of its target. Component 1 is active from the start.
     """
     target = state.params.sigma_star
@@ -290,7 +292,7 @@ def gated_flow_series(state: FlowState, duration: float, dt: float,
         active[0] = 1.0
 
     def gate(sigma: np.ndarray) -> np.ndarray:
-        fitted = np.abs(sigma - target) <= gate_rel_tol * np.abs(target)
+        fitted = np.abs(sigma - target) <= FIT_REL_TOL * np.abs(target)
         for i in range(1, k):
             if active[i] == 0.0 and active[i - 1] == 1.0 and fitted[i - 1]:
                 active[i] = 1.0
@@ -315,10 +317,10 @@ def dominance_witness(flow_a: FlowSeries, flow_b: FlowSeries, tol: float = 1e-9)
     return bool(np.all(dev_b <= dev_a + tol))
 
 
-def fit_times(series: FlowSeries, rel_tol: float = 1e-2) -> list[float | None]:
-    """First sampled time each component stays within rel_tol of its target."""
+def fit_times(series: FlowSeries) -> list[float | None]:
+    """First sampled time each component stays within FIT_REL_TOL of its target."""
     out: list[float | None] = []
     for i, s in enumerate(series.params.sigma_star):
-        n = settled_from(np.abs(series.sigmas[:, i] - s) <= rel_tol * abs(s))
+        n = settled_from(np.abs(series.sigmas[:, i] - s) <= FIT_REL_TOL * abs(s))
         out.append(None if n is None else float(series.times[n]))
     return out

@@ -105,12 +105,6 @@ class TrajectoryLog:
     def train_seconds(self) -> float:
         return self.records[-1].elapsed_s
 
-    def seconds_per_iter(self) -> float:
-        last = self.records[-1]
-        if last.t == 0:
-            return 0.0
-        return last.elapsed_s / last.t
-
     def write_csv(self, path: str | Path) -> None:
         """Deterministic trajectory columns: t, train_loss, recovery_error, sv_1..sv_k."""
         cols = ["t", "train_loss", "recovery_error"] + [
@@ -138,9 +132,9 @@ class Recorder:
     the recovery error against ``probe``, the top-k spectrum, a spectral
     snapshot of ``track_spectral`` triplets and the extra metrics to ``log``.
     The spectrum comes from :func:`chain_svd`, so a chain with a bottleneck is
-    decomposed through its factors. A non-finite loss raises
-    :class:`DivergenceError` before anything is logged. ``layers`` is read at
-    every call: callers update its matrices in place.
+    decomposed through its factors. A loss that is not finite or exceeds
+    ``LOSS_CAP`` raises :class:`DivergenceError` before anything is logged.
+    ``layers`` is read at every call: callers update its matrices in place.
     """
 
     def __init__(
@@ -169,7 +163,7 @@ class Recorder:
         W = chain_product(layers)
         res = self.op.apply(W) - self.y
         lo = 0.5 * float(res @ res)
-        if not np.isfinite(lo):
+        if not lo <= LOSS_CAP:
             raise DivergenceError(t, lo)
         svals = chain_svd(layers, log.top_k, product=W)
         rec = None
@@ -206,7 +200,7 @@ def _train(
     for t in range(1, cfg.iters + 1):
         t0 = time.perf_counter()
         grads, prev_loss = chain_gradients(layers, op, y, work)
-        if not np.isfinite(prev_loss) or prev_loss > LOSS_CAP:
+        if not prev_loss <= LOSS_CAP:
             raise DivergenceError(t - 1, prev_loss)
         if cfg.stop_tol is not None and prev_loss <= cfg.stop_tol:
             # the pre-step iterate already meets the target; keep it

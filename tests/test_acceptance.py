@@ -28,8 +28,8 @@ from dln.linalg import make_rng, svd, truncated_svd
 from dln.models import (
     CompressedDLN,
     WideDLN,
+    chain_gradients,
     end_to_end,
-    gradients,
     init_compressed,
     init_wide,
     param_count,
@@ -73,7 +73,7 @@ def test_criterion_01_recursion_oracle_equivalence():
     trained, log = train_compressed(model, op, y, cfg)
 
     params = RecursionParams(L=L, eta=eta, eps=eps, sigma_star=s)
-    rep = verify_against_training(log, initial_state(params), r_hat, tol=1e-6)
+    rep = verify_against_training(log, initial_state(params), r_hat)
     assert rep.passed, f"max relative deviation {rep.max_rel_dev}"
 
     frame = truncated_svd(surr, r_hat)
@@ -126,7 +126,8 @@ def test_criterion_03_factorization_dominance_and_speed(factorization_runs):
         assert np.array_equal(log_w.ts(), log_c.ts())
         rw, rc = log_w.recovery(), log_c.recovery()
         assert np.all(rc <= rw + 1e-9), f"dominance violated for seed {seed}"
-        assert log_c.seconds_per_iter() < log_w.seconds_per_iter(), (
+        # same logged iterates, so less training time is less per iteration
+        assert log_c.train_seconds() < log_w.train_seconds(), (
             f"seed {seed}: compressed not faster per iteration"
         )
     wide, comp = factorization_runs[0][0], factorization_runs[0][1]
@@ -187,7 +188,7 @@ def test_criterion_06_incremental_learning():
     _, log = train_compressed(comp, op, y, cfg, probe=M, track_spectral=r)
 
     st = diagnostics.alignment(log, U, V, r)
-    fits = diagnostics.detect_incremental(st, s, diagnostics.IncrementalConfig(r=r))
+    fits = diagnostics.detect_incremental(st, s, r)
     assert all(t is not None for t in fits), f"undetected components: {fits}"
     assert all(fits[i] <= fits[i + 1] for i in range(r - 1)), f"unordered fits: {fits}"
     dorm_cap = 10 * eps**L
@@ -230,7 +231,7 @@ def test_criterion_07_gradient_correctness():
                     res = op.apply(prod) - y
                     return 0.5 * float(res @ res)
 
-                analytic = gradients(model, op, y)
+                analytic, _ = chain_gradients(layers, op, y)
                 for _ in range(50):
                     li = int(rng.integers(len(layers)))
                     w = layers[li]
@@ -309,7 +310,7 @@ def _ratings_protocol(path, shape, T_wide, eps, out_prefix=""):
     _, log_c = train_compressed(comp, mask, y, cfg_c, extra_metrics=hold)
 
     am, _ = altmin_complete(mask, y, 10, 40, surr)
-    alt_rmse = diagnostics.holdout_rmse(am.estimate(), test)
+    alt_rmse = diagnostics.holdout_rmse(am.Lf @ am.Rf, test)
 
     hw = np.array(log_w.extras["holdout_rmse"])
     hc = np.array(log_c.extras["holdout_rmse"])

@@ -162,7 +162,7 @@ def test_half_sweeps_never_increase_loss():
     col_pos, col_vals = _grouped(mask.cols, mask.rows, y, mask.shape[1])
 
     def train_loss():
-        return 0.5 * float(np.sum((mask.apply(model.estimate()) - y) ** 2))
+        return 0.5 * float(np.sum((mask.apply(model.Lf @ model.Rf) - y) ** 2))
 
     prev = train_loss()
     for _ in range(6):

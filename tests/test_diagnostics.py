@@ -3,7 +3,6 @@ import pytest
 
 from dln.data import SyntheticSpec, gen_lowrank
 from dln.diagnostics import (
-    IncrementalConfig,
     SpectralTrajectory,
     alignment,
     detect_incremental,
@@ -16,7 +15,7 @@ from dln.diagnostics import (
     write_diagnostics_csv,
 )
 from dln.errors import ContractViolationError
-from dln.linalg import make_rng, sample_orthogonal
+from dln.linalg import make_rng, sample_semi_orthogonal
 from dln.models import init_compressed
 from dln.operators import Identity
 from dln.trainer import TrainConfig, train_compressed
@@ -63,7 +62,7 @@ class TestAlignment:
     def test_self_alignment(self, rng):
         from dln.trainer import SpectralSnapshot, TrajectoryLog
 
-        q = sample_orthogonal(6, rng)
+        q = sample_semi_orthogonal(6, 6, rng)
         log = TrajectoryLog(top_k=3)
         log.spectral.append(SpectralSnapshot(0, q[:, :3], np.ones(3), q[:, :3]))
         st = alignment(log, q[:, :3], q[:, :3], 3)
@@ -73,7 +72,7 @@ class TestAlignment:
     def test_orthogonal_complement_alignment_zero(self, rng):
         from dln.trainer import SpectralSnapshot, TrajectoryLog
 
-        q = sample_orthogonal(6, rng)
+        q = sample_semi_orthogonal(6, 6, rng)
         log = TrajectoryLog(top_k=2)
         log.spectral.append(SpectralSnapshot(0, q[:, :2], np.ones(2), q[:, :2]))
         st = alignment(log, q[:, 2:4], q[:, 2:4], 2)
@@ -88,26 +87,26 @@ class TestAlignment:
 
 class TestSubspaceDistance:
     def test_equal_bases(self, rng):
-        q = sample_orthogonal(7, rng)
+        q = sample_semi_orthogonal(7, 7, rng)
         assert subspace_distance(q[:, :3], q[:, :3], 3) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_complements(self, rng):
-        q = sample_orthogonal(8, rng)
+        q = sample_semi_orthogonal(8, 8, rng)
         assert subspace_distance(q[:, :3], q[:, 3:6], 3) == pytest.approx(3.0)
 
     def test_permutation_invariant(self, rng):
-        q = sample_orthogonal(7, rng)
+        q = sample_semi_orthogonal(7, 7, rng)
         u = q[:, :3]
         perm = u[:, [2, 0, 1]]
         assert subspace_distance(u, perm, 3) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_and_rotation_invariant(self, rng):
-        qa = sample_orthogonal(9, rng)[:, :4]
-        qb = sample_orthogonal(9, make_rng(55))[:, :4]
+        qa = sample_semi_orthogonal(9, 9, rng)[:, :4]
+        qb = sample_semi_orthogonal(9, 9, make_rng(55))[:, :4]
         d_ab = subspace_distance(qa, qb, 4)
         d_ba = subspace_distance(qb, qa, 4)
         assert d_ab == pytest.approx(d_ba, abs=1e-10)
-        rot = sample_orthogonal(4, make_rng(56))
+        rot = sample_semi_orthogonal(4, 4, make_rng(56))
         assert subspace_distance(qa @ rot, qb, 4) == pytest.approx(d_ab, abs=1e-10)
 
     def test_non_orthonormal_rejected(self, rng):
@@ -125,15 +124,14 @@ class TestDetectIncremental:
     def test_constant_at_target(self):
         sigma = np.array([2.0, 1.0])
         st = self._st([0, 10, 20], np.tile(sigma, (3, 1)), np.ones((3, 2)), np.ones((3, 2)))
-        cfg = IncrementalConfig(r=2)
-        assert detect_incremental(st, sigma, cfg) == [0, 0]
+        assert detect_incremental(st, sigma, 2) == [0, 0]
 
     def test_staged_fits_are_ordered(self):
         sigma = np.array([2.0, 1.0])
         svals = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [2.0, 1.0]]
         ones = np.ones((4, 2))
         st = self._st([0, 5, 10, 15], svals, ones, ones)
-        t = detect_incremental(st, sigma, IncrementalConfig(r=2))
+        t = detect_incremental(st, sigma, 2)
         assert t == [5, 10]
         assert t[0] <= t[1]
 
@@ -142,7 +140,7 @@ class TestDetectIncremental:
         svals = [[2.0, 0.0], [2.0, 0.0]]
         ones = np.ones((2, 2))
         st = self._st([0, 5], svals, ones, ones)
-        t = detect_incremental(st, sigma, IncrementalConfig(r=2))
+        t = detect_incremental(st, sigma, 2)
         assert t == [0, None]
 
     def test_alignment_condition_gates_detection(self):
@@ -150,14 +148,14 @@ class TestDetectIncremental:
         svals = [[2.0], [2.0]]
         bad = np.array([[0.5], [0.5]])
         st = self._st([0, 5], svals, bad, np.ones((2, 1)))
-        assert detect_incremental(st, sigma, IncrementalConfig(r=1)) == [None]
+        assert detect_incremental(st, sigma, 1) == [None]
 
     def test_condition_must_hold_for_all_later_iterates(self):
         sigma = np.array([1.0])
         svals = [[1.0], [0.2], [1.0]]  # dips back out mid-run
         ones = np.ones((3, 1))
         st = self._st([0, 5, 10], svals, ones, ones)
-        assert detect_incremental(st, sigma, IncrementalConfig(r=1)) == [10]
+        assert detect_incremental(st, sigma, 1) == [10]
 
 
 class TestHoldout:
@@ -191,13 +189,13 @@ class TestHoldout:
 
 class TestLeakage:
     def test_diagonal_in_frame_is_clean(self, rng):
-        q = sample_orthogonal(6, rng)
-        u, v = q[:, :3], sample_orthogonal(6, make_rng(8))[:, :3]
+        q = sample_semi_orthogonal(6, 6, rng)
+        u, v = q[:, :3], sample_semi_orthogonal(6, 6, make_rng(8))[:, :3]
         w = u @ np.diag([3.0, 2.0, 1.0]) @ v.T
         assert offdiagonal_leakage(w, u, v) <= 1e-12
 
     def test_detects_off_frame_mass(self, rng):
-        q = sample_orthogonal(6, rng)
+        q = sample_semi_orthogonal(6, 6, rng)
         u, v = q[:, :2], q[:, :2]
         w = u @ np.diag([3.0, 2.0]) @ v.T + 0.1 * np.outer(q[:, 3], q[:, 4])
         assert offdiagonal_leakage(w, u, v) >= 0.05
@@ -206,7 +204,7 @@ class TestLeakage:
 def test_recovery_non_increasing_after_last_fit():
     log, M, U, s, V = frozen_frame_run(d=20, r=2, r_hat=4, iters=2500)
     st = alignment(log, U, V, 2)
-    fits = detect_incremental(st, s, IncrementalConfig(r=2))
+    fits = detect_incremental(st, s, 2)
     assert all(f is not None for f in fits)
     rec = log.recovery()
     tail = rec[log.ts() >= fits[-1]]

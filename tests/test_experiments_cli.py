@@ -1,14 +1,20 @@
+import csv
 import dataclasses
 import json
 import os
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dln import experiments
 from dln.cli import main, read_config_file
 from dln.errors import ConfigError
+from dln.operators import CompletionMask
 from dataclasses import replace
 
 from dln.experiments import (
@@ -144,6 +150,16 @@ class TestRun:
         status = json.loads((tmp_path / "out" / "status.json").read_text())
         assert status["altmin/seed_0"] == "diverged@2"
 
+    def test_loss_above_the_cap_is_a_divergence_for_every_model(self, tmp_path):
+        # targets near 1e8 put every model's t=0 loss past LOSS_CAP; ALS
+        # would fit them, and used to end as ok
+        cfg = tiny_config(tmp_path, problem="complete", p=0.6, model="all",
+                          sigma_values=(1e8, 5e7), altmin_iters=3)
+        res = run(cfg)
+        expected = {f"{m}/seed_0": "diverged@0" for m in ("wide", "compressed", "altmin")}
+        assert res.statuses == expected
+        assert json.loads((tmp_path / "out" / "status.json").read_text()) == expected
+
     def test_checkpoint_and_measurement_archive(self, tmp_path):
         from dln.models import CompressedDLN, load_model
 
@@ -212,6 +228,38 @@ class TestRun:
         assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
         assert env["thread_env"]["MKL_NUM_THREADS"] is None
         assert load_manifest(tmp_path / "out" / "manifest.json") == cfg
+
+
+SIDE = 10**6
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    cells=st.sets(st.tuples(st.integers(0, SIDE - 1), st.integers(0, SIDE - 1)),
+                  min_size=1, max_size=40),
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=40, max_size=40),
+)
+@example(cells={(0, 0), (2, 1), (1, SIDE - 1), (SIDE - 1, 3)},
+         values=[-0.0, 5e-324, 1e-310, 1.7976931348623157e308] + [-1e300, 0.1] * 18)
+@example(cells={(i // 97, i % 97) for i in range(2 * 4096 + 1)},  # three write blocks
+         values=[i / 7 for i in range(2 * 4096 + 1)])
+def test_archive_bytes_match_csv_writer_and_savetxt(cells, values):
+    # the archive writers format in one call what csv.writer and np.savetxt
+    # write line by line, byte for byte
+    rows, cols = np.array(list(cells)).T
+    mask = CompletionMask(rows, cols, SIDE, SIDE)
+    y = np.array(values[:mask.m])
+    with tempfile.TemporaryDirectory() as tmp:
+        dest = Path(tmp)
+        experiments._archive_measurements(dest, mask, y)
+        with open(dest / "mask_ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["row", "col"])
+            for r, c in zip(mask.rows, mask.cols):
+                w.writerow([int(r), int(c)])
+        np.savetxt(dest / "values_ref.csv", y, fmt="%.17g")
+        assert (dest / "mask.csv").read_bytes() == (dest / "mask_ref.csv").read_bytes()
+        assert (dest / "train_values.csv").read_bytes() == (dest / "values_ref.csv").read_bytes()
 
 
 class TestModelTable:

@@ -11,16 +11,11 @@ from dln.linalg import (
     as_matrix,
     chain_product,
     chain_svd,
-    frobenius_norm_sq,
     gram_bound,
     load_matrix_bin,
-    load_matrix_csv,
     make_rng,
-    sample_orthogonal,
     sample_semi_orthogonal,
     save_matrix_bin,
-    save_matrix_csv,
-    singular_values,
     svd,
     truncated_svd,
 )
@@ -47,22 +42,7 @@ class TestMatmul:
             chain_product([np.ones((2, 3)), np.ones((2, 3))])
 
 
-class TestFrobenius:
-    def test_zero(self):
-        assert frobenius_norm_sq(np.zeros((3, 5))) == 0.0
-
-    def test_identity(self):
-        assert frobenius_norm_sq(np.eye(4)) == 4.0
-
-    def test_hand_value(self):
-        assert frobenius_norm_sq(np.array([[3.0, 4.0]])) == 25.0
-
-
 class TestAsMatrix:
-    def test_reshape_flat(self):
-        m = as_matrix([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], rows=2, cols=3)
-        assert m.shape == (2, 3) and m[1, 0] == 4.0
-
     def test_rejects_nan(self):
         with pytest.raises(ContractViolationError):
             as_matrix([[1.0, np.nan]])
@@ -71,9 +51,9 @@ class TestAsMatrix:
         with pytest.raises(ContractViolationError):
             as_matrix([[np.inf, 0.0]])
 
-    def test_rejects_bad_length(self):
+    def test_rejects_flat_sequence(self):
         with pytest.raises(ContractViolationError):
-            as_matrix([1.0, 2.0, 3.0], rows=2, cols=2)
+            as_matrix([1.0, 2.0, 3.0, 4.0])
 
 
 class TestSvd:
@@ -237,22 +217,22 @@ class TestTruncatedSvdRoutes:
 
 class TestSampleOrthogonal:
     def test_one_by_one(self):
-        q = sample_orthogonal(1, make_rng(3))
+        q = sample_semi_orthogonal(1, 1, make_rng(3))
         assert q.shape == (1, 1) and abs(abs(q[0, 0]) - 1.0) < 1e-15
 
     def test_orthonormality_residual(self):
-        q = sample_orthogonal(5, make_rng(0))
+        q = sample_semi_orthogonal(5, 5, make_rng(0))
         assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-12
         assert np.linalg.norm(q @ q.T - np.eye(5)) <= 1e-12
 
     def test_same_seed_identical(self):
-        q1 = sample_orthogonal(6, make_rng(42))
-        q2 = sample_orthogonal(6, make_rng(42))
+        q1 = sample_semi_orthogonal(6, 6, make_rng(42))
+        q2 = sample_semi_orthogonal(6, 6, make_rng(42))
         assert np.array_equal(q1, q2)
 
     def test_singular_values_are_one(self):
-        q = sample_orthogonal(11, make_rng(9))
-        assert np.max(np.abs(singular_values(q) - 1.0)) <= 1e-10
+        q = sample_semi_orthogonal(11, 11, make_rng(9))
+        assert np.max(np.abs(np.linalg.svd(q, compute_uv=False) - 1.0)) <= 1e-10
 
     def test_semi_orthogonal_shapes(self):
         tall = sample_semi_orthogonal(8, 3, make_rng(1))
@@ -267,8 +247,9 @@ def test_spectral_difference_bound_random_pairs():
     for _ in range(200):
         a = rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8))
-        lhs = frobenius_norm_sq(a - b)
-        rhs = frobenius_norm_sq(np.diag(singular_values(a) - singular_values(b)))
+        lhs = float(np.sum((a - b) ** 2))
+        sa, sb = np.linalg.svd(a, compute_uv=False), np.linalg.svd(b, compute_uv=False)
+        rhs = float(np.sum((sa - sb) ** 2))
         assert lhs >= rhs - 1e-9
 
 
@@ -283,9 +264,9 @@ def test_norm_submultiplicative(n, k, m, seed):
     rng = make_rng(seed)
     a = rng.standard_normal((n, k))
     b = rng.standard_normal((k, m))
-    na = np.sqrt(frobenius_norm_sq(a))
-    nb = np.sqrt(frobenius_norm_sq(b))
-    nab = np.sqrt(frobenius_norm_sq(a @ b))
+    na = np.sqrt(np.sum(a * a))
+    nb = np.sqrt(np.sum(b * b))
+    nab = np.sqrt(np.sum((a @ b) * (a @ b)))
     assert nab <= na * nb * (1 + 1e-12)
 
 
@@ -386,12 +367,6 @@ class TestChainSvd:
 
 
 class TestSerialization:
-    def test_csv_roundtrip(self, tmp_path, rng):
-        a = rng.standard_normal((4, 7))
-        path = tmp_path / "m.csv"
-        save_matrix_csv(path, a)
-        assert np.array_equal(load_matrix_csv(path), a)
-
     def test_bin_roundtrip(self, tmp_path, rng):
         a = rng.standard_normal((6, 3))
         path = tmp_path / "m.dlnm"

@@ -6,13 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dln.errors import ContractViolationError
-from dln.linalg import make_rng, singular_values, truncated_svd
+from dln.linalg import make_rng, truncated_svd
 from dln.models import (
     CompressedDLN,
     WideDLN,
     chain_gradients,
     end_to_end,
-    gradients,
     init_compressed,
     init_wide,
     load_model,
@@ -65,7 +64,7 @@ class TestInitWide:
     def test_end_to_end_scale(self):
         d, L, eps = 12, 3, 1e-3
         model = init_wide(d, L, eps, "orthogonal", make_rng(0, 2))
-        sv = singular_values(end_to_end(model))
+        sv = np.linalg.svd(end_to_end(model), compute_uv=False)
         assert np.max(np.abs(sv - eps**L)) <= 1e-18
 
     def test_balanced_at_init(self):
@@ -120,7 +119,7 @@ class TestInitCompressed:
         d, L, r_hat, eps = 10, 3, 4, 1e-3
         surr = rng.standard_normal((d, d))
         model = init_compressed(surr, L, r_hat, eps)
-        sv = singular_values(end_to_end(model))[:r_hat]
+        sv = np.linalg.svd(end_to_end(model), compute_uv=False)[:r_hat]
         assert np.max(np.abs(sv - eps**L)) <= 1e-18
 
     def test_rank_one_surrogate_small_case(self, rng):
@@ -172,15 +171,8 @@ class TestGradients:
         m = rng.standard_normal((3, 3))
         model = WideDLN([np.eye(3), m])
         op = Identity(3)
-        for g in gradients(model, op, op.apply(m)):
+        for g in chain_gradients(model.layers, op, op.apply(m))[0]:
             assert np.array_equal(g, np.zeros_like(g))
-
-    def test_single_layer_gradient_is_residual(self, rng):
-        w = rng.standard_normal((4, 4))
-        op = Identity(4)
-        y = op.apply(rng.standard_normal((4, 4)))
-        grads, _ = chain_gradients([w], op, y)
-        assert np.allclose(grads[0], op.adjoint(op.apply(w) - y))
 
     @pytest.mark.parametrize("kind", ["wide", "compressed"])
     @pytest.mark.parametrize("op_name", ["identity", "gaussian", "mask"])
@@ -211,7 +203,7 @@ class TestGradients:
             res = op.apply(prod) - y
             return 0.5 * float(res @ res)
 
-        analytic = gradients(model, op, y)
+        analytic, _ = chain_gradients(layers, op, y)
         numeric = finite_difference_grad(None, build_loss, layers)
         for a, n in zip(analytic, numeric):
             denom = np.maximum(np.abs(n), 1e-3)
@@ -278,7 +270,7 @@ def random_chain(rng, depth, op_name, d_in, d_out, interior):
 
 CHAINS = dict(
     seed=st.integers(0, 2**32 - 1),
-    depth=st.integers(1, 4),
+    depth=st.integers(2, 4),
     op_name=st.sampled_from(["identity", "gaussian", "mask"]),
     d_in=st.integers(2, 7),
     d_out=st.integers(2, 7),
@@ -484,5 +476,7 @@ def test_layer_shape_validation():
         WideDLN([np.ones((2, 3)), np.ones((2, 3))])
     with pytest.raises(ContractViolationError):
         WideDLN([np.ones((3, 3))])
+    with pytest.raises(ContractViolationError):
+        chain_gradients([np.ones((3, 3))], Identity(3), np.zeros(9))
     with pytest.raises(ContractViolationError):
         CompressedDLN(w_first=np.ones((2, 4)), mids=[np.ones((3, 3))], w_last=np.ones((4, 2)))

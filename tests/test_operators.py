@@ -228,3 +228,38 @@ def test_adjoint_rejects_unusable_buffer(op):
                 np.zeros(op.shape, order="F")):
         with pytest.raises(ContractViolationError):
             op.adjoint(y, out=bad)
+
+
+def _lexsorted_mask(rows, cols, n_rows, n_cols):
+    """Reference for the mask's entry order and checks: ``np.lexsort``."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
+        return "mask indices out of range"
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    if np.any(np.diff(rows * n_cols + cols) == 0):
+        return "duplicate indices in mask"
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n_rows=st.integers(1, 6),
+    n_cols=st.integers(1, 6),
+    pairs=st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), min_size=1, max_size=30),
+    presorted=st.booleans(),
+)
+def test_mask_order_and_checks_match_lexsort(n_rows, n_cols, pairs, presorted):
+    # the stable argsort of flat indices gives lexsort's permutation, and a
+    # duplicate or out-of-range entry raises the same error
+    if presorted:
+        pairs = sorted(pairs)
+    rows, cols = np.array(pairs).T
+    ref = _lexsorted_mask(rows, cols, n_rows, n_cols)
+    if isinstance(ref, str):
+        with pytest.raises(ContractViolationError, match=ref):
+            CompletionMask(rows, cols, n_rows, n_cols)
+        return
+    mask = CompletionMask(rows, cols, n_rows, n_cols)
+    assert np.array_equal(mask.rows, ref[0]) and np.array_equal(mask.cols, ref[1])
+    assert np.array_equal(mask.flat, ref[0] * n_cols + ref[1])

@@ -18,7 +18,6 @@ from dln.theory import (
     implied_singular_values,
     initial_state,
     recursion_step,
-    run_recursion,
     spectral_lower_bound,
     stable_step_bound,
     verify_against_training,
@@ -52,7 +51,9 @@ class TestRecursionStep:
 
     def test_beta_strictly_decreasing_and_below_eps(self):
         params = RecursionParams(L=3, eta=10.0, eps=1e-3, sigma_star=np.array([0.1]))
-        states = run_recursion(params, 1000)
+        states = [initial_state(params)]
+        for _ in range(1000):
+            states.append(recursion_step(states[-1]))
         betas = np.array([s.beta for s in states])
         assert np.all(np.diff(betas) < 0)
         assert np.all(betas <= 1e-3)
