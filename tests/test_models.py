@@ -174,6 +174,18 @@ class TestGradients:
         for g in chain_gradients(model.layers, op, op.apply(m))[0]:
             assert np.array_equal(g, np.zeros_like(g))
 
+    def test_single_layer_gradient_is_residual(self, rng):
+        # A one-layer chain is refused; behind an identity layer the single
+        # trained layer's gradient is the back-projected residual itself.
+        w = rng.standard_normal((4, 4))
+        op = Identity(4)
+        y = op.apply(rng.standard_normal((4, 4)))
+        grads, lo = chain_gradients([np.eye(4), w], op, y)
+        res = op.apply(w) - y
+        assert np.allclose(grads[1], op.adjoint(res))
+        assert np.allclose(grads[0], w.T @ op.adjoint(res))
+        assert lo == pytest.approx(0.5 * float(res @ res))
+
     @pytest.mark.parametrize("kind", ["wide", "compressed"])
     @pytest.mark.parametrize("op_name", ["identity", "gaussian", "mask"])
     def test_matches_finite_differences(self, kind, op_name):
