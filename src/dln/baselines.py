@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ContractViolationError, DivergenceError
 from .linalg import Matrix, truncated_svd
 from .operators import CompletionMask
-from .trainer import Recorder, TrajectoryLog
+from .trainer import Recorder, TrajectoryLog, descend
 
 DAMPING = 1e-10
 
@@ -106,8 +106,9 @@ def altmin_complete(
     """Alternating minimization from :func:`altmin_init` of ``surrogate``;
     one logged iterate per full sweep.
 
-    Logs through the gradient trainers' :class:`Recorder`, so baseline and
-    network runs share the trajectory schema and the divergence guard: a
+    Runs in the gradient trainers' loop (:func:`~dln.trainer.descend`) and
+    logs through their :class:`Recorder`, so baseline and network runs share
+    the trajectory schema, the clock and the divergence guard: a
     sweep that leaves a loss that is not finite or exceeds ``LOSS_CAP``, or
     meets a singular damped system, raises :class:`DivergenceError`.
     """
@@ -126,21 +127,16 @@ def altmin_complete(
     row_pos, row_vals = _grouped(mask.rows, mask.cols, y, mask.shape[0])
     col_pos, col_vals = _grouped(mask.cols, mask.rows, y, mask.shape[1])
 
-    # the chain (Rf, Lf) multiplies to Lf @ Rf; the sweeps update both in place
-    record = Recorder([model.Rf, model.Lf], mask, y, top_k, probe,
-                      extra_metrics=extra_metrics)
-    record.log.svd_init_s = init_s
-
-    record(0, 0.0)
-    train_time = 0.0
-    for sweep in range(1, iters + 1):
-        t0 = time.perf_counter()
+    def sweep(t: int) -> None:
         try:
             half_sweep_left(model, row_pos, row_vals)
             half_sweep_right(model, col_pos, col_vals)
         except np.linalg.LinAlgError:
             # the factors outgrew the damping and a system is exactly singular
-            raise DivergenceError(sweep, float("nan")) from None
-        train_time += time.perf_counter() - t0
-        record(sweep, train_time)
-    return model, record.log
+            raise DivergenceError(t, float("nan")) from None
+
+    # the chain (Rf, Lf) multiplies to Lf @ Rf; the sweeps update both in place
+    record = Recorder([model.Rf, model.Lf], mask, y, top_k, probe,
+                      extra_metrics=extra_metrics)
+    record.log.svd_init_s = init_s
+    return model, descend(record, sweep, iters, 1, None)

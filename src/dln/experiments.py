@@ -359,9 +359,9 @@ def _seed_problem(cfg: ExperimentConfig, seed: int, ratings) -> _Problem:
     return _Problem(op, y, M, U, s, V, effective_eta(cfg, op.m), top_k, extra)
 
 
-def _train_config(cfg: ExperimentConfig, seed: int, pb: _Problem, alpha: float) -> TrainConfig:
+def _train_config(cfg: ExperimentConfig, pb: _Problem, alpha: float) -> TrainConfig:
     return TrainConfig(eta=pb.eta, alpha=alpha, iters=cfg.T, log_every=cfg.log_every,
-                       stop_tol=cfg.stop_tol, seed=seed, top_k=pb.top_k)
+                       stop_tol=cfg.stop_tol, top_k=pb.top_k)
 
 
 # The fit functions name the initialisers and trainers through this module's
@@ -369,7 +369,7 @@ def _train_config(cfg: ExperimentConfig, seed: int, pb: _Problem, alpha: float) 
 def _fit_wide(cfg: ExperimentConfig, seed: int, pb: _Problem):
     d_out, d_in = pb.op.shape
     model = init_wide(d_in, cfg.L, cfg.eps, cfg.init_mode, make_rng(seed, 2), d_out=d_out)
-    return train_wide(model, pb.op, pb.y, _train_config(cfg, seed, pb, 1.0), probe=pb.M,
+    return train_wide(model, pb.op, pb.y, _train_config(cfg, pb, 1.0), probe=pb.M,
                       track_spectral=cfg.track_spectral, extra_metrics=pb.extra)
 
 
@@ -379,7 +379,7 @@ def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
     t0 = time.perf_counter()
     model = init_compressed(surr, cfg.L, cfg.r_hat, cfg.eps)
     svd_s = time.perf_counter() - t0
-    trained, log = train_compressed(model, pb.op, pb.y, _train_config(cfg, seed, pb, cfg.alpha),
+    trained, log = train_compressed(model, pb.op, pb.y, _train_config(cfg, pb, cfg.alpha),
                                     probe=pb.M, track_spectral=cfg.track_spectral,
                                     extra_metrics=pb.extra)
     log.svd_init_s = svd_s
@@ -413,25 +413,29 @@ class ModelEntry(NamedTuple):
     """One model of the comparison.
 
     ``fit(cfg, seed, problem)`` initialises and trains one seed and returns
-    ``(trained, log)``. ``mode(cfg)`` names the init a network's checkpoint
-    records; it is None for the ALS baseline, which archives no measurements
-    and saves no checkpoint. ``finish(cfg, problem, log, dest, alignment)``
-    writes extra artefacts and returns extra status entries keyed by suffix;
-    ``alignment`` is the tracked spectrum's alignment with a synthetic target,
-    or None.
+    ``(trained, log)``. ``checkpoint(cfg)`` gives the fields a network's
+    checkpoint manifest records besides its shape, eps and seed: its kind,
+    its init mode and the compressed network's r_hat. It is None for the ALS
+    baseline, which archives no measurements and saves no checkpoint.
+    ``finish(cfg, problem, log, dest, alignment)`` writes extra artefacts and
+    returns extra status entries keyed by suffix; ``alignment`` is the tracked
+    spectrum's alignment with a synthetic target, or None.
     """
 
     problems: tuple[str, ...]
     fit: Callable
-    mode: Callable[[ExperimentConfig], str] | None
+    checkpoint: Callable[[ExperimentConfig], dict] | None
     finish: Callable | None = None
 
 
 # models run in this order, whatever order a model list gives
 MODEL_TABLE: dict[str, ModelEntry] = {
-    "wide": ModelEntry(PROBLEMS, _fit_wide, lambda cfg: cfg.init_mode),
-    "compressed": ModelEntry(PROBLEMS, _fit_compressed, lambda cfg: "spectral",
-                             _finish_compressed),
+    "wide": ModelEntry(PROBLEMS, _fit_wide,
+                       lambda cfg: {"kind": "wide", "mode": cfg.init_mode}),
+    "compressed": ModelEntry(
+        PROBLEMS, _fit_compressed,
+        lambda cfg: {"kind": "compressed", "mode": "spectral", "r_hat": cfg.r_hat},
+        _finish_compressed),
     "altmin": ModelEntry(("complete", "movielens"), _fit_altmin, None),
 }
 
@@ -479,11 +483,11 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
                 dest.mkdir(parents=True, exist_ok=True)
                 st = _alignment(cfg, log, pb)
                 _write_logs(dest, log, cfg.problem, seed, _spectral_diag_rows(cfg, log, st))
-                if entry.mode is not None:
+                if entry.checkpoint is not None:
                     _archive_measurements(dest, pb.op, pb.y)
                     if cfg.save_models:
                         save_model(dest / "checkpoint", trained,
-                                   extra={"eps": cfg.eps, "mode": entry.mode(cfg), "seed": seed})
+                                   extra={"eps": cfg.eps, "seed": seed, **entry.checkpoint(cfg)})
                 if entry.finish is not None:
                     for sub, verdict in entry.finish(cfg, pb, log, dest, st).items():
                         result.statuses[f"{key}/{sub}"] = verdict

@@ -1,10 +1,11 @@
-"""The two trainable parameterizations: wide and compressed linear networks.
+"""One trainable network type, :class:`DLN`, and its two initializations.
 
-A wide network is a chain of full-size square layers (rectangular targets get
-rectangular outer layers around square max-dimension intermediates). A
-compressed network pinches the chain through a width-``r_hat`` bottleneck:
-an r_hat x d_in first layer, square r_hat intermediates, and a d_out x r_hat
-last layer, so the end-to-end product is still d_out x d_in.
+A network is a chain of matrices, ``layers[0]`` applied first. The wide
+network has full-size layers (rectangular targets get rectangular outer layers
+around square max-dimension intermediates). The compressed network is the same
+chain with its intermediate widths narrowed to ``r_hat`` (an r_hat x d_in first
+layer, square r_hat intermediates, a d_out x r_hat last layer), so both
+products are d_out x d_in and the same gradient descent trains both.
 
 Initialization is either scale-eps (semi-)orthogonal or uniform for the wide
 network, and spectral for the compressed one: outer layers take the leading
@@ -52,25 +53,10 @@ def _check_chain(layers: list[Matrix]) -> None:
             )
 
 
-class _Chain:
-    """Shape accessors of a network's ``layers`` (``layers[0]`` applied first)."""
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    @property
-    def d_in(self) -> int:
-        return self.layers[0].shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.layers[-1].shape[0]
-
-
 @dataclass
-class WideDLN(_Chain):
-    """Full-width network; ``layers[0]`` is the first factor applied."""
+class DLN:
+    """A layer chain whose consecutive shapes compose; ``layers[0]`` is the
+    first factor applied."""
 
     layers: list[Matrix]
 
@@ -78,43 +64,12 @@ class WideDLN(_Chain):
         _check_chain(self.layers)
 
 
-@dataclass
-class CompressedDLN(_Chain):
-    """Bottleneck network: w_last @ mids @ w_first, bottleneck width r_hat."""
-
-    w_first: Matrix          # r_hat x d_in
-    mids: list[Matrix]       # each r_hat x r_hat; empty for depth 2
-    w_last: Matrix           # d_out x r_hat
-
-    def __post_init__(self):
-        r = self.w_first.shape[0]
-        if self.w_last.shape[1] != r or any(m.shape != (r, r) for m in self.mids):
-            raise ContractViolationError("bottleneck widths are inconsistent")
-        _check_chain(self.layers)
-
-    @property
-    def layers(self) -> list[Matrix]:
-        return [self.w_first, *self.mids, self.w_last]
-
-    @property
-    def r_hat(self) -> int:
-        return self.w_first.shape[0]
-
-
-Model = WideDLN | CompressedDLN
-
-
-def end_to_end(model: Model) -> Matrix:
-    """End-to-end product, multiplied in a fixed left-to-right order."""
-    return chain_product(model.layers)
-
-
-def param_count(model: Model) -> int:
+def param_count(model: DLN) -> int:
     return sum(w.size for w in model.layers)
 
 
 def init_wide(d: int, L: int, eps: float, mode: str, rng: np.random.Generator,
-              d_out: int | None = None) -> WideDLN:
+              d_out: int | None = None) -> DLN:
     """Wide network at scale ``eps`` per factor, ``mode`` one of INIT_MODES.
 
     Orthogonal mode draws an independent Haar (semi-)orthogonal factor per
@@ -135,30 +90,27 @@ def init_wide(d: int, L: int, eps: float, mode: str, rng: np.random.Generator,
             layers.append(eps * q)
         else:
             layers.append(rng.uniform(-eps, eps, size=(rows, cols)))
-    return WideDLN(layers)
+    return DLN(layers)
 
 
-def init_compressed(surrogate: Matrix, L: int, r_hat: int, eps: float) -> CompressedDLN:
+def init_compressed(surrogate: Matrix, L: int, r_hat: int, eps: float) -> DLN:
     """Compressed network spectrally initialized from a d_out x d_in surrogate.
 
     Outer layers are the scale-eps leading singular vectors of the surrogate
-    (w_last = eps * U_rhat, w_first = eps * V_rhat^T); intermediates are
+    (last layer eps * U_rhat, first eps * V_rhat^T); intermediates are
     eps * I, so every end-to-end singular value starts at eps^depth.
     """
     _check_init(L, eps)
     if not 1 <= r_hat <= min(surrogate.shape):
         raise ContractViolationError(f"r_hat {r_hat} out of range 1..{min(surrogate.shape)}")
     f = truncated_svd(surrogate, r_hat)
-    return CompressedDLN(
-        w_first=eps * f.V.T.copy(),
-        mids=[eps * np.eye(r_hat) for _ in range(L - 2)],
-        w_last=eps * f.U.copy(),
-    )
+    mids = [eps * np.eye(r_hat) for _ in range(L - 2)]
+    return DLN([eps * f.V.T.copy(), *mids, eps * f.U.copy()])
 
 
-def loss(model: Model, op: SensingOperator, y: np.ndarray) -> float:
+def loss(model: DLN, op: SensingOperator, y: np.ndarray) -> float:
     """Half squared residual of the measurements, unnormalized."""
-    r = op.apply(end_to_end(model)) - y
+    r = op.apply(chain_product(model.layers)) - y
     return 0.5 * float(r @ r)
 
 
@@ -207,32 +159,23 @@ def chain_gradients(layers: list[Matrix], op: SensingOperator, y: np.ndarray,
     return grads[::-1], lo
 
 
-def save_model(dirpath: str | Path, model: Model, extra: dict | None = None) -> None:
-    """Checkpoint: per-layer binary matrices plus a small manifest."""
+def save_model(dirpath: str | Path, model: DLN, extra: dict | None = None) -> None:
+    """Checkpoint: per-layer binary matrices plus a small manifest of the
+    chain's depth, d_in and d_out, and the caller's ``extra`` fields."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     layers = model.layers
     for i, w in enumerate(layers):
         save_matrix_bin(dirpath / f"layer_{i:02d}.dlnm", w)
-    manifest = {
-        "kind": "compressed" if isinstance(model, CompressedDLN) else "wide",
-        "depth": model.depth,
-        "d_in": model.d_in,
-        "d_out": model.d_out,
-    }
-    if isinstance(model, CompressedDLN):
-        manifest["r_hat"] = model.r_hat
-    manifest.update(extra or {})
+    manifest = {"depth": len(layers), "d_in": layers[0].shape[1], "d_out": layers[-1].shape[0],
+                **(extra or {})}
     (dirpath / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def load_model(dirpath: str | Path) -> Model:
+def load_model(dirpath: str | Path) -> DLN:
+    """The network of a checkpoint written by :func:`save_model`; layer files
+    whose shapes do not compose are refused."""
     dirpath = Path(dirpath)
     manifest = json.loads((dirpath / "manifest.json").read_text())
-    layers = [
-        load_matrix_bin(dirpath / f"layer_{i:02d}.dlnm")
-        for i in range(manifest["depth"])
-    ]
-    if manifest["kind"] == "compressed":
-        return CompressedDLN(w_first=layers[0], mids=layers[1:-1], w_last=layers[-1])
-    return WideDLN(layers)
+    return DLN([load_matrix_bin(dirpath / f"layer_{i:02d}.dlnm")
+                for i in range(manifest["depth"])])

@@ -1,9 +1,12 @@
-"""Full-batch gradient descent for both network types, with structured logs.
+"""Full-batch gradient descent on a :class:`~dln.models.DLN`, with structured logs.
 
-Updates are synchronous: all layer gradients are computed from the same
-iterate before any layer moves. The compressed network's outer layers can use
-a discrepant rate alpha * eta while the intermediates use eta; alpha = 1
-reduces to uniform-rate descent.
+One loop, :func:`descend`, runs the wide and the compressed network's descent
+and the ALS baseline's sweeps. With ``stop_tol`` set it ends at the first
+logged iterate whose train loss is at most ``stop_tol``. Gradient updates are
+synchronous: all layer gradients come from the same iterate before any layer
+moves. The two networks differ only in their rates: the compressed network's
+outer layers can use a discrepant rate alpha * eta while the intermediates use
+eta; alpha = 1 reduces to uniform-rate descent.
 
 Logged wall-clock is training-only: the timer pauses around logging work
 (extra forward passes, SVDs for the tracked spectrum), so per-iteration cost
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DivergenceError
 from .linalg import Matrix, chain_product, chain_svd
-from .models import CompressedDLN, WideDLN, chain_gradients
+from .models import DLN, chain_gradients
 from .operators import SensingOperator
 
 LOSS_CAP = 1e12
@@ -45,7 +48,6 @@ class TrainConfig:
     alpha: float = 1.0
     log_every: int = 1
     stop_tol: float | None = None
-    seed: int = 0
     top_k: int = 10
 
     def __post_init__(self):
@@ -177,8 +179,27 @@ class Recorder:
             log.extras[name].append(float(fn(W)))
 
 
+def descend(record: Recorder, step: Callable[[int], None], iters: int, log_every: int,
+            stop_tol: float | None) -> TrajectoryLog:
+    """The training loop: ``step(t)`` moves the iterate from t - 1 to t, and
+    ``record`` logs t = 0, every ``log_every``-th iterate and the last one,
+    with the seconds spent in ``step`` so far."""
+    log = record.log
+    record(0, 0.0)
+    train_time = 0.0
+    for t in range(1, iters + 1):
+        if stop_tol is not None and log.final().train_loss <= stop_tol:
+            break
+        t0 = time.perf_counter()
+        step(t)
+        train_time += time.perf_counter() - t0
+        if t % log_every == 0 or t == iters:
+            record(t, train_time)
+    return log
+
+
 def _train(
-    layers: list[Matrix],
+    model: DLN,
     rates: list[float],
     op: SensingOperator,
     y: np.ndarray,
@@ -186,67 +207,49 @@ def _train(
     probe: Matrix | None,
     track_spectral: int,
     extra_metrics: dict[str, Callable[[Matrix], float]] | None,
-) -> TrajectoryLog:
-    record = Recorder(layers, op, y, cfg.top_k, probe, track_spectral, extra_metrics)
-    log = record.log
-
-    record(0, 0.0)
-    if cfg.stop_tol is not None and log.records[0].train_loss <= cfg.stop_tol:
-        return log
-
-    train_time = 0.0
-    last_logged = 0
+) -> tuple[DLN, TrajectoryLog]:
+    """Descent with ``rates[l]`` on layer l; the input model is not mutated."""
+    layers = [w.copy() for w in model.layers]
     work = [None] * (len(layers) + 1)  # chain_gradients' buffers, kept across steps
-    for t in range(1, cfg.iters + 1):
-        t0 = time.perf_counter()
+
+    def step(t: int) -> None:
         grads, prev_loss = chain_gradients(layers, op, y, work)
         if not prev_loss <= LOSS_CAP:
             raise DivergenceError(t - 1, prev_loss)
-        if cfg.stop_tol is not None and prev_loss <= cfg.stop_tol:
-            # the pre-step iterate already meets the target; keep it
-            if last_logged != t - 1:
-                record(t - 1, train_time)
-            return log
         for w, rate, g in zip(layers, rates, grads):
             # the gradients are fresh arrays: scaling one in place saves a
             # temporary the size of its layer and gives the bits of w -= rate * g
             np.multiply(g, rate, out=g)
             w -= g
-        train_time += time.perf_counter() - t0
-        if t % cfg.log_every == 0 or t == cfg.iters:
-            record(t, train_time)
-            last_logged = t
-    return log
+
+    record = Recorder(layers, op, y, cfg.top_k, probe, track_spectral, extra_metrics)
+    log = descend(record, step, cfg.iters, cfg.log_every, cfg.stop_tol)
+    return DLN(layers), log
 
 
 def train_wide(
-    model: WideDLN,
+    model: DLN,
     op: SensingOperator,
     y: np.ndarray,
     cfg: TrainConfig,
     probe: Matrix | None = None,
     track_spectral: int = 0,
     extra_metrics: dict[str, Callable[[Matrix], float]] | None = None,
-) -> tuple[WideDLN, TrajectoryLog]:
+) -> tuple[DLN, TrajectoryLog]:
     """Uniform-rate descent on a wide network; the input model is not mutated."""
-    layers = [w.copy() for w in model.layers]
-    rates = [cfg.eta] * len(layers)
-    log = _train(layers, rates, op, y, cfg, probe, track_spectral, extra_metrics)
-    return WideDLN(layers), log
+    rates = [cfg.eta] * len(model.layers)
+    return _train(model, rates, op, y, cfg, probe, track_spectral, extra_metrics)
 
 
 def train_compressed(
-    model: CompressedDLN,
+    model: DLN,
     op: SensingOperator,
     y: np.ndarray,
     cfg: TrainConfig,
     probe: Matrix | None = None,
     track_spectral: int = 0,
     extra_metrics: dict[str, Callable[[Matrix], float]] | None = None,
-) -> tuple[CompressedDLN, TrajectoryLog]:
+) -> tuple[DLN, TrajectoryLog]:
     """Descent with rate alpha*eta on the outer layers and eta on the rest."""
-    layers = [w.copy() for w in model.layers]
-    rates = [cfg.alpha * cfg.eta] + [cfg.eta] * (len(layers) - 2) + [cfg.alpha * cfg.eta]
-    log = _train(layers, rates, op, y, cfg, probe, track_spectral, extra_metrics)
-    trained = CompressedDLN(w_first=layers[0], mids=layers[1:-1], w_last=layers[-1])
-    return trained, log
+    rates = [cfg.alpha * cfg.eta] + [cfg.eta] * (len(model.layers) - 2) + [cfg.alpha * cfg.eta]
+    return _train(model, rates, op, y, cfg, probe, track_spectral, extra_metrics)

@@ -24,12 +24,10 @@ from dln.data import (
     split_ratings,
 )
 from dln.experiments import ExperimentConfig, default_config, load_manifest, run
-from dln.linalg import make_rng, svd, truncated_svd
+from dln.linalg import chain_product, make_rng, svd, truncated_svd
 from dln.models import (
-    CompressedDLN,
-    WideDLN,
+    DLN,
     chain_gradients,
-    end_to_end,
     init_compressed,
     init_wide,
     param_count,
@@ -77,7 +75,7 @@ def test_criterion_01_recursion_oracle_equivalence():
     assert rep.passed, f"max relative deviation {rep.max_rel_dev}"
 
     frame = truncated_svd(surr, r_hat)
-    leak = diagnostics.offdiagonal_leakage(end_to_end(trained), frame.U, frame.V)
+    leak = diagnostics.offdiagonal_leakage(chain_product(trained.layers), frame.U, frame.V)
     assert leak <= 1e-10
 
     elapsed = time.monotonic() - t0
@@ -94,8 +92,8 @@ def test_criterion_02_init_error_inequality_20_seeds():
         )
         wide = init_wide(d, L, eps, "orthogonal", make_rng(seed, 2))
         comp = init_compressed(op.surrogate(y), L, r_hat, eps)
-        err_wide = float(np.sum((end_to_end(wide) - M) ** 2))
-        err_comp = float(np.sum((end_to_end(comp) - M) ** 2))
+        err_wide = float(np.sum((chain_product(wide.layers) - M) ** 2))
+        err_comp = float(np.sum((chain_product(comp.layers) - M) ** 2))
         if not err_wide >= err_comp:
             violations += 1
     assert violations == 0
@@ -214,14 +212,14 @@ def test_criterion_07_gradient_correctness():
             y = op.apply(rng.standard_normal((d, d)))
             for kind in ("wide", "compressed"):
                 if kind == "wide":
-                    model = WideDLN([0.6 * rng.standard_normal((d, d)) for _ in range(L)])
+                    model = DLN([0.6 * rng.standard_normal((d, d)) for _ in range(L)])
                 else:
                     r_hat = 3
-                    model = CompressedDLN(
-                        w_first=0.6 * rng.standard_normal((r_hat, d)),
-                        mids=[0.6 * rng.standard_normal((r_hat, r_hat)) for _ in range(L - 2)],
-                        w_last=0.6 * rng.standard_normal((d, r_hat)),
-                    )
+                    model = DLN([
+                        0.6 * rng.standard_normal((r_hat, d)),
+                        *[0.6 * rng.standard_normal((r_hat, r_hat)) for _ in range(L - 2)],
+                        0.6 * rng.standard_normal((d, r_hat)),
+                    ])
                 layers = model.layers
 
                 def loss_of() -> float:

@@ -157,6 +157,24 @@ class TestDetectIncremental:
         st = self._st([0, 5, 10], svals, ones, ones)
         assert detect_incremental(st, sigma, 1) == [10]
 
+    @pytest.mark.parametrize("value_off, align_off, fitted", [
+        (2e-3, 0.0, False),
+        (-2e-3, 0.0, False),
+        (0.0, 2e-3, False),
+        (5e-4, 0.0, True),
+        (-5e-4, 0.0, True),
+        (0.0, 5e-4, True),
+    ])
+    def test_tolerance_boundaries(self, value_off, align_off, fitted):
+        # a value within 1e-3 relative of its target and alignments within
+        # 1e-3 of one are fitted; twice that is not
+        sigma = np.array([2.0])
+        svals = [[2.0 * (1 + value_off)]] * 2
+        align = np.full((2, 1), 1.0 - align_off)
+        for la, ra in ((align, np.ones((2, 1))), (np.ones((2, 1)), align)):
+            st = self._st([0, 5], svals, la, ra)
+            assert detect_incremental(st, sigma, 1) == ([0] if fitted else [None])
+
 
 class TestHoldout:
     def test_exact_predictions(self):

@@ -160,17 +160,29 @@ class TestRun:
         assert res.statuses == expected
         assert json.loads((tmp_path / "out" / "status.json").read_text()) == expected
 
-    def test_checkpoint_and_measurement_archive(self, tmp_path):
-        from dln.models import CompressedDLN, load_model
+    def _checkpoint(self, tmp_path, model, **kw):
+        from dln.models import load_model
 
-        cfg = tiny_config(tmp_path, problem="complete", p=0.6, model="compressed",
-                          save_models=True)
+        cfg = tiny_config(tmp_path, problem="complete", p=0.6, model=model, save_models=True,
+                          **kw)
         run(cfg)
-        base = tmp_path / "out" / "compressed" / "seed_0"
+        base = tmp_path / "out" / model / "seed_0"
         assert (base / "mask.csv").exists()
         assert (base / "train_values.csv").exists()
-        model = load_model(base / "checkpoint")
-        assert isinstance(model, CompressedDLN) and model.r_hat == 4
+        manifest = json.loads((base / "checkpoint" / "manifest.json").read_text())
+        return load_model(base / "checkpoint"), manifest
+
+    def test_checkpoint_and_measurement_archive(self, tmp_path):
+        model, manifest = self._checkpoint(tmp_path, "compressed")
+        assert manifest == {"kind": "compressed", "mode": "spectral", "r_hat": 4, "depth": 3,
+                            "d_in": 16, "d_out": 16, "eps": 1e-3, "seed": 0}
+        assert [w.shape for w in model.layers] == [(4, 16), (4, 4), (16, 4)]
+
+    def test_wide_checkpoint_manifest(self, tmp_path):
+        model, manifest = self._checkpoint(tmp_path, "wide", init_mode="uniform")
+        assert manifest == {"kind": "wide", "mode": "uniform", "depth": 3,
+                            "d_in": 16, "d_out": 16, "eps": 1e-3, "seed": 0}
+        assert [w.shape for w in model.layers] == [(16, 16)] * 3
 
     def test_incremental_artifact(self, tmp_path):
         cfg = tiny_config(tmp_path, model="compressed", track_spectral=2, T=4000,
@@ -319,8 +331,11 @@ class TestModelTable:
     def test_status_written_after_each_model_and_seed(self, tmp_path, monkeypatch):
         original = experiments.train_compressed
 
+        calls = []
+
         def failing(model, op, y, tc, **kwargs):
-            if tc.seed == 1:
+            calls.append(1)
+            if len(calls) == 2:
                 raise RuntimeError("trainer crashed")
             return original(model, op, y, tc, **kwargs)
 
@@ -491,6 +506,28 @@ class TestCli:
             "--seeds", "0", "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("argv, normalized", [
+        (["complete", "--p", "0.6", "--normalize-eta"], True),
+        (["complete", "--p", "0.6"], False),
+        (["sense", "--m", "40"], True),
+    ], ids=["complete-normalized", "complete", "sense"])
+    def test_normalize_eta_flag(self, tmp_path, monkeypatch, argv, normalized):
+        # the compressed trainer sees eta / m where the step is normalized
+        seen = []
+        original = experiments.train_compressed
+
+        def recording(model, op, y, tc, **kwargs):
+            seen.append((tc.eta, op.m))
+            return original(model, op, y, tc, **kwargs)
+
+        monkeypatch.setattr(experiments, "train_compressed", recording)
+        rc = main(argv + ["--model", "compressed", "--d", "8", "--r", "2", "--rhat", "3",
+                          "--T", "2", "--eta", "0.5", "--sigma", "0.1,0.05", "--seeds", "0",
+                          "--out", str(tmp_path / "o")])
+        assert rc == 0
+        [(eta, m)] = seen
+        assert eta == (0.5 / m if normalized else 0.5)
 
     def test_singular_als_system_exit_three(self, tmp_path, capsys):
         # ALS factors outgrow the damping in the first sweep and one damped

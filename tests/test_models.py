@@ -6,12 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dln.errors import ContractViolationError
-from dln.linalg import make_rng, truncated_svd
+from dln.linalg import chain_product, make_rng, save_matrix_bin, truncated_svd
 from dln.models import (
-    CompressedDLN,
-    WideDLN,
+    DLN,
     chain_gradients,
-    end_to_end,
     init_compressed,
     init_wide,
     load_model,
@@ -41,14 +39,12 @@ def finite_difference_grad(layers_shapes, build_loss, layers, step=1e-6):
 
 class TestEndToEnd:
     def test_identity_layers(self):
-        model = WideDLN([np.eye(4) for _ in range(3)])
-        assert np.array_equal(end_to_end(model), np.eye(4))
+        model = DLN([np.eye(4) for _ in range(3)])
+        assert np.array_equal(chain_product(model.layers), np.eye(4))
 
     def test_hand_product_depth2(self):
-        model = CompressedDLN(
-            w_first=np.array([[0.0, 2.0]]), mids=[], w_last=np.array([[1.0], [0.0]])
-        )
-        assert np.array_equal(end_to_end(model), [[0.0, 2.0], [0.0, 0.0]])
+        model = DLN([np.array([[0.0, 2.0]]), np.array([[1.0], [0.0]])])
+        assert np.array_equal(chain_product(model.layers), [[0.0, 2.0], [0.0, 0.0]])
 
     def test_spectral_init_base_case(self, rng):
         # at init the compressed product is eps^L times the outer frame
@@ -57,14 +53,14 @@ class TestEndToEnd:
         model = init_compressed(surr, L, r_hat, eps)
         f = truncated_svd(surr, r_hat)
         expected = eps**L * f.U @ f.V.T
-        assert np.allclose(end_to_end(model), expected, atol=1e-18)
+        assert np.allclose(chain_product(model.layers), expected, atol=1e-18)
 
 
 class TestInitWide:
     def test_end_to_end_scale(self):
         d, L, eps = 12, 3, 1e-3
         model = init_wide(d, L, eps, "orthogonal", make_rng(0, 2))
-        sv = np.linalg.svd(end_to_end(model), compute_uv=False)
+        sv = np.linalg.svd(chain_product(model.layers), compute_uv=False)
         assert np.max(np.abs(sv - eps**L)) <= 1e-18
 
     def test_balanced_at_init(self):
@@ -93,7 +89,7 @@ class TestInitWide:
 
     def test_rectangular_outer_layers(self):
         model = init_wide(10, 3, 1e-3, "orthogonal", make_rng(0, 2), d_out=6)
-        assert end_to_end(model).shape == (6, 10)
+        assert chain_product(model.layers).shape == (6, 10)
         assert model.layers[1].shape == (10, 10)  # square intermediate at max dim
 
 
@@ -110,16 +106,16 @@ class TestInitCompressed:
         d, r_hat, eps = 5, 2, 1e-3
         surr = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
         model = init_compressed(surr, 3, r_hat, eps)
-        assert np.allclose(model.w_last, eps * np.eye(d)[:, :r_hat])
-        assert np.allclose(model.w_first, eps * np.eye(d)[:r_hat, :])
-        for mid in model.mids:
+        assert np.allclose(model.layers[-1], eps * np.eye(d)[:, :r_hat])
+        assert np.allclose(model.layers[0], eps * np.eye(d)[:r_hat, :])
+        for mid in model.layers[1:-1]:
             assert np.array_equal(mid, eps * np.eye(r_hat))
 
     def test_all_singular_values_eps_L(self, rng):
         d, L, r_hat, eps = 10, 3, 4, 1e-3
         surr = rng.standard_normal((d, d))
         model = init_compressed(surr, L, r_hat, eps)
-        sv = np.linalg.svd(end_to_end(model), compute_uv=False)[:r_hat]
+        sv = np.linalg.svd(chain_product(model.layers), compute_uv=False)[:r_hat]
         assert np.max(np.abs(sv - eps**L)) <= 1e-18
 
     def test_rank_one_surrogate_small_case(self, rng):
@@ -130,7 +126,7 @@ class TestInitCompressed:
         model = init_compressed(surr, 3, r_hat, eps)
         f = truncated_svd(surr, r_hat)
         expected = eps**3 * (np.outer(f.U[:, 0], f.V[:, 0]) + np.outer(f.U[:, 1], f.V[:, 1]))
-        assert np.allclose(end_to_end(model), expected, atol=1e-18)
+        assert np.allclose(chain_product(model.layers), expected, atol=1e-18)
 
     def test_r_hat_out_of_range(self):
         with pytest.raises(ContractViolationError):
@@ -138,28 +134,26 @@ class TestInitCompressed:
 
     def test_depth_two_has_no_mids(self, rng):
         model = init_compressed(rng.standard_normal((6, 6)), 2, 3, 1e-3)
-        assert model.mids == [] and model.depth == 2
+        assert [w.shape for w in model.layers] == [(3, 6), (6, 3)]
 
 
 class TestLoss:
     def test_zero_at_target(self, rng):
         m = rng.standard_normal((3, 3))
-        model = WideDLN([np.eye(3), m])
+        model = DLN([np.eye(3), m])
         op = Identity(3)
         assert loss(model, op, op.apply(m)) == 0.0
 
     def test_identity_is_half_frobenius(self, rng):
         target = rng.standard_normal((4, 4))
-        model = WideDLN([rng.standard_normal((4, 4)) for _ in range(2)])
+        model = DLN([rng.standard_normal((4, 4)) for _ in range(2)])
         op = Identity(4)
-        z = end_to_end(model)
+        z = chain_product(model.layers)
         expected = 0.5 * np.sum((z - target) ** 2)
         assert loss(model, op, op.apply(target)) == pytest.approx(expected, rel=1e-14)
 
     def test_masked_hand_value(self):
-        model = CompressedDLN(
-            w_first=np.array([[3.0, 9.0]]) , mids=[], w_last=np.array([[1.0], [1.0]])
-        )
+        model = DLN([np.array([[3.0, 9.0]]), np.array([[1.0], [1.0]])])
         # end-to-end [[3, 9], [3, 9]]; only the (0,0) entry is observed
         mask = CompletionMask.from_pairs([(0, 0)], 2)
         target = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -169,7 +163,7 @@ class TestLoss:
 class TestGradients:
     def test_zero_residual_zero_gradients(self, rng):
         m = rng.standard_normal((3, 3))
-        model = WideDLN([np.eye(3), m])
+        model = DLN([np.eye(3), m])
         op = Identity(3)
         for g in chain_gradients(model.layers, op, op.apply(m))[0]:
             assert np.array_equal(g, np.zeros_like(g))
@@ -199,13 +193,13 @@ class TestGradients:
             op = CompletionMask.from_pairs([(0, 0), (1, 3), (2, 2), (4, 1), (3, 4)], d)
         y = op.apply(rng.standard_normal((d, d)))
         if kind == "wide":
-            model = WideDLN([0.5 * rng.standard_normal((d, d)) for _ in range(L)])
+            model = DLN([0.5 * rng.standard_normal((d, d)) for _ in range(L)])
         else:
-            model = CompressedDLN(
-                w_first=0.5 * rng.standard_normal((3, d)),
-                mids=[0.5 * rng.standard_normal((3, 3))],
-                w_last=0.5 * rng.standard_normal((d, 3)),
-            )
+            model = DLN([
+                0.5 * rng.standard_normal((3, d)),
+                0.5 * rng.standard_normal((3, 3)),
+                0.5 * rng.standard_normal((d, 3)),
+            ])
         layers = model.layers
 
         def build_loss(ls):
@@ -454,8 +448,8 @@ def test_compressed_init_error_never_worse_than_wide():
         y = op.apply(M)
         wide = init_wide(d, L, eps, "orthogonal", make_rng(seed, 2))
         comp = init_compressed(op.surrogate(y), L, r_hat, eps)
-        err_wide = np.sum((end_to_end(wide) - M) ** 2)
-        err_comp = np.sum((end_to_end(comp) - M) ** 2)
+        err_wide = np.sum((chain_product(wide.layers) - M) ** 2)
+        err_comp = np.sum((chain_product(comp.layers) - M) ** 2)
         if err_wide < err_comp:
             violations += 1
     assert violations == 0
@@ -463,32 +457,39 @@ def test_compressed_init_error_never_worse_than_wide():
 
 class TestCheckpoint:
     def test_roundtrip_wide(self, tmp_path, rng):
-        model = WideDLN([rng.standard_normal((4, 4)) for _ in range(3)])
+        model = DLN([rng.standard_normal((4, 4)) for _ in range(3)])
         save_model(tmp_path / "ckpt", model, extra={"seed": 3, "eps": 1e-3, "mode": "orthogonal"})
         back = load_model(tmp_path / "ckpt")
-        assert isinstance(back, WideDLN)
+        assert isinstance(back, DLN)
         for a, b in zip(model.layers, back.layers):
             assert np.array_equal(a, b)
 
     def test_roundtrip_compressed(self, tmp_path, rng):
-        model = CompressedDLN(
-            w_first=rng.standard_normal((2, 5)),
-            mids=[rng.standard_normal((2, 2))],
-            w_last=rng.standard_normal((5, 2)),
-        )
+        model = DLN([rng.standard_normal((2, 5)), rng.standard_normal((2, 2)),
+                     rng.standard_normal((5, 2))])
         save_model(tmp_path / "ckpt", model)
         back = load_model(tmp_path / "ckpt")
-        assert isinstance(back, CompressedDLN)
-        assert np.array_equal(back.w_first, model.w_first)
-        assert np.array_equal(back.w_last, model.w_last)
+        assert isinstance(back, DLN) and len(back.layers) == 3
+        for a, b in zip(model.layers, back.layers):
+            assert np.array_equal(a, b)
+
+    def test_layers_that_do_not_compose_are_refused(self, tmp_path, rng):
+        # the layer files are input from outside the program: a replaced
+        # layer whose shape breaks the chain must not load
+        model = DLN([rng.standard_normal((2, 5)), rng.standard_normal((2, 2)),
+                     rng.standard_normal((5, 2))])
+        save_model(tmp_path / "ckpt", model)
+        save_matrix_bin(tmp_path / "ckpt" / "layer_01.dlnm", rng.standard_normal((3, 3)))
+        with pytest.raises(ContractViolationError, match="does not compose"):
+            load_model(tmp_path / "ckpt")
 
 
 def test_layer_shape_validation():
     with pytest.raises(ContractViolationError):
-        WideDLN([np.ones((2, 3)), np.ones((2, 3))])
+        DLN([np.ones((2, 3)), np.ones((2, 3))])
     with pytest.raises(ContractViolationError):
-        WideDLN([np.ones((3, 3))])
+        DLN([np.ones((3, 3))])
     with pytest.raises(ContractViolationError):
         chain_gradients([np.ones((3, 3))], Identity(3), np.zeros(9))
     with pytest.raises(ContractViolationError):
-        CompressedDLN(w_first=np.ones((2, 4)), mids=[np.ones((3, 3))], w_last=np.ones((4, 2)))
+        DLN([np.ones((2, 4)), np.ones((3, 3)), np.ones((4, 2))])
