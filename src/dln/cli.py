@@ -1,14 +1,17 @@
 """Command-line experiment runner.
 
-Subcommands: factorize, sense, complete, movielens, ablate, oracle. Each run
-writes a manifest that fully reproduces it (`--manifest` re-runs one). A flat
-`key = value` config file can seed any run; explicit flags win over the file.
+Subcommands: factorize, sense, complete, movielens, ablate, oracle. Each one
+starts from the recipe of its name (`ablate` from its `--problem`, default
+complete), then a flat `key = value` config file or the manifest of an earlier
+run of the same problem (`--manifest` re-runs one), then the flags. Flag
+values, config files and ablation values are text read by one parser, so a
+value that does not parse is a config error naming its field.
 
 Exit codes: 0 success, 2 config error (including a mistyped, missing or
 unknown field in a manifest), 3 divergence, 4 I/O error (including a manifest
 that cannot be read or is not JSON with a "config" object). The output
-directory comes from --out, then the DLN_OUT_DIR environment variable, then
-./dln_runs/<problem>.
+directory comes from --out, then $DLN_OUT_DIR/<subcommand>, then
+./dln_runs/<subcommand>.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .experiments import (
     default_config,
     field_rule,
     load_manifest,
-    oracle_config,
     run,
 )
 from .models import INIT_MODES
@@ -39,6 +41,8 @@ EXIT_IO = 4
 
 _FIELD_ALIASES = {"rhat": "r_hat", "iters": "T", "data": "movielens_path"}
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _parse_value(field: dataclasses.Field, raw: str):
@@ -46,15 +50,17 @@ def _parse_value(field: dataclasses.Field, raw: str):
 
     The field's annotation picks the parse (:func:`field_rule`): a comma list
     for tuples ("lo,hi" or "lo:hi" for pairs), "none" or nothing for optional
-    fields, and 1/true/yes/on for booleans. A value that does not parse is a
-    ConfigError.
+    fields, and 1/true/yes/on or 0/false/no/off, in any case, for booleans. A
+    value that does not parse is a ConfigError.
     """
     conv, optional, is_tuple, pair = field_rule(field)
-    text = raw.strip()
-    if optional and text.lower() in ("", "none"):
+    text = raw.strip().lower()
+    if optional and text in ("", "none"):
         return None
     if conv is bool:
-        return text.lower() in ("1", "true", "yes", "on")
+        if text not in _BOOLEANS:
+            raise ConfigError(field.name, f"{raw!r} is none of {', '.join(_BOOLEANS)}")
+        return _BOOLEANS[text]
     if conv is str:
         return raw
     if pair:
@@ -91,93 +97,75 @@ def read_config_file(path: str | Path) -> dict:
     return out
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--manifest", help="manifest.json of a previous run to re-run")
-    parser.add_argument("--out", help="output directory (falls back to $DLN_OUT_DIR)")
-    parser.add_argument("--model", help="'all' (the default) or a comma list of "
-                        "wide, compressed, altmin")
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--rhat", dest="r_hat", type=int)
-    parser.add_argument("--L", type=int)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--T", type=int)
-    parser.add_argument("--seeds", help="comma-separated seed list, e.g. 0,1,2")
-    parser.add_argument("--log-every", dest="log_every", type=int)
-    parser.add_argument("--top-k", dest="top_k", type=int)
-    parser.add_argument("--sigma", dest="sigma_values",
-                        help="explicit target spectrum, comma-separated")
-    parser.add_argument("--sigma-range", dest="sigma_range", help="uniform spectrum range lo,hi")
-    parser.add_argument("--init", dest="init_mode", choices=INIT_MODES)
-    parser.add_argument("--track-spectral", dest="track_spectral", type=int)
-    parser.add_argument("--altmin-iters", dest="altmin_iters", type=int)
-    parser.add_argument("--normalize-eta", dest="normalize_eta", action="store_true",
-                        default=None)
-    parser.add_argument("--threshold", type=float)
+# every config flag: its field and help text; each value is text that
+# `_parse_value` reads, as a config file's would be
+FLAGS: dict[str, tuple[str, str]] = {
+    "--model": ("model", "'all' (the default) or a comma list of wide, compressed, altmin"),
+    "--d": ("d", "dimension of the synthetic target"),
+    "--r": ("r", "rank of the synthetic target"),
+    "--rhat": ("r_hat", "width of the compressed network"),
+    "--L": ("L", "depth"),
+    "--eps": ("eps", "initial scale of each layer"),
+    "--eta": ("eta", "step size"),
+    "--alpha": ("alpha", "rate multiplier of the compressed net's outer layers"),
+    "--T": ("T", "training iterations"),
+    "--seeds": ("seeds", "comma-separated seed list, e.g. 0,1,2"),
+    "--log-every": ("log_every", "iterations between logged iterates"),
+    "--top-k": ("top_k", "singular values logged (default r_hat)"),
+    "--sigma": ("sigma_values", "explicit target spectrum, comma-separated"),
+    "--sigma-range": ("sigma_range", "uniform spectrum range lo,hi"),
+    "--init": ("init_mode", f"wide-net init: {', '.join(INIT_MODES)}"),
+    "--track-spectral": ("track_spectral", "singular triplets tracked for diagnostics"),
+    "--altmin-iters": ("altmin_iters", "ALS baseline sweeps"),
+    "--normalize-eta": ("normalize_eta", "divide eta by the measurement count"),
+    "--threshold": ("threshold", "recovery error that ablate's iters_to_threshold counts to"),
+    "--oracle": ("oracle", "verify the run against the scalar recursion"),
+    "--m": ("m", "Gaussian measurements"),
+    "--p": ("p", "observation probability"),
+    "--data": ("movielens_path", "path to the u.data ratings file"),
+    "--train-frac": ("train_frac", "share of the ratings used for training"),
+}
+# subcommand -> help and the config flags only it takes
+SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "factorize": ("run the factorize experiment", ("--oracle",)),
+    "sense": ("run the sense experiment", ("--m",)),
+    "complete": ("run the complete experiment", ("--p",)),
+    "movielens": ("ratings-data completion experiment", ("--data", "--train-frac")),
+    "ablate": ("sweep one axis of an experiment", ("--p", "--m")),
+    "oracle": ("train and check against the scalar recursion", ()),
+}
+COMMON = tuple(f for f in FLAGS if not any(f in extra for _, extra in SUBCOMMANDS.values()))
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    out = {}
-    for f in _FIELDS.values():
-        # the problem comes from the subcommand and out_dir from --out
-        val = getattr(args, f.name, None)
-        if f.name in ("problem", "out_dir") or val is None:
-            continue
-        out[f.name] = _parse_value(f, val) if isinstance(val, str) else val
-    return out
-
-
-def _resolve_out(args: argparse.Namespace, problem: str) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    env = os.environ.get("DLN_OUT_DIR")
-    if env:
-        return str(Path(env) / problem)
-    return str(Path("dln_runs") / problem)
-
-
-def _build_config(args: argparse.Namespace, problem: str) -> ExperimentConfig:
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config a command line names: its recipe, then a config file or a
+    manifest that keeps the recipe's problem, then its flags. Without --out it
+    writes to <subcommand> under $DLN_OUT_DIR, else under ./dln_runs."""
     if args.manifest and args.config:
         raise ConfigError("config", "--config and --manifest are mutually exclusive")
-    overrides = _overrides_from_args(args)
+    recipe = default_config(args.recipe)
+    overrides = {field: _parse_value(_FIELDS[field], raw) for field, _ in FLAGS.values()
+                 if (raw := getattr(args, field, None)) is not None}
     if args.manifest:
-        cfg = load_manifest(args.manifest)
-        if cfg.problem != problem:
-            raise ConfigError("problem", f"manifest is for {cfg.problem!r}, not {problem!r}")
-        cfg = dataclasses.replace(cfg, **overrides)
+        cfg = dataclasses.replace(load_manifest(args.manifest), **overrides)
     else:
         base = read_config_file(args.config) if args.config else {}
-        base.update(overrides)
-        if problem == "oracle-recipe":
-            cfg = oracle_config(**base)
-        else:
-            cfg = default_config(problem, **base)
+        cfg = dataclasses.replace(recipe, **{**base, **overrides})
+    if cfg.problem != recipe.problem:
+        raise ConfigError("problem", f"{args.command} runs {recipe.problem!r}, "
+                                     f"not {cfg.problem!r}")
     if args.out or not cfg.out_dir:
-        cfg = dataclasses.replace(cfg, out_dir=_resolve_out(args, cfg.problem))
+        root = os.environ.get("DLN_OUT_DIR") or "dln_runs"
+        cfg = dataclasses.replace(cfg, out_dir=args.out or str(Path(root) / args.command))
     return cfg
 
 
-def _print_status(result) -> None:
+def _cmd_run(args: argparse.Namespace) -> int:
+    result = run(_build_config(args))
+    print(f"wrote {result.out_dir}")
     width = max(len(k) for k in result.statuses)
     for key in sorted(result.statuses):
         print(f"  {key:<{width}}  {result.statuses[key]}")
-
-
-def _cmd_problem(args: argparse.Namespace, problem: str) -> int:
-    cfg = _build_config(args, problem)
-    result = run(cfg, echo=None)
-    print(f"wrote {result.out_dir}")
-    _print_status(result)
-    return EXIT_OK if result.ok else EXIT_DIVERGED
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, "oracle-recipe")
-    result = run(cfg)
-    _print_status(result)
     for key, v in sorted(result.statuses.items()):
         if key.endswith("/oracle"):
             print(f"oracle {key.split('/')[1]}: {'PASS' if v == 'pass' else 'FAIL'}")
@@ -185,8 +173,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    problem = args.problem or "complete"
-    cfg = _build_config(args, problem)
+    cfg = _build_config(args)
     field = _FIELDS[ABLATION_AXES[args.axis]]
     values = [_parse_value(field, v) for v in args.values.split(",") if v]
     out = ablate(cfg, args.axis, values)
@@ -196,55 +183,37 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dln",
-        description="Wide vs compressed deep linear network experiments",
-    )
+        prog="dln", description="Wide vs compressed deep linear network experiments")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, extra) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--manifest", help="manifest.json of a previous run to re-run")
+        p.add_argument("--out", help="output directory (default $DLN_OUT_DIR/<subcommand>, "
+                       "else ./dln_runs/<subcommand>)")
+        for flag in COMMON + extra:
+            field, help_text = FLAGS[flag]
+            is_bool = field_rule(_FIELDS[field])[0] is bool
+            switch = dict(action="store_const", const="true") if is_bool else {}
+            p.add_argument(flag, dest=field, help=help_text, **switch)
+        p.set_defaults(func=_cmd_run, recipe=name)
 
-    for problem in ("factorize", "sense", "complete"):
-        p = sub.add_parser(problem, help=f"run the {problem} experiment")
-        _add_common(p)
-        if problem == "sense":
-            p.add_argument("--m", type=int)
-        if problem == "complete":
-            p.add_argument("--p", type=float)
-        if problem == "factorize":
-            p.add_argument("--oracle", action="store_true", default=None,
-                           help="verify the run against the scalar recursion")
-        p.set_defaults(func=lambda a, prob=problem: _cmd_problem(a, prob))
-
-    p = sub.add_parser("movielens", help="ratings-data completion experiment")
-    _add_common(p)
-    p.add_argument("--data", dest="movielens_path", help="path to the u.data ratings file")
-    p.add_argument("--train-frac", dest="train_frac", type=float)
-    p.set_defaults(func=lambda a: _cmd_problem(a, "movielens"))
-
-    p = sub.add_parser("ablate", help="sweep one axis of an experiment")
-    _add_common(p)
-    p.add_argument("--problem", choices=["factorize", "sense", "complete"])
+    p = sub.choices["ablate"]
+    p.add_argument("--problem", dest="recipe", choices=["factorize", "sense", "complete"],
+                   help="recipe the sweep starts from (default complete)")
     p.add_argument("--axis", required=True, choices=list(ABLATION_AXES))
     p.add_argument("--values", required=True, help="comma-separated sweep values")
-    p.add_argument("--p", type=float)
-    p.add_argument("--m", type=int)
-    p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("oracle", help="train and check against the scalar recursion")
-    _add_common(p)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_ablate, recipe="complete")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractViolationError, ResourceBudgetError) as exc:
+    except (ConfigError, ContractViolationError, ResourceBudgetError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_IO if isinstance(exc, (ParseError, OSError)) else EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -93,8 +93,8 @@ class ExperimentConfig:
     out_dir: str = ""
 
 
-# per-problem recipe defaults; numbers chosen so every desk-scale run is
-# stable under the raw-residual loss and finishes in minutes
+# recipe defaults, one per subcommand, stable under the raw-residual loss and
+# minutes long at desk scale; a recipe named after its problem omits `problem`
 RECIPES: dict[str, dict] = {
     "factorize": dict(
         d=100, r=10, r_hat=20, L=3, eps=1e-3, eta=10.0, alpha=5.0, T=3000,
@@ -112,25 +112,20 @@ RECIPES: dict[str, dict] = {
         r_hat=10, L=3, eps=0.3, eta=0.5, alpha=5.0, T=1000, log_every=10,
         train_frac=0.8, altmin_iters=40, model="all",
     ),
+    # the recursion oracle: uniform rate, spectrum kept in the monotone regime
+    # so the whole window exercises the growth phase
+    "oracle": dict(
+        problem="factorize", model="compressed", d=50, r=5, r_hat=10, L=3,
+        eps=1e-3, eta=1.0, alpha=1.0, T=1000, log_every=1,
+        sigma_values=(0.2, 0.17, 0.14, 0.11, 0.08), oracle=True,
+    ),
 }
 
-# the recursion-oracle recipe: uniform rate, spectrum kept in the monotone
-# regime so the whole window exercises the growth phase
-ORACLE_RECIPE = dict(
-    problem="factorize", model="compressed", d=50, r=5, r_hat=10, L=3,
-    eps=1e-3, eta=1.0, alpha=1.0, T=1000, log_every=1,
-    sigma_values=(0.2, 0.17, 0.14, 0.11, 0.08), oracle=True,
-)
 
-
-def default_config(problem: str, **overrides) -> ExperimentConfig:
-    if problem not in PROBLEMS:
-        raise ConfigError("problem", f"unknown problem {problem!r}")
-    return ExperimentConfig(problem=problem, **{**RECIPES[problem], **overrides})
-
-
-def oracle_config(**overrides) -> ExperimentConfig:
-    return ExperimentConfig(**{**ORACLE_RECIPE, **overrides})
+def default_config(recipe: str, **overrides) -> ExperimentConfig:
+    if recipe not in RECIPES:
+        raise ConfigError("problem", f"unknown recipe {recipe!r}")
+    return ExperimentConfig(**{"problem": recipe, **RECIPES[recipe], **overrides})
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -158,6 +153,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(name, "must be positive")
     if cfg.T < 1:
         raise ConfigError("T", "need at least one iteration")
+    if cfg.log_every < 1:
+        raise ConfigError("log_every", "must be at least 1")
+    if cfg.top_k is not None and cfg.top_k < 1:
+        raise ConfigError("top_k", "must be at least 1 (or none for r_hat)")
+    if "altmin" in models and cfg.altmin_iters < 1:
+        raise ConfigError("altmin_iters", "need at least one sweep")
     if not cfg.seeds:
         raise ConfigError("seeds", "need at least one seed")
     if len(set(cfg.seeds)) != len(cfg.seeds):
@@ -175,6 +176,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.problem == "movielens":
         if not cfg.movielens_path:
             raise ConfigError("movielens_path", "ratings file path is required")
+        if not 0 < cfg.train_frac < 1:
+            raise ConfigError("train_frac", "must lie in (0, 1)")
         k = min(cfg.movielens_shape)
         if not 1 <= cfg.r_hat <= k:
             raise ConfigError("r_hat", f"must lie in 1..{k} for ratings of shape "

@@ -33,6 +33,7 @@ from .operators import SensingOperator
 
 # the wide network's init modes; the compressed network's init is always spectral
 INIT_MODES = ("orthogonal", "uniform")
+_LAYER_FILE = "layer_{:02d}.dlnm"  # a checkpoint's layer i
 
 
 def _check_init(L: int, eps: float) -> None:
@@ -166,16 +167,19 @@ def save_model(dirpath: str | Path, model: DLN, extra: dict | None = None) -> No
     dirpath.mkdir(parents=True, exist_ok=True)
     layers = model.layers
     for i, w in enumerate(layers):
-        save_matrix_bin(dirpath / f"layer_{i:02d}.dlnm", w)
+        save_matrix_bin(dirpath / _LAYER_FILE.format(i), w)
     manifest = {"depth": len(layers), "d_in": layers[0].shape[1], "d_out": layers[-1].shape[0],
                 **(extra or {})}
     (dirpath / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def load_model(dirpath: str | Path) -> DLN:
-    """The network of a checkpoint written by :func:`save_model`; layer files
-    whose shapes do not compose are refused."""
+    """The network of a checkpoint written by :func:`save_model`. A manifest
+    whose depth is missing, not an integer or past the layer files, and layer
+    files whose shapes do not compose, are refused."""
     dirpath = Path(dirpath)
-    manifest = json.loads((dirpath / "manifest.json").read_text())
-    return DLN([load_matrix_bin(dirpath / f"layer_{i:02d}.dlnm")
-                for i in range(manifest["depth"])])
+    depth = json.loads((dirpath / "manifest.json").read_text()).get("depth")
+    if type(depth) is not int or not all((dirpath / _LAYER_FILE.format(i)).exists()
+                                         for i in range(depth)):
+        raise ContractViolationError(f"checkpoint {dirpath}: no layer files for depth {depth!r}")
+    return DLN([load_matrix_bin(dirpath / _LAYER_FILE.format(i)) for i in range(depth)])

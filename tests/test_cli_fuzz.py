@@ -28,11 +28,11 @@ COMMON = {
     "--sigma-range": ["0.02,0.05", "0.02:0.05", "0.1", "a,b"],
     "--model": ["all", "wide", "compressed", "altmin", "compressed,altmin",
                 "altmin,wide", "wide,wide", "foo", "", "all,wide"],
-    "--log-every": ["1", "2"],
-    "--top-k": ["1", "2"],
+    "--log-every": ["1", "2", "0"],
+    "--top-k": ["1", "2", "0"],
     "--track-spectral": ["0", "1", "2"],
     "--init": ["orthogonal", "uniform"],
-    "--altmin-iters": ["1", "2"],
+    "--altmin-iters": ["1", "2", "0"],
 }
 EXTRA = {
     "factorize": {"--oracle": [None]},
@@ -41,6 +41,8 @@ EXTRA = {
     "oracle": {},
     "ablate": {"--problem": ["factorize", "complete"], "--p": ["0.5"], "--m": ["20"]},
 }
+# a valid tiny run for the pinned examples to break one field of
+TINY_RUN = [("--d", "4"), ("--T", "2"), ("--r", "1"), ("--rhat", "2")]
 CONFIG_LINES = ["d = abc", "d = 6", "seeds = 0,b", "model = compressed,altmin",
                 "sigma_range = 0.1", "top_k = none", "init_mode = foo", "T = 2"]
 
@@ -84,17 +86,24 @@ def _exit_code(argv) -> tuple[int, str]:
 @example(("factorize", [("--d", "4"), ("--T", "2"), ("--r", "2"), ("--sigma", "0.1,zz")], []))
 @example(("factorize", [("--T", "2")], ["d = abc"]))
 @example(("ablate", [("--d", "4"), ("--T", "2"), ("--axis", "rhat"), ("--values", "2,x")], []))
+# fields the run reads only after writing its output: refused up front
+@example(("factorize", [*TINY_RUN, ("--log-every", "0")], []))
+@example(("factorize", [*TINY_RUN, ("--top-k", "0")], []))
+@example(("complete", [*TINY_RUN, ("--p", "1"), ("--altmin-iters", "0")], []))
 def test_cli_exits_with_a_documented_code(case):
     command, pairs, config = case
     with tempfile.TemporaryDirectory() as tmp:
-        argv = _argv(command, pairs, Path(tmp) / "out")
+        out = Path(tmp) / "out"
+        argv = _argv(command, pairs, out)
         if config:
             path = Path(tmp) / "run.cfg"
             path.write_text("\n".join(config) + "\n")
             argv += ["--config", str(path)]
         code, err = _exit_code(argv)
-    assert code in (0, 2, 3, 4), (argv, code, err)
-    assert "Traceback" not in err, (argv, err)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        # a refused run leaves no output behind
+        assert code not in (2, 4) or not out.exists(), (argv, code, err)
 
 
 # manifests of tiny runs, edited: values of the wrong type, missing and extra

@@ -23,7 +23,6 @@ from dln.experiments import (
     default_config,
     effective_eta,
     load_manifest,
-    oracle_config,
     resolve_models,
     run,
     validate_config,
@@ -81,6 +80,22 @@ class TestConfig:
         assert exc.value.field == "r_hat"
         validate_config(replace(cfg, r_hat=5))
 
+    @pytest.mark.parametrize("problem,field,value", [
+        ("factorize", "log_every", 0),
+        ("factorize", "top_k", 0),
+        ("complete", "altmin_iters", 0),
+        ("movielens", "train_frac", 0.0),
+        ("movielens", "train_frac", 1.0),
+    ])
+    def test_fields_read_during_the_run_are_checked_up_front(self, problem, field, value):
+        cfg = default_config(problem, out_dir="x", movielens_path="u.data", p=1.0,
+                             **{field: value})
+        with pytest.raises(ConfigError) as exc:
+            validate_config(cfg)
+        assert exc.value.field == field
+        if field == "altmin_iters":
+            validate_config(replace(cfg, model="wide,compressed"))
+
     def test_effective_eta_normalization(self):
         sense = default_config("sense", out_dir="x", eta=10.0)
         assert effective_eta(sense, 2000) == pytest.approx(10.0 / 2000)
@@ -117,8 +132,8 @@ class TestRun:
                     assert a.read_bytes() == b.read_bytes(), (model, name)
 
     def test_oracle_report_passes(self, tmp_path):
-        cfg = oracle_config(out_dir=str(tmp_path / "out"), d=20, r=2, r_hat=4, T=200,
-                            sigma_values=(0.2, 0.1), seeds=(0,))
+        cfg = default_config("oracle", out_dir=str(tmp_path / "out"), d=20, r=2, r_hat=4,
+                             T=200, sigma_values=(0.2, 0.1), seeds=(0,))
         res = run(cfg)
         assert res.statuses["compressed/seed_0/oracle"] == "pass"
         report = json.loads((tmp_path / "out" / "compressed" / "seed_0" / "oracle.json").read_text())
@@ -387,6 +402,22 @@ class TestConfigFile:
             "sigma_values": (0.2, 0.1), "model": "compressed",
         }
 
+    @pytest.mark.parametrize("raw,value", [("1", True), ("TRUE", True), ("Yes", True),
+                                           ("on", True), ("0", False), ("False", False),
+                                           ("NO", False), ("off", False)])
+    def test_boolean_spellings(self, tmp_path, raw, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"save_models = {raw}\n")
+        assert read_config_file(path) == {"save_models": value}
+
+    @pytest.mark.parametrize("raw", ["ture", "yes please", ""])
+    def test_unknown_boolean_names_field(self, tmp_path, raw):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"oracle = {raw}\n")
+        with pytest.raises(ConfigError) as exc:
+            read_config_file(path)
+        assert exc.value.field == "oracle"
+
     def test_unknown_key_names_field(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("depth = 3\n")
@@ -499,6 +530,23 @@ class TestCli:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,field", [("--d", "abc", "'d'"),
+                                                   ("--eta", "fast", "'eta'"),
+                                                   ("--init", "foo", "'init_mode'")])
+    def test_malformed_flag_value_names_field(self, tmp_path, capsys, flag, value, field):
+        # flag values go through the config parser, not argparse
+        out = tmp_path / "o"
+        self._assert_config_error(["factorize", flag, value, "--out", str(out)], capsys, field)
+        assert not out.exists()
+
+    def test_config_file_for_another_problem_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("problem = sense\n")
+        self._assert_config_error(
+            ["factorize", "--config", str(path), "--out", str(tmp_path / "o")], capsys,
+            "'problem'",
+        )
+
     def test_divergence_exit_three(self, tmp_path):
         rc = main([
             "factorize", "--model", "wide", "--d", "12", "--r", "2", "--rhat", "4",
@@ -560,13 +608,36 @@ class TestCli:
         assert rc == 4 and err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    ORACLE_RUN = ["--d", "20", "--r", "2", "--rhat", "4", "--T", "150", "--sigma", "0.2,0.1"]
+
     def test_oracle_subcommand_prints_pass(self, tmp_path, capsys):
-        rc = main([
-            "oracle", "--d", "20", "--r", "2", "--rhat", "4", "--T", "150",
-            "--sigma", "0.2,0.1", "--out", str(tmp_path / "o"),
-        ])
+        rc = main(["oracle", *self.ORACLE_RUN, "--out", str(tmp_path / "o")])
         assert rc == 0
-        assert "PASS" in capsys.readouterr().out
+        assert "oracle seed_0: PASS" in capsys.readouterr().out
+
+    def test_oracle_manifest_rerun(self, tmp_path):
+        assert main(["oracle", *self.ORACLE_RUN, "--out", str(tmp_path / "a")]) == 0
+        rc = main(["oracle", "--manifest", str(tmp_path / "a" / "manifest.json"),
+                   "--out", str(tmp_path / "b")])
+        assert rc == 0
+        for name in ("trajectory.csv", "oracle.json"):
+            a = (tmp_path / "a" / "compressed" / "seed_0" / name).read_bytes()
+            b = (tmp_path / "b" / "compressed" / "seed_0" / name).read_bytes()
+            assert a == b, name
+
+    def test_oracle_default_out_dir_leaves_factorize_run(self, tmp_path, monkeypatch):
+        env = tmp_path / "envout"
+        monkeypatch.setenv("DLN_OUT_DIR", str(env))
+        monkeypatch.chdir(tmp_path)
+        rc = main(["factorize", "--model", "compressed", "--d", "12", "--r", "2", "--rhat", "4",
+                   "--T", "20", "--sigma", "0.1,0.05", "--eta", "1", "--alpha", "1"])
+        assert rc == 0
+        before = {name: (env / "factorize" / name).read_bytes()
+                  for name in ("manifest.json", "status.json")}
+        assert main(["oracle", *self.ORACLE_RUN]) == 0
+        assert (env / "oracle" / "compressed" / "seed_0" / "oracle.json").exists()
+        for name, data in before.items():
+            assert (env / "factorize" / name).read_bytes() == data, name
 
     def test_manifest_rerun_via_cli(self, tmp_path):
         out1 = tmp_path / "a"
@@ -583,7 +654,7 @@ class TestCli:
         b = (out2 / "compressed" / "seed_0" / "trajectory.csv").read_bytes()
         assert a == b
 
-    def test_manifest_rerun_preserves_oracle_flag(self, tmp_path):
+    def test_manifest_rerun_preserves_oracle_flag(self, tmp_path, capsys):
         out1 = tmp_path / "a"
         rc = main([
             "factorize", "--model", "compressed", "--oracle", "--alpha", "1",
@@ -592,9 +663,11 @@ class TestCli:
         ])
         assert rc == 0
         out2 = tmp_path / "b"
+        capsys.readouterr()
         rc = main(["factorize", "--manifest", str(out1 / "manifest.json"), "--out", str(out2)])
         assert rc == 0
         assert (out2 / "compressed" / "seed_0" / "oracle.json").exists()
+        assert "oracle seed_0: PASS" in capsys.readouterr().out
 
     def _manifest_exit(self, tmp_path, capsys, text):
         path = tmp_path / "manifest.json"
@@ -644,3 +717,12 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "sweep" / "summary.csv").exists()
+
+    def test_ablate_default_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DLN_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["ablate", "--axis", "alpha", "--values", "1", "--model", "compressed",
+                   "--d", "8", "--r", "2", "--rhat", "3", "--p", "0.6", "--T", "5",
+                   "--sigma", "0.1,0.05"])
+        assert rc == 0
+        assert (tmp_path / "dln_runs" / "ablate" / "summary.csv").exists()

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -481,6 +482,16 @@ class TestCheckpoint:
         save_model(tmp_path / "ckpt", model)
         save_matrix_bin(tmp_path / "ckpt" / "layer_01.dlnm", rng.standard_normal((3, 3)))
         with pytest.raises(ContractViolationError, match="does not compose"):
+            load_model(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("depth", [None, "2", 4], ids=["missing", "text", "past-files"])
+    def test_manifest_depth_checked(self, tmp_path, rng, depth):
+        # a hand-edited checkpoint manifest is input from outside the program
+        model = DLN([rng.standard_normal((3, 3)) for _ in range(3)])
+        save_model(tmp_path / "ckpt", model)
+        manifest = {"d_in": 3, "d_out": 3} if depth is None else {"depth": depth}
+        (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ContractViolationError, match="ckpt"):
             load_model(tmp_path / "ckpt")
 
 

@@ -28,15 +28,9 @@ def test_readme_commands_build_valid_configs():
     parser = build_parser()
     for argv in commands:
         args = parser.parse_args(argv)
-        command = argv[0]
-        problem = command
-        if command == "oracle":
-            problem = "oracle-recipe"
-        elif command == "ablate":
-            problem = args.problem or "complete"
-        cfg = _build_config(args, problem)
+        cfg = _build_config(args)
         validate_config(cfg)
-        if command == "ablate":
+        if args.command == "ablate":
             field = _FIELDS[ABLATION_AXES[args.axis]]
             for raw in args.values.split(","):
                 validate_config(dataclasses.replace(
