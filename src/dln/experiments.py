@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -93,6 +94,24 @@ class ExperimentConfig:
     out_dir: str = ""
 
 
+# what each config field may hold, as (test, description), applied to each
+# entry of a tuple and skipped for None; integers are compared as integers, so
+# a seed of any size is checked exactly. `validate_config` adds `altmin_iters`
+# (read only when ALS runs) and the rules that tie fields together.
+FIELD_DOMAINS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "problem": (lambda v: v in PROBLEMS, f"one of {', '.join(PROBLEMS)}"),
+    "init_mode": (lambda v: v in INIT_MODES, f"one of {', '.join(INIT_MODES)}"),
+    **dict.fromkeys(("d", "r", "r_hat", "T", "m", "log_every", "top_k", "movielens_shape"),
+                    (lambda v: v >= 1, "at least 1")),
+    "L": (lambda v: v >= 2, "at least 2"),
+    **dict.fromkeys(("seeds", "track_spectral"), (lambda v: v >= 0, "at least 0")),
+    **dict.fromkeys(("eps", "eta", "alpha", "threshold", "stop_tol", "sigma_values",
+                     "sigma_range"), (lambda v: 0 < v < math.inf, "finite and positive")),
+    "p": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "train_frac": (lambda v: 0 < v < 1, "in (0, 1)"),
+}
+
+
 # recipe defaults, one per subcommand, stable under the raw-residual loss and
 # minutes long at desk scale; a recipe named after its problem omits `problem`
 RECIPES: dict[str, dict] = {
@@ -129,68 +148,39 @@ def default_config(recipe: str, **overrides) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.problem not in PROBLEMS:
-        raise ConfigError("problem", f"must be one of {PROBLEMS}")
+    for name, (test, text) in FIELD_DOMAINS.items():
+        value = getattr(cfg, name)
+        for v in value if isinstance(value, tuple) else () if value is None else (value,):
+            if not test(v):
+                raise ConfigError(name, f"{v!r} is not {text}")
     models = resolve_models(cfg)
-    if cfg.problem != "movielens":
-        if not 1 <= cfg.r <= cfg.d:
-            raise ConfigError("r", f"rank must lie in 1..{cfg.d}")
-        if not 1 <= cfg.r_hat <= cfg.d:
-            raise ConfigError("r_hat", f"must lie in 1..{cfg.d}")
-        if cfg.sigma_values is not None:
-            if len(cfg.sigma_values) != cfg.r:
-                raise ConfigError(
-                    "sigma_values", f"got {len(cfg.sigma_values)} values for rank r={cfg.r}"
-                )
-            if any(not s > 0 for s in cfg.sigma_values):
-                raise ConfigError("sigma_values", "singular values must be positive")
-    if cfg.L < 2:
-        raise ConfigError("L", "depth must be at least 2")
-    if cfg.init_mode not in INIT_MODES:
-        raise ConfigError("init_mode", f"unknown init mode {cfg.init_mode!r}")
-    for name in ("eps", "eta", "alpha"):
-        if not getattr(cfg, name) > 0:
-            raise ConfigError(name, "must be positive")
-    if cfg.T < 1:
-        raise ConfigError("T", "need at least one iteration")
-    if cfg.log_every < 1:
-        raise ConfigError("log_every", "must be at least 1")
-    if cfg.top_k is not None and cfg.top_k < 1:
-        raise ConfigError("top_k", "must be at least 1 (or none for r_hat)")
-    if "altmin" in models and cfg.altmin_iters < 1:
-        raise ConfigError("altmin_iters", "need at least one sweep")
-    if not cfg.seeds:
-        raise ConfigError("seeds", "need at least one seed")
-    if len(set(cfg.seeds)) != len(cfg.seeds):
-        raise ConfigError("seeds", "seeds must be distinct")
-    if cfg.problem == "complete" and not 0 < cfg.p <= 1:
-        raise ConfigError("p", "observation probability must lie in (0, 1]")
-    if cfg.problem == "sense":
-        if cfg.m < 1:
-            raise ConfigError("m", "need at least one measurement")
-        need = cfg.m * cfg.d * cfg.d * 8
-        if need > SENSING_BUDGET_BYTES:
-            raise ConfigError(
-                "m", f"sensing operator needs {need} bytes > budget {SENSING_BUDGET_BYTES}"
-            )
     if cfg.problem == "movielens":
         if not cfg.movielens_path:
             raise ConfigError("movielens_path", "ratings file path is required")
-        if not 0 < cfg.train_frac < 1:
-            raise ConfigError("train_frac", "must lie in (0, 1)")
-        k = min(cfg.movielens_shape)
-        if not 1 <= cfg.r_hat <= k:
-            raise ConfigError("r_hat", f"must lie in 1..{k} for ratings of shape "
-                              f"{cfg.movielens_shape[0]}x{cfg.movielens_shape[1]}")
-    if cfg.oracle:
-        if cfg.problem != "factorize":
-            raise ConfigError("oracle", "oracle verification requires the factorize problem")
-        if "compressed" not in models:
-            raise ConfigError("oracle", "oracle verification requires the compressed model")
-        if cfg.alpha != 1.0:
-            raise ConfigError(
-                "alpha", "oracle verification requires alpha = 1 (uniform-rate updates)"
-            )
+        if cfg.r_hat > min(cfg.movielens_shape):
+            raise ConfigError("r_hat", f"must lie in 1..{min(cfg.movielens_shape)} for ratings "
+                              f"of shape {cfg.movielens_shape[0]}x{cfg.movielens_shape[1]}")
+    else:
+        for name in ("r", "r_hat"):
+            if getattr(cfg, name) > cfg.d:
+                raise ConfigError(name, f"must lie in 1..{cfg.d}")
+        if cfg.sigma_values is not None and len(cfg.sigma_values) != cfg.r:
+            raise ConfigError("sigma_values", f"got {len(cfg.sigma_values)} values for r={cfg.r}")
+        if cfg.sigma_values is None and cfg.sigma_range[0] > cfg.sigma_range[1]:
+            raise ConfigError("sigma_range", f"need lo <= hi, got {cfg.sigma_range}")
+    if "altmin" in models and cfg.altmin_iters < 1:
+        raise ConfigError("altmin_iters", "need at least one sweep")
+    if not cfg.seeds or len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ConfigError("seeds", "need at least one seed, all distinct")
+    need = cfg.m * cfg.d * cfg.d * 8
+    if cfg.problem == "sense" and need > SENSING_BUDGET_BYTES:
+        raise ConfigError("m", f"sensing operator needs {need} bytes > budget "
+                               f"{SENSING_BUDGET_BYTES}")
+    if cfg.oracle and (cfg.problem != "factorize" or "compressed" not in models):
+        raise ConfigError("oracle", "oracle verification requires the factorize problem "
+                                    "and the compressed model")
+    if cfg.oracle and cfg.alpha != 1.0:
+        raise ConfigError("alpha", "oracle verification requires alpha = 1 (uniform-rate updates)")
     if not cfg.out_dir:
         raise ConfigError("out_dir", "output directory is required")
     if cfg.problem == "complete":
@@ -285,7 +275,7 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
     config field is a ConfigError."""
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read manifest {path}: {exc}") from None
     raw = payload.get("config") if isinstance(payload, dict) else None
     if not isinstance(raw, dict):
@@ -466,9 +456,13 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
     """Execute one experiment config; returns statuses keyed by model/seed."""
     validate_config(cfg)
     models = resolve_models(cfg)
-    # a ratings file that does not parse leaves no output directory behind
+    # a ratings file that does not parse, or that the split leaves without a
+    # train or a test rating, leaves no output directory behind
     ratings = (load_movielens(cfg.movielens_path, shape=tuple(cfg.movielens_shape))
                if cfg.problem == "movielens" else None)
+    if ratings is not None and not 1 <= math.floor(cfg.train_frac * len(ratings)) < len(ratings):
+        raise ConfigError("train_frac", f"splitting {len(ratings)} ratings leaves an empty "
+                                        "train or test set")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out)

@@ -175,10 +175,14 @@ def save_model(dirpath: str | Path, model: DLN, extra: dict | None = None) -> No
 
 def load_model(dirpath: str | Path) -> DLN:
     """The network of a checkpoint written by :func:`save_model`. A manifest
-    whose depth is missing, not an integer or past the layer files, and layer
-    files whose shapes do not compose, are refused."""
+    that is not a JSON object or whose depth is missing, not an integer or past
+    the layer files, and layer files whose shapes do not compose, are refused."""
     dirpath = Path(dirpath)
-    depth = json.loads((dirpath / "manifest.json").read_text()).get("depth")
+    try:
+        manifest = json.loads((dirpath / "manifest.json").read_text())
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or nested too deep
+        raise ContractViolationError(f"checkpoint {dirpath}: bad manifest: {exc}") from None
+    depth = manifest.get("depth") if isinstance(manifest, dict) else None
     if type(depth) is not int or not all((dirpath / _LAYER_FILE.format(i)).exists()
                                          for i in range(depth)):
         raise ContractViolationError(f"checkpoint {dirpath}: no layer files for depth {depth!r}")

@@ -20,19 +20,20 @@ COMMON = {
     "--r": ["1", "2", "9"],
     "--rhat": ["1", "3", "8", "0"],
     "--L": ["1", "2", "3"],
-    "--eta": ["0.1", "1", "-1"],
-    "--alpha": ["1", "2"],
-    "--eps": ["1e-3", "0.5"],
-    "--seeds": ["0", "0,1", "1,0", "0,a", "1,1", "", ","],
-    "--sigma": ["0.1", "0.1,0.05", "0.1,zz", "0.1,0", "-1"],
-    "--sigma-range": ["0.02,0.05", "0.02:0.05", "0.1", "a,b"],
+    "--eta": ["0.1", "1", "-1", "inf", "nan"],
+    "--alpha": ["1", "2", "inf", "nan"],
+    "--eps": ["1e-3", "0.5", "inf", "nan"],
+    "--seeds": ["0", "0,1", "1,0", "0,a", "1,1", "", ",", "-1"],
+    "--sigma": ["0.1", "0.1,0.05", "0.1,zz", "0.1,0", "-1", "0.1,inf"],
+    "--sigma-range": ["0.02,0.05", "0.02:0.05", "0.1", "a,b", "0.05,0.02", "0,0.05"],
     "--model": ["all", "wide", "compressed", "altmin", "compressed,altmin",
                 "altmin,wide", "wide,wide", "foo", "", "all,wide"],
     "--log-every": ["1", "2", "0"],
     "--top-k": ["1", "2", "0"],
-    "--track-spectral": ["0", "1", "2"],
+    "--track-spectral": ["0", "1", "2", "-1"],
     "--init": ["orthogonal", "uniform"],
     "--altmin-iters": ["1", "2", "0"],
+    "--threshold": ["0.01", "-1"],
 }
 EXTRA = {
     "factorize": {"--oracle": [None]},
@@ -90,6 +91,17 @@ def _exit_code(argv) -> tuple[int, str]:
 @example(("factorize", [*TINY_RUN, ("--log-every", "0")], []))
 @example(("factorize", [*TINY_RUN, ("--top-k", "0")], []))
 @example(("complete", [*TINY_RUN, ("--p", "1"), ("--altmin-iters", "0")], []))
+# values outside their field's domain: refused up front
+@example(("factorize", [*TINY_RUN, ("--sigma-range", "0.05,0.02")], []))
+@example(("factorize", [*TINY_RUN, ("--sigma-range", "0,0.05")], []))
+@example(("factorize", [*TINY_RUN, ("--seeds", "-1")], []))
+@example(("factorize", [("--d", "4"), ("--T", "2"), ("--r", "2"), ("--rhat", "2"),
+                        ("--sigma", "0.1,inf")], []))
+@example(("factorize", [*TINY_RUN, ("--eps", "inf")], []))
+@example(("factorize", [*TINY_RUN, ("--eta", "inf")], []))
+@example(("factorize", [*TINY_RUN, ("--track-spectral", "-3")], []))
+@example(("ablate", [*TINY_RUN, ("--problem", "factorize"), ("--axis", "alpha"),
+                     ("--values", "1"), ("--threshold", "-1")], []))
 def test_cli_exits_with_a_documented_code(case):
     command, pairs, config = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -113,7 +125,8 @@ MANIFEST_BASES = {
     "complete": dict(d=6, r=1, r_hat=2, T=2, log_every=1, p=0.6, sigma_values=(0.1,),
                      seeds=(0,), altmin_iters=2),
 }
-WRONG_VALUES = ["abc", "", 1, 2.5, True, None, [], [1, 2], [0.5], {"x": 1}, -1]
+WRONG_VALUES = ["abc", "", 1, 2.5, True, None, [], [1, 2], [0.5], {"x": 1}, -1, [-1],
+                float("inf")]
 
 
 @st.composite
@@ -145,7 +158,8 @@ def test_edited_manifest_exits_with_a_documented_code(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "manifest.json"
         path.write_text(text)
-        argv = [problem, "--manifest", str(path), "--out", str(Path(tmp) / "out")]
-        code, err = _exit_code(argv)
-    assert code in (0, 2, 3, 4), (text, code, err)
-    assert "Traceback" not in err, (text, err)
+        out = Path(tmp) / "out"
+        code, err = _exit_code([problem, "--manifest", str(path), "--out", str(out)])
+        assert code in (0, 2, 3, 4), (text, code, err)
+        assert "Traceback" not in err, (text, err)
+        assert code not in (2, 4) or not out.exists(), (text, code, err)

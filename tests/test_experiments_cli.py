@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import tempfile
 import time
@@ -22,12 +23,15 @@ from dln.experiments import (
     ablate,
     default_config,
     effective_eta,
+    field_rule,
     load_manifest,
     resolve_models,
     run,
     validate_config,
 )
 
+# a valid tiny factorize command line
+TINY_ARGV = ["factorize", "--d", "4", "--r", "1", "--rhat", "2", "--T", "2"]
 TINY = dict(d=16, r=2, r_hat=4, T=60, log_every=20, seeds=(0,),
             sigma_values=(0.1, 0.05), eta=1.0, alpha=1.0)
 
@@ -95,6 +99,40 @@ class TestConfig:
         assert exc.value.field == field
         if field == "altmin_iters":
             validate_config(replace(cfg, model="wide,compressed"))
+
+    @pytest.mark.parametrize("recipe", sorted(experiments.RECIPES))
+    def test_every_recipe_validates(self, recipe):
+        # a domain drawn too tight would refuse a recipe's own defaults
+        validate_config(default_config(recipe, out_dir="x", movielens_path="u.data"))
+
+    def test_every_numeric_field_has_a_domain(self):
+        # altmin_iters is read only when ALS runs, so validate_config checks it
+        numeric = {f.name for f in dataclasses.fields(ExperimentConfig)
+                   if field_rule(f)[0] in (int, float)}
+        assert numeric - set(experiments.FIELD_DOMAINS) == {"altmin_iters"}
+
+    @pytest.mark.parametrize("field,value", [
+        ("seeds", (0, -1)), ("track_spectral", -3), ("eps", math.inf), ("eta", math.inf),
+        ("alpha", math.nan), ("threshold", -1.0), ("stop_tol", math.inf),
+        ("sigma_values", (0.1, math.inf)), ("sigma_range", (0.05, 0.02)),
+        ("sigma_range", (0.0, 0.05)), ("m", 0), ("p", 0.0), ("train_frac", 1.0),
+        ("movielens_shape", (0, 5)), ("init_mode", "foo"), ("problem", "fit"),
+    ])
+    def test_out_of_domain_value_refused(self, tmp_path, field, value):
+        # a domain holds whatever the problem: m, p and train_frac on factorize too
+        cfg = replace(tiny_config(tmp_path, sigma_values=None), **{field: value})
+        with pytest.raises(ConfigError) as exc:
+            validate_config(cfg)
+        assert exc.value.field == field
+
+    def test_seeds_compared_as_integers(self, tmp_path):
+        validate_config(tiny_config(tmp_path, seeds=(10**400,)))
+        with pytest.raises(ConfigError) as exc:
+            validate_config(tiny_config(tmp_path, seeds=(-10**400,)))
+        assert exc.value.field == "seeds"
+
+    def test_sigma_range_unread_beside_an_explicit_spectrum(self, tmp_path):
+        validate_config(tiny_config(tmp_path, sigma_range=(0.05, 0.02)))
 
     def test_effective_eta_normalization(self):
         sense = default_config("sense", out_dir="x", eta=10.0)
@@ -505,6 +543,36 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_empty_ratings_split_writes_nothing(self, tmp_path, capsys):
+        # floor(0.01 * 20) leaves no train rating; found before the manifest is written
+        data = tmp_path / "u.data"
+        data.write_text("".join(f"{u}\t{u + 1}\t3\t88125{u:04d}\n" for u in range(1, 21)))
+        out = tmp_path / "o"
+        self._assert_config_error(
+            ["movielens", "--data", str(data), "--train-frac", "0.01", "--rhat", "2",
+             "--T", "2", "--out", str(out)], capsys, "'train_frac'",
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,field", [
+        (TINY_ARGV + ["--sigma-range", "0.05,0.02"], "sigma_range"),
+        (TINY_ARGV + ["--sigma-range", "0,0.05"], "sigma_range"),
+        (TINY_ARGV + ["--seeds", "-1"], "seeds"),
+        (["factorize", "--d", "4", "--r", "2", "--rhat", "2", "--T", "2", "--sigma", "0.1,inf"],
+         "sigma_values"),
+        (TINY_ARGV + ["--eps", "inf"], "eps"),
+        (TINY_ARGV + ["--eta", "inf"], "eta"),
+        (TINY_ARGV + ["--track-spectral", "-3"], "track_spectral"),
+        (["ablate", "--problem", "factorize", *TINY_ARGV[1:], "--axis", "alpha",
+          "--values", "1", "--threshold", "-1"], "threshold"),
+    ], ids=["sigma-range-reversed", "sigma-range-zero", "seeds", "sigma", "eps", "eta",
+            "track-spectral", "ablate-threshold"])
+    def test_out_of_domain_flag_exit_two_writes_nothing(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "o"
+        self._assert_config_error(argv + ["--out", str(out)], capsys,
+                                  f"error: config field '{field}'")
+        assert not out.exists()
+
     def test_malformed_seeds_exit_two(self, tmp_path, capsys):
         self._assert_config_error(
             ["factorize", "--seeds", "0,a", "--out", str(tmp_path / "o")], capsys, "'seeds'",
@@ -692,6 +760,12 @@ class TestCli:
 
     def test_manifest_not_json_exit_four(self, tmp_path, capsys):
         code, _ = self._manifest_exit(tmp_path, capsys, "d = 4\n")
+        assert code == 4
+
+    @pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000], ids=["long-int", "too-deep"])
+    def test_manifest_past_the_json_limits_exit_four(self, tmp_path, capsys, value):
+        text = self._edited_manifest(tmp_path).replace('"d": 16', '"d": ' + value)
+        code, _ = self._manifest_exit(tmp_path, capsys, text)
         assert code == 4
 
     def test_manifest_without_config_exit_four(self, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -484,13 +483,15 @@ class TestCheckpoint:
         with pytest.raises(ContractViolationError, match="does not compose"):
             load_model(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize("depth", [None, "2", 4], ids=["missing", "text", "past-files"])
-    def test_manifest_depth_checked(self, tmp_path, rng, depth):
+    @pytest.mark.parametrize("text", ['{"d_in": 3, "d_out": 3}', '{"depth": "2"}',
+                                      '{"depth": 4}', "[2]", '{"depth": 2', "[" * 100_000],
+                             ids=["missing", "text", "past-files", "not-an-object", "not-json",
+                                  "too-deep"])
+    def test_manifest_depth_checked(self, tmp_path, rng, text):
         # a hand-edited checkpoint manifest is input from outside the program
         model = DLN([rng.standard_normal((3, 3)) for _ in range(3)])
         save_model(tmp_path / "ckpt", model)
-        manifest = {"d_in": 3, "d_out": 3} if depth is None else {"depth": depth}
-        (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "ckpt" / "manifest.json").write_text(text)
         with pytest.raises(ContractViolationError, match="ckpt"):
             load_model(tmp_path / "ckpt")
 
