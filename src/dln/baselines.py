@@ -139,4 +139,4 @@ def altmin_complete(
     record = Recorder([model.Rf, model.Lf], mask, y, top_k, probe,
                       extra_metrics=extra_metrics)
     record.log.svd_init_s = init_s
-    return model, descend(record, sweep, iters, 1, None)
+    return model, descend(record, sweep, iters, 1)

@@ -111,14 +111,11 @@ FLAGS: dict[str, tuple[str, str]] = {
     "--T": ("T", "training iterations"),
     "--seeds": ("seeds", "comma-separated seed list, e.g. 0,1,2"),
     "--log-every": ("log_every", "iterations between logged iterates"),
-    "--top-k": ("top_k", "singular values logged (default r_hat)"),
     "--sigma": ("sigma_values", "explicit target spectrum, comma-separated"),
     "--sigma-range": ("sigma_range", "uniform spectrum range lo,hi"),
     "--init": ("init_mode", f"wide-net init: {', '.join(INIT_MODES)}"),
     "--track-spectral": ("track_spectral", "singular triplets tracked for diagnostics"),
     "--altmin-iters": ("altmin_iters", "ALS baseline sweeps"),
-    "--normalize-eta": ("normalize_eta", "divide eta by the measurement count"),
-    "--threshold": ("threshold", "recovery error that ablate's iters_to_threshold counts to"),
     "--oracle": ("oracle", "verify the run against the scalar recursion"),
     "--m": ("m", "Gaussian measurements"),
     "--p": ("p", "observation probability"),

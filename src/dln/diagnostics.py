@@ -1,5 +1,6 @@
-"""Post-hoc metrics over training logs: recovery error, subspace alignment,
-sequential-fit detection, and held-out error for real ratings data.
+"""Post-hoc metrics over training logs: subspace alignment, sequential-fit
+detection, and held-out error for real ratings data. The recovery error is
+logged by :class:`dln.trainer.Recorder` itself.
 """
 
 from __future__ import annotations
@@ -13,16 +14,6 @@ import numpy as np
 from .errors import ContractViolationError
 from .linalg import Matrix
 from .trainer import TrajectoryLog
-
-
-def recovery_error(W_hat: Matrix, M_star: Matrix) -> float:
-    """Relative Frobenius error ||W - M*|| / ||M*||."""
-    if W_hat.shape != M_star.shape:
-        raise ContractViolationError(f"shape mismatch {W_hat.shape} vs {M_star.shape}")
-    denom = float(np.linalg.norm(M_star))
-    if denom == 0.0:
-        raise ContractViolationError("target matrix must be nonzero")
-    return float(np.linalg.norm(W_hat - M_star)) / denom
 
 
 # fitted: (sigma_i - sigma*_i)^2 <= (C_VAL_REL * sigma*_i)^2, alignments >= 1 - C_VEC

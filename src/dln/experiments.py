@@ -19,9 +19,10 @@ mask, (seed, 2) wide init, (seed, 4) ratings split. Tag 3 is unused: the ALS
 baseline starts from the surrogate, like the compressed network.
 
 Step-size normalization: the training loss is always the raw half squared
-residual, so recipes whose measurement count stacks many observations of the
-same entries (Gaussian sensing, ratings data) divide the nominal step size by
-the measurement count. Full-observation and completion recipes use it as is.
+residual, so the problems whose measurement count stacks many observations of
+the same entries (Gaussian sensing, ratings data) divide the nominal step size
+by the measurement count (:func:`effective_eta`). Full-observation and
+completion problems use it as is.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ from .trainer import TrainConfig, TrajectoryLog, train_compressed, train_wide
 PROBLEMS = ("factorize", "sense", "complete", "movielens")
 # ablation axis -> the config field it sweeps
 ABLATION_AXES = {"alpha": "alpha", "rhat": "r_hat", "depth": "L", "init": "init_mode"}
+# recovery error that ablate's iters_to_threshold counts to
+THRESHOLD = 1e-2
+# config fields that runs no longer carry, with the one value every run that
+# wrote them used; a manifest holding one at that value re-runs exactly
+RETIRED_FIELDS = {"top_k": None, "stop_tol": None, "normalize_eta": None, "threshold": 0.01}
 
 
 @dataclass(frozen=True)
@@ -77,12 +83,9 @@ class ExperimentConfig:
     m: int = 2000
     seeds: tuple[int, ...] = (0,)
     log_every: int = 25
-    top_k: int | None = None
-    stop_tol: float | None = None
     sigma_range: tuple[float, float] = (0.02, 0.05)
     sigma_values: tuple[float, ...] | None = None
     init_mode: str = "orthogonal"
-    normalize_eta: bool | None = None
     movielens_path: str = ""
     movielens_shape: tuple[int, int] = MOVIELENS_SHAPE
     train_frac: float = 0.8
@@ -90,7 +93,6 @@ class ExperimentConfig:
     track_spectral: int = 0
     oracle: bool = False
     save_models: bool = False
-    threshold: float = 1e-2
     out_dir: str = ""
 
 
@@ -101,12 +103,14 @@ class ExperimentConfig:
 FIELD_DOMAINS: dict[str, tuple[Callable[[object], bool], str]] = {
     "problem": (lambda v: v in PROBLEMS, f"one of {', '.join(PROBLEMS)}"),
     "init_mode": (lambda v: v in INIT_MODES, f"one of {', '.join(INIT_MODES)}"),
-    **dict.fromkeys(("d", "r", "r_hat", "T", "m", "log_every", "top_k", "movielens_shape"),
+    **dict.fromkeys(("d", "r", "r_hat", "T", "m", "log_every", "movielens_shape"),
                     (lambda v: v >= 1, "at least 1")),
     "L": (lambda v: v >= 2, "at least 2"),
-    **dict.fromkeys(("seeds", "track_spectral"), (lambda v: v >= 0, "at least 0")),
-    **dict.fromkeys(("eps", "eta", "alpha", "threshold", "stop_tol", "sigma_values",
-                     "sigma_range"), (lambda v: 0 < v < math.inf, "finite and positive")),
+    # a seed names its run directory, seed_<k>, so it stays a 64-bit integer
+    "seeds": (lambda v: 0 <= v < 2**64, "in 0..2**64 - 1"),
+    "track_spectral": (lambda v: v >= 0, "at least 0"),
+    **dict.fromkeys(("eps", "eta", "alpha", "sigma_values", "sigma_range"),
+                    (lambda v: 0 < v < math.inf, "finite and positive")),
     "p": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "train_frac": (lambda v: 0 < v < 1, "in (0, 1)"),
 }
@@ -194,10 +198,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def effective_eta(cfg: ExperimentConfig, m: int) -> float:
-    normalize = cfg.normalize_eta
-    if normalize is None:
-        normalize = cfg.problem in ("sense", "movielens")
-    return cfg.eta / m if normalize else cfg.eta
+    return cfg.eta / m if cfg.problem in ("sense", "movielens") else cfg.eta
 
 
 @dataclass
@@ -272,7 +273,8 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
     """The config of a manifest written by :func:`write_manifest`; its other
     top-level keys (version, environment) are not read. A file that cannot be
     read or is not a manifest is a ParseError; a missing, unknown or mistyped
-    config field is a ConfigError."""
+    config field is a ConfigError, as is a retired field at any value but the
+    one in :data:`RETIRED_FIELDS`, which is dropped."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, ValueError, RecursionError) as exc:
@@ -280,6 +282,10 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
     raw = payload.get("config") if isinstance(payload, dict) else None
     if not isinstance(raw, dict):
         raise ParseError(f"{path} is not a manifest: no 'config' object")
+    for name, old in RETIRED_FIELDS.items():
+        if name in raw and (value := raw.pop(name)) != old:
+            raise ConfigError(name, f"retired field: only {json.dumps(old)} re-runs, "
+                                    f"got {json.dumps(value)}")
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(raw) - set(fields)
     if unknown:
@@ -322,7 +328,6 @@ class _Problem:
     s: np.ndarray | None
     V: np.ndarray | None
     eta: float
-    top_k: int
     extra: dict | None
 
 
@@ -348,13 +353,12 @@ def _seed_problem(cfg: ExperimentConfig, seed: int, ratings) -> _Problem:
             op = gen_mcar_mask(cfg.d, cfg.p, seed)
         y = op.apply(M)
         extra = None
-    top_k = min(cfg.r_hat if cfg.top_k is None else cfg.top_k, *op.shape)
-    return _Problem(op, y, M, U, s, V, effective_eta(cfg, op.m), top_k, extra)
+    return _Problem(op, y, M, U, s, V, effective_eta(cfg, op.m), extra)
 
 
 def _train_config(cfg: ExperimentConfig, pb: _Problem, alpha: float) -> TrainConfig:
     return TrainConfig(eta=pb.eta, alpha=alpha, iters=cfg.T, log_every=cfg.log_every,
-                       stop_tol=cfg.stop_tol, top_k=pb.top_k)
+                       top_k=cfg.r_hat)
 
 
 # The fit functions name the initialisers and trainers through this module's
@@ -398,7 +402,7 @@ def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
 def _fit_altmin(cfg: ExperimentConfig, seed: int, pb: _Problem):
     return altmin_complete(
         pb.op, pb.y, cfg.r_hat, cfg.altmin_iters, pb.op.surrogate(pb.y),
-        probe=pb.M, top_k=pb.top_k, extra_metrics=pb.extra,
+        probe=pb.M, top_k=cfg.r_hat, extra_metrics=pb.extra,
     )
 
 
@@ -544,7 +548,7 @@ def ablate(cfg: ExperimentConfig, axis: str, values) -> Path:
             model, seed_name = key.split("/")
             rows.append([axis, value, model, seed_name.removeprefix("seed_"),
                          _fmt_optional(log.final().recovery_error),
-                         _fmt_optional(iters_to_threshold(log, cfg.threshold)),
+                         _fmt_optional(iters_to_threshold(log, THRESHOLD)),
                          repr(log.train_seconds()), repr(log.svd_init_s)])
         for key, status in res.statuses.items():
             if status != "ok" and not key.endswith("/oracle"):

@@ -204,10 +204,6 @@ class CompletionMask:
         return cls(r, c, d, n_cols or d)
 
     @property
-    def d(self) -> int:
-        return self.n_rows
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 

@@ -1,8 +1,7 @@
 """Full-batch gradient descent on a :class:`~dln.models.DLN`, with structured logs.
 
 One loop, :func:`descend`, runs the wide and the compressed network's descent
-and the ALS baseline's sweeps. With ``stop_tol`` set it ends at the first
-logged iterate whose train loss is at most ``stop_tol``. Gradient updates are
+and the ALS baseline's sweeps for a fixed number of steps. Gradient updates are
 synchronous: all layer gradients come from the same iterate before any layer
 moves. The two networks differ only in their rates: the compressed network's
 outer layers can use a discrepant rate alpha * eta while the intermediates use
@@ -47,7 +46,6 @@ class TrainConfig:
     iters: int
     alpha: float = 1.0
     log_every: int = 1
-    stop_tol: float | None = None
     top_k: int = 10
 
     def __post_init__(self):
@@ -179,23 +177,20 @@ class Recorder:
             log.extras[name].append(float(fn(W)))
 
 
-def descend(record: Recorder, step: Callable[[int], None], iters: int, log_every: int,
-            stop_tol: float | None) -> TrajectoryLog:
+def descend(record: Recorder, step: Callable[[int], None], iters: int,
+            log_every: int) -> TrajectoryLog:
     """The training loop: ``step(t)`` moves the iterate from t - 1 to t, and
     ``record`` logs t = 0, every ``log_every``-th iterate and the last one,
     with the seconds spent in ``step`` so far."""
-    log = record.log
     record(0, 0.0)
     train_time = 0.0
     for t in range(1, iters + 1):
-        if stop_tol is not None and log.final().train_loss <= stop_tol:
-            break
         t0 = time.perf_counter()
         step(t)
         train_time += time.perf_counter() - t0
         if t % log_every == 0 or t == iters:
             record(t, train_time)
-    return log
+    return record.log
 
 
 def _train(
@@ -223,8 +218,7 @@ def _train(
             w -= g
 
     record = Recorder(layers, op, y, cfg.top_k, probe, track_spectral, extra_metrics)
-    log = descend(record, step, cfg.iters, cfg.log_every, cfg.stop_tol)
-    return DLN(layers), log
+    return DLN(layers), descend(record, step, cfg.iters, cfg.log_every)
 
 
 def train_wide(

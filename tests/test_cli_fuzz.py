@@ -9,11 +9,12 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dln.cli import main
-from dln.experiments import default_config
+from dln.experiments import default_config, load_manifest
 
 # every run stays tiny: d <= 8, T <= 3, one or two seeds; malformed values mixed in
 COMMON = {
@@ -29,11 +30,9 @@ COMMON = {
     "--model": ["all", "wide", "compressed", "altmin", "compressed,altmin",
                 "altmin,wide", "wide,wide", "foo", "", "all,wide"],
     "--log-every": ["1", "2", "0"],
-    "--top-k": ["1", "2", "0"],
     "--track-spectral": ["0", "1", "2", "-1"],
     "--init": ["orthogonal", "uniform"],
     "--altmin-iters": ["1", "2", "0"],
-    "--threshold": ["0.01", "-1"],
 }
 EXTRA = {
     "factorize": {"--oracle": [None]},
@@ -45,7 +44,7 @@ EXTRA = {
 # a valid tiny run for the pinned examples to break one field of
 TINY_RUN = [("--d", "4"), ("--T", "2"), ("--r", "1"), ("--rhat", "2")]
 CONFIG_LINES = ["d = abc", "d = 6", "seeds = 0,b", "model = compressed,altmin",
-                "sigma_range = 0.1", "top_k = none", "init_mode = foo", "T = 2"]
+                "sigma_range = 0.1", "sigma_values = none", "init_mode = foo", "T = 2"]
 
 
 @st.composite
@@ -71,6 +70,20 @@ def _argv(command, pairs, out: Path) -> list[str]:
     return argv + ["--out", str(out)]
 
 
+def _run_command(command, pairs, config) -> tuple[list[str], int, str, bool]:
+    """Runs one command line, with ``config`` lines as its --config file; gives
+    the argv, the exit code, stderr and whether --out exists afterwards."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = _argv(command, pairs, out)
+        if config:
+            path = Path(tmp) / "run.cfg"
+            path.write_text("\n".join(config) + "\n")
+            argv += ["--config", str(path)]
+        code, err = _exit_code(argv)
+        return argv, code, err, out.exists()
+
+
 def _exit_code(argv) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -89,7 +102,6 @@ def _exit_code(argv) -> tuple[int, str]:
 @example(("ablate", [("--d", "4"), ("--T", "2"), ("--axis", "rhat"), ("--values", "2,x")], []))
 # fields the run reads only after writing its output: refused up front
 @example(("factorize", [*TINY_RUN, ("--log-every", "0")], []))
-@example(("factorize", [*TINY_RUN, ("--top-k", "0")], []))
 @example(("complete", [*TINY_RUN, ("--p", "1"), ("--altmin-iters", "0")], []))
 # values outside their field's domain: refused up front
 @example(("factorize", [*TINY_RUN, ("--sigma-range", "0.05,0.02")], []))
@@ -100,22 +112,29 @@ def _exit_code(argv) -> tuple[int, str]:
 @example(("factorize", [*TINY_RUN, ("--eps", "inf")], []))
 @example(("factorize", [*TINY_RUN, ("--eta", "inf")], []))
 @example(("factorize", [*TINY_RUN, ("--track-spectral", "-3")], []))
-@example(("ablate", [*TINY_RUN, ("--problem", "factorize"), ("--axis", "alpha"),
-                     ("--values", "1"), ("--threshold", "-1")], []))
 def test_cli_exits_with_a_documented_code(case):
-    command, pairs, config = case
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        argv = _argv(command, pairs, out)
-        if config:
-            path = Path(tmp) / "run.cfg"
-            path.write_text("\n".join(config) + "\n")
-            argv += ["--config", str(path)]
-        code, err = _exit_code(argv)
-        assert code in (0, 2, 3, 4), (argv, code, err)
-        assert "Traceback" not in err, (argv, err)
-        # a refused run leaves no output behind
-        assert code not in (2, 4) or not out.exists(), (argv, code, err)
+    argv, code, err, wrote = _run_command(*case)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    # a refused run leaves no output behind
+    assert code not in (2, 4) or not wrote, (argv, code, err)
+
+
+# settings that runs no longer carry, as a flag or a config-file line
+@pytest.mark.parametrize("command,pairs,config", [
+    ("factorize", [("--top-k", "3")], []),
+    ("sense", [("--normalize-eta", None)], []),
+    ("ablate", [("--threshold", "0.5"), ("--axis", "alpha"), ("--values", "1")], []),
+    ("factorize", [], ["top_k = 3"]),
+    ("factorize", [], ["stop_tol = 1e-6"]),
+    ("sense", [], ["normalize_eta = true"]),
+    ("factorize", [], ["threshold = 0.01"]),
+], ids=["--top-k", "--normalize-eta", "--threshold", "top_k", "stop_tol", "normalize_eta",
+        "threshold"])
+def test_retired_setting_exits_two_and_writes_nothing(command, pairs, config):
+    argv, code, err, wrote = _run_command(command, [*TINY_RUN, *pairs], config)
+    assert code == 2, (argv, code, err)
+    assert "Traceback" not in err and not wrote, (argv, err)
 
 
 # manifests of tiny runs, edited: values of the wrong type, missing and extra
@@ -139,7 +158,7 @@ def manifest_texts(draw):
     for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
         config.pop(key, None)
     if draw(st.booleans()):
-        config[draw(st.sampled_from(["extra", "rhat", "iters"]))] = 1
+        config[draw(st.sampled_from(["extra", "rhat", "iters", "top_k", "threshold"]))] = 1
     payload = {"version": "0", "config": config, "environment": {"numpy": "0"}}
     for key in draw(st.lists(st.sampled_from(["version", "config", "environment"]),
                              max_size=1)):
@@ -163,3 +182,23 @@ def test_edited_manifest_exits_with_a_documented_code(case):
         assert code in (0, 2, 3, 4), (text, code, err)
         assert "Traceback" not in err, (text, err)
         assert code not in (2, 4) or not out.exists(), (text, code, err)
+
+
+# what each retired setting held in every manifest written before it retired
+RETIRED_AT = {"top_k": None, "stop_tol": None, "normalize_eta": None, "threshold": 0.01}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED_AT))
+def test_manifest_with_a_retired_key(tmp_path, key):
+    cfg = default_config("factorize", out_dir=str(tmp_path / "run"), **MANIFEST_BASES["factorize"])
+    config = {**dataclasses.asdict(cfg), **RETIRED_AT}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"version": "0", "config": config}))
+    assert load_manifest(path) == cfg
+    assert _exit_code(["factorize", "--manifest", str(path), "--out", str(tmp_path / "a")]) \
+        == (0, "")
+    # at any other value the run cannot be reproduced
+    path.write_text(json.dumps({"version": "0", "config": {**config, key: 3}}))
+    code, err = _exit_code(["factorize", "--manifest", str(path), "--out", str(tmp_path / "b")])
+    assert code == 2 and f"error: config field '{key}'" in err, err
+    assert not (tmp_path / "b").exists()

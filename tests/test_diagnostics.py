@@ -9,34 +9,54 @@ from dln.diagnostics import (
     holdout_relative_error,
     holdout_rmse,
     offdiagonal_leakage,
-    recovery_error,
     spectral_rows,
     subspace_distance,
     write_diagnostics_csv,
 )
 from dln.errors import ContractViolationError
-from dln.linalg import make_rng, sample_semi_orthogonal
-from dln.models import init_compressed
+from dln.linalg import chain_product, make_rng, sample_semi_orthogonal
+from dln.models import DLN, init_compressed
 from dln.operators import Identity
-from dln.trainer import TrainConfig, train_compressed
+from dln.trainer import TrainConfig, train_compressed, train_wide
 
 
 class TestRecoveryError:
+    """The recorder's ``recovery_error`` column: ||W - probe||_F / ||probe||_F."""
+
+    @staticmethod
+    def logged(model, probe, iters=1):
+        # logs the model as given at t = 0, then `iters` steps toward y = 0
+        op = Identity(probe.shape[0])
+        return train_wide(model, op, np.zeros(op.m), TrainConfig(eta=1e-3, iters=iters,
+                                                                 log_every=1), probe=probe)
+
     def test_exact(self, rng):
-        m = rng.standard_normal((4, 4))
-        assert recovery_error(m, m) == 0.0
+        model = DLN([rng.standard_normal((4, 4)) for _ in range(2)])
+        _, log = self.logged(model, chain_product(model.layers))
+        assert log.records[0].recovery_error == 0.0
 
     def test_zero_estimate(self, rng):
-        m = rng.standard_normal((4, 4))
-        assert recovery_error(np.zeros_like(m), m) == pytest.approx(1.0)
+        model = DLN([np.zeros((4, 4)) for _ in range(2)])
+        _, log = self.logged(model, rng.standard_normal((4, 4)))
+        assert log.records[0].recovery_error == pytest.approx(1.0)
 
     def test_double_estimate(self, rng):
-        m = rng.standard_normal((4, 4))
-        assert recovery_error(2 * m, m) == pytest.approx(1.0)
+        model = DLN([rng.standard_normal((4, 4)) for _ in range(2)])
+        _, log = self.logged(model, chain_product(model.layers) / 2)
+        assert log.records[0].recovery_error == pytest.approx(1.0)
 
-    def test_zero_target_rejected(self):
-        with pytest.raises(ContractViolationError):
-            recovery_error(np.eye(2), np.zeros((2, 2)))
+    def test_matches_the_trained_product(self, rng):
+        model = DLN([rng.standard_normal((4, 4)) for _ in range(3)])
+        probe = rng.standard_normal((4, 4))
+        trained, log = self.logged(model, probe, iters=3)
+        W = chain_product(trained.layers)
+        assert log.final().recovery_error == (
+            float(np.linalg.norm(W - probe)) / float(np.linalg.norm(probe)))
+
+    def test_zero_target_rejected(self, rng):
+        model = DLN([rng.standard_normal((2, 2)) for _ in range(2)])
+        with pytest.raises(ContractViolationError, match="probe target must be nonzero"):
+            self.logged(model, np.zeros((2, 2)))
 
 
 def frozen_frame_run(d=20, r=2, r_hat=4, eta=10.0, iters=1500, log_every=50):

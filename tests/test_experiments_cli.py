@@ -86,7 +86,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("problem,field,value", [
         ("factorize", "log_every", 0),
-        ("factorize", "top_k", 0),
         ("complete", "altmin_iters", 0),
         ("movielens", "train_frac", 0.0),
         ("movielens", "train_frac", 1.0),
@@ -113,7 +112,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("seeds", (0, -1)), ("track_spectral", -3), ("eps", math.inf), ("eta", math.inf),
-        ("alpha", math.nan), ("threshold", -1.0), ("stop_tol", math.inf),
+        ("alpha", math.nan), ("seeds", (2**64,)), ("L", 1),
         ("sigma_values", (0.1, math.inf)), ("sigma_range", (0.05, 0.02)),
         ("sigma_range", (0.0, 0.05)), ("m", 0), ("p", 0.0), ("train_frac", 1.0),
         ("movielens_shape", (0, 5)), ("init_mode", "foo"), ("problem", "fit"),
@@ -126,10 +125,12 @@ class TestConfig:
         assert exc.value.field == field
 
     def test_seeds_compared_as_integers(self, tmp_path):
-        validate_config(tiny_config(tmp_path, seeds=(10**400,)))
-        with pytest.raises(ConfigError) as exc:
-            validate_config(tiny_config(tmp_path, seeds=(-10**400,)))
-        assert exc.value.field == "seeds"
+        # exact at the 64-bit edge, and no float rounding of a 400-digit seed
+        validate_config(tiny_config(tmp_path, seeds=(2**64 - 1,)))
+        for seed in (2**64, 10**400, -10**400):
+            with pytest.raises(ConfigError) as exc:
+                validate_config(tiny_config(tmp_path, seeds=(seed,)))
+            assert exc.value.field == "seeds"
 
     def test_sigma_range_unread_beside_an_explicit_spectrum(self, tmp_path):
         validate_config(tiny_config(tmp_path, sigma_range=(0.05, 0.02)))
@@ -411,6 +412,34 @@ class TestAblate:
         assert len(lines) == 3
         assert (out / "alpha_1.0" / "compressed" / "seed_0" / "trajectory.csv").exists()
 
+    def test_summary_columns(self, tmp_path):
+        # at alpha = 1e4 the compressed net diverges; every other run reaches
+        # the threshold within T
+        cfg = default_config("factorize", d=8, r=2, r_hat=3, L=3, eps=0.1, eta=0.5, T=200,
+                             log_every=10, seeds=(0,), sigma_values=(1.0, 0.5),
+                             out_dir=str(tmp_path / "out"))
+        out = ablate(cfg, "alpha", [1.0, 1e4])
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["model"]) for r in rows] == [
+            ("1.0", "wide"), ("1.0", "compressed"), ("10000.0", "wide"),
+            ("10000.0", "compressed")]
+        results = ("final_recovery_error", "iters_to_threshold", "train_seconds",
+                   "svd_init_seconds")
+        for row in rows:
+            run_dir = out / f"alpha_{row['value']}"
+            status = json.loads((run_dir / "status.json").read_text())
+            if row["value"] == "10000.0" and row["model"] == "compressed":
+                assert status["compressed/seed_0"].startswith("diverged@")
+                assert all(row[c] == "" for c in results)
+                continue
+            with open(run_dir / row["model"] / "seed_0" / "trajectory.csv") as fh:
+                traj = list(csv.DictReader(fh))
+            first = next(int(r["t"]) for r in traj
+                         if float(r["recovery_error"]) <= experiments.THRESHOLD)
+            assert int(row["iters_to_threshold"]) == first
+            assert row["final_recovery_error"] == traj[-1]["recovery_error"]
+
     def test_depth_sweep(self, tmp_path):
         cfg = tiny_config(tmp_path, model="compressed", T=40)
         out = ablate(cfg, "depth", [2, 3])
@@ -563,10 +592,9 @@ class TestCli:
         (TINY_ARGV + ["--eps", "inf"], "eps"),
         (TINY_ARGV + ["--eta", "inf"], "eta"),
         (TINY_ARGV + ["--track-spectral", "-3"], "track_spectral"),
-        (["ablate", "--problem", "factorize", *TINY_ARGV[1:], "--axis", "alpha",
-          "--values", "1", "--threshold", "-1"], "threshold"),
+        (TINY_ARGV + ["--seeds", "1" + "0" * 400], "seeds"),
     ], ids=["sigma-range-reversed", "sigma-range-zero", "seeds", "sigma", "eps", "eta",
-            "track-spectral", "ablate-threshold"])
+            "track-spectral", "seed-past-64-bits"])
     def test_out_of_domain_flag_exit_two_writes_nothing(self, tmp_path, capsys, argv, field):
         out = tmp_path / "o"
         self._assert_config_error(argv + ["--out", str(out)], capsys,
@@ -624,12 +652,11 @@ class TestCli:
         assert rc == 3
 
     @pytest.mark.parametrize("argv, normalized", [
-        (["complete", "--p", "0.6", "--normalize-eta"], True),
         (["complete", "--p", "0.6"], False),
         (["sense", "--m", "40"], True),
-    ], ids=["complete-normalized", "complete", "sense"])
+    ], ids=["complete", "sense"])
     def test_normalize_eta_flag(self, tmp_path, monkeypatch, argv, normalized):
-        # the compressed trainer sees eta / m where the step is normalized
+        # the compressed trainer sees eta / m where the problem stacks measurements
         seen = []
         original = experiments.train_compressed
 

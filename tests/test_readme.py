@@ -1,6 +1,9 @@
-"""Every `dln` command in the README's code blocks parses and validates."""
+"""Every `dln` command in the README's code blocks parses and validates, and
+every flag the README names is one `dln` takes."""
 
+import argparse
 import dataclasses
+import re
 import shlex
 from pathlib import Path
 
@@ -35,3 +38,17 @@ def test_readme_commands_build_valid_configs():
             for raw in args.values.split(","):
                 validate_config(dataclasses.replace(
                     cfg, **{field.name: _parse_value(field, raw)}))
+
+
+# flags the README names for other programs: pip's, and the stand-in script's
+OTHER_PROGRAMS = {"--no-build-isolation", "--standin"}
+
+
+def test_readme_flags_are_accepted():
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {flag for sub in commands.choices.values() for action in sub._actions
+                for flag in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", README.read_text()))
+    assert OTHER_PROGRAMS <= named
+    assert named - OTHER_PROGRAMS <= accepted, sorted(named - OTHER_PROGRAMS - accepted)

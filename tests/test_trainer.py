@@ -59,17 +59,6 @@ class TestTrainWide:
             train_wide(model, op, y, TrainConfig(eta=500.0, iters=500))
         assert exc.value.iteration >= 0
 
-    def test_early_stop(self):
-        M, U, s, V, op, y = make_factorization(10, 2, 2, (0.3, 0.2))
-        model = init_wide(10, 3, 1e-2, "orthogonal", make_rng(2, 2))
-        cfg = TrainConfig(eta=1.0, iters=50000, log_every=100, stop_tol=1e-6)
-        _, log = train_wide(model, op, y, cfg)
-        assert log.final().train_loss <= 1e-6
-        # the stop comes at a logged iterate, and the one logged before it
-        # was still above the tolerance
-        assert log.final().t < 50000 and log.final().t % 100 == 0
-        assert log.records[-2].train_loss > 1e-6
-
 
 class TestTrainCompressed:
     def test_alpha_one_matches_uniform_reference(self):
