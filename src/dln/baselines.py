@@ -100,11 +100,10 @@ def altmin_complete(
     iters: int,
     surrogate: Matrix,
     probe: Matrix | None = None,
-    top_k: int = 10,
     extra_metrics=None,
 ) -> tuple[AltMinModel, TrajectoryLog]:
     """Alternating minimization from :func:`altmin_init` of ``surrogate``;
-    one logged iterate per full sweep.
+    one logged iterate per full sweep, with the chain's r_hat singular values.
 
     Runs in the gradient trainers' loop (:func:`~dln.trainer.descend`) and
     logs through their :class:`Recorder`, so baseline and network runs share
@@ -136,7 +135,7 @@ def altmin_complete(
             raise DivergenceError(t, float("nan")) from None
 
     # the chain (Rf, Lf) multiplies to Lf @ Rf; the sweeps update both in place
-    record = Recorder([model.Rf, model.Lf], mask, y, top_k, probe,
+    record = Recorder([model.Rf, model.Lf], mask, y, r_hat, probe,
                       extra_metrics=extra_metrics)
     record.log.svd_init_s = init_s
     return model, descend(record, sweep, iters, 1)

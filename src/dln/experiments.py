@@ -319,7 +319,7 @@ def _write_logs(dest: Path, log: TrajectoryLog, experiment: str, seed: int,
 
 @dataclass(frozen=True)
 class _Problem:
-    """One seed's measurements, with the target's factors where it is synthetic."""
+    """One seed's measurements, its training config and a synthetic target's factors."""
 
     op: SensingOperator
     y: np.ndarray
@@ -327,7 +327,7 @@ class _Problem:
     U: np.ndarray | None
     s: np.ndarray | None
     V: np.ndarray | None
-    eta: float
+    train: TrainConfig
     extra: dict | None
 
 
@@ -353,12 +353,9 @@ def _seed_problem(cfg: ExperimentConfig, seed: int, ratings) -> _Problem:
             op = gen_mcar_mask(cfg.d, cfg.p, seed)
         y = op.apply(M)
         extra = None
-    return _Problem(op, y, M, U, s, V, effective_eta(cfg, op.m), extra)
-
-
-def _train_config(cfg: ExperimentConfig, pb: _Problem, alpha: float) -> TrainConfig:
-    return TrainConfig(eta=pb.eta, alpha=alpha, iters=cfg.T, log_every=cfg.log_every,
-                       top_k=cfg.r_hat)
+    train = TrainConfig(eta=effective_eta(cfg, op.m), alpha=cfg.alpha, iters=cfg.T,
+                        log_every=cfg.log_every, top_k=cfg.r_hat)
+    return _Problem(op, y, M, U, s, V, train, extra)
 
 
 # The fit functions name the initialisers and trainers through this module's
@@ -366,19 +363,20 @@ def _train_config(cfg: ExperimentConfig, pb: _Problem, alpha: float) -> TrainCon
 def _fit_wide(cfg: ExperimentConfig, seed: int, pb: _Problem):
     d_out, d_in = pb.op.shape
     model = init_wide(d_in, cfg.L, cfg.eps, cfg.init_mode, make_rng(seed, 2), d_out=d_out)
-    return train_wide(model, pb.op, pb.y, _train_config(cfg, pb, 1.0), probe=pb.M,
+    return train_wide(model, pb.op, pb.y, pb.train, probe=pb.M,
                       track_spectral=cfg.track_spectral, extra_metrics=pb.extra)
 
 
 def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
-    # the surrogate is built outside the timer, as for the ALS baseline
+    # the surrogate is built outside the timer, as for the ALS baseline, and
+    # is dense: it is let go before training
     surr = pb.op.surrogate(pb.y)
     t0 = time.perf_counter()
     model = init_compressed(surr, cfg.L, cfg.r_hat, cfg.eps)
     svd_s = time.perf_counter() - t0
-    trained, log = train_compressed(model, pb.op, pb.y, _train_config(cfg, pb, cfg.alpha),
-                                    probe=pb.M, track_spectral=cfg.track_spectral,
-                                    extra_metrics=pb.extra)
+    del surr
+    trained, log = train_compressed(model, pb.op, pb.y, pb.train, probe=pb.M,
+                                    track_spectral=cfg.track_spectral, extra_metrics=pb.extra)
     log.svd_init_s = svd_s
     return trained, log
 
@@ -386,14 +384,13 @@ def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
 def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
                        dest: Path, st) -> dict[str, str]:
     if st is not None:
-        r = min(cfg.track_spectral, cfg.r)
-        fits = diagnostics.detect_incremental(st, pb.s, r)
+        fits = diagnostics.detect_incremental(st, pb.s, st.left_align.shape[1])
         (dest / "incremental.json").write_text(
             json.dumps({"fit_iterations": fits}, sort_keys=True) + "\n"
         )
     if not cfg.oracle:
         return {}
-    params = RecursionParams(L=cfg.L, eta=pb.eta, eps=cfg.eps, sigma_star=pb.s)
+    params = RecursionParams(L=cfg.L, eta=pb.train.eta, eps=cfg.eps, sigma_star=pb.s)
     report = verify_against_training(log, initial_state(params), cfg.r_hat)
     report.to_json(dest / "oracle.json")
     return {"oracle": "pass" if report.passed else "fail"}
@@ -402,7 +399,7 @@ def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
 def _fit_altmin(cfg: ExperimentConfig, seed: int, pb: _Problem):
     return altmin_complete(
         pb.op, pb.y, cfg.r_hat, cfg.altmin_iters, pb.op.surrogate(pb.y),
-        probe=pb.M, top_k=cfg.r_hat, extra_metrics=pb.extra,
+        probe=pb.M, extra_metrics=pb.extra,
     )
 
 
@@ -483,7 +480,7 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
                 dest = out / name / f"seed_{seed}"
                 dest.mkdir(parents=True, exist_ok=True)
                 st = _alignment(cfg, log, pb)
-                _write_logs(dest, log, cfg.problem, seed, _spectral_diag_rows(cfg, log, st))
+                _write_logs(dest, log, cfg.problem, seed, _spectral_diag_rows(log, st))
                 if entry.checkpoint is not None:
                     _archive_measurements(dest, pb.op, pb.y)
                     if cfg.save_models:
@@ -505,16 +502,17 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
 
 
 def _alignment(cfg: ExperimentConfig, log: TrajectoryLog, pb: _Problem):
-    """The tracked spectrum's alignment with a synthetic target, or None."""
+    """The tracked spectrum's alignment with a synthetic target, or None. Its
+    width, ``left_align.shape[1]``, is the number of tracked components."""
     if cfg.track_spectral <= 0 or pb.U is None or not log.spectral:
         return None
     return diagnostics.alignment(log, pb.U, pb.V, min(cfg.track_spectral, cfg.r))
 
 
-def _spectral_diag_rows(cfg: ExperimentConfig, log: TrajectoryLog, st):
+def _spectral_diag_rows(log: TrajectoryLog, st):
     if st is None:
         return []
-    r = min(cfg.track_spectral, cfg.r)
+    r = st.left_align.shape[1]
     rows = diagnostics.spectral_rows(st)
     for prev, cur in zip(log.spectral, log.spectral[1:]):
         k = min(prev.U.shape[1], cur.U.shape[1], r)

@@ -1,11 +1,12 @@
 """Full-batch gradient descent on a :class:`~dln.models.DLN`, with structured logs.
 
 One loop, :func:`descend`, runs the wide and the compressed network's descent
-and the ALS baseline's sweeps for a fixed number of steps. Gradient updates are
-synchronous: all layer gradients come from the same iterate before any layer
-moves. The two networks differ only in their rates: the compressed network's
-outer layers can use a discrepant rate alpha * eta while the intermediates use
-eta; alpha = 1 reduces to uniform-rate descent.
+and the ALS baseline's sweeps for a fixed number of steps. One descent body,
+:func:`train_compressed`, runs both networks: the outer layers use a discrepant
+rate alpha * eta and the intermediates eta. The wide network is its alpha = 1
+case (:func:`train_wide`), whose rates are exactly eta on every layer. Gradient
+updates are synchronous: all layer gradients come from the same iterate before
+any layer moves.
 
 Logged wall-clock is training-only: the timer pauses around logging work
 (extra forward passes, SVDs for the tracked spectrum), so per-iteration cost
@@ -24,7 +25,7 @@ narrow width and keeps the full SVD.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -193,17 +194,19 @@ def descend(record: Recorder, step: Callable[[int], None], iters: int,
     return record.log
 
 
-def _train(
+def train_compressed(
     model: DLN,
-    rates: list[float],
     op: SensingOperator,
     y: np.ndarray,
     cfg: TrainConfig,
-    probe: Matrix | None,
-    track_spectral: int,
-    extra_metrics: dict[str, Callable[[Matrix], float]] | None,
+    probe: Matrix | None = None,
+    track_spectral: int = 0,
+    extra_metrics: dict[str, Callable[[Matrix], float]] | None = None,
 ) -> tuple[DLN, TrajectoryLog]:
-    """Descent with ``rates[l]`` on layer l; the input model is not mutated."""
+    """Descent with rate alpha*eta on the outer layers and eta on the rest;
+    the input model is not mutated."""
+    rates = [cfg.eta] * len(model.layers)
+    rates[0] = rates[-1] = cfg.alpha * cfg.eta
     layers = [w.copy() for w in model.layers]
     work = [None] * (len(layers) + 1)  # chain_gradients' buffers, kept across steps
 
@@ -230,20 +233,7 @@ def train_wide(
     track_spectral: int = 0,
     extra_metrics: dict[str, Callable[[Matrix], float]] | None = None,
 ) -> tuple[DLN, TrajectoryLog]:
-    """Uniform-rate descent on a wide network; the input model is not mutated."""
-    rates = [cfg.eta] * len(model.layers)
-    return _train(model, rates, op, y, cfg, probe, track_spectral, extra_metrics)
-
-
-def train_compressed(
-    model: DLN,
-    op: SensingOperator,
-    y: np.ndarray,
-    cfg: TrainConfig,
-    probe: Matrix | None = None,
-    track_spectral: int = 0,
-    extra_metrics: dict[str, Callable[[Matrix], float]] | None = None,
-) -> tuple[DLN, TrajectoryLog]:
-    """Descent with rate alpha*eta on the outer layers and eta on the rest."""
-    rates = [cfg.alpha * cfg.eta] + [cfg.eta] * (len(model.layers) - 2) + [cfg.alpha * cfg.eta]
-    return _train(model, rates, op, y, cfg, probe, track_spectral, extra_metrics)
+    """Uniform-rate descent: :func:`train_compressed` at alpha = 1, whatever
+    ``cfg.alpha`` holds."""
+    return train_compressed(model, op, y, replace(cfg, alpha=1.0), probe, track_spectral,
+                            extra_metrics)

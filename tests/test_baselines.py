@@ -192,12 +192,16 @@ def test_deterministic_given_seed():
     assert l1.losses().tolist() == l2.losses().tolist()
 
 
-def test_log_schema_matches_trainer():
+def test_log_schema_matches_trainer(tmp_path):
+    # the chain (Rf, Lf) has width r_hat: that many singular values are logged
     M, mask, y = completion_problem(15, 3, 0.6, 11)
-    _, log = altmin_complete(mask, y, 5, 4, mask.surrogate(y), probe=M, top_k=5)
+    _, log = altmin_complete(mask, y, 5, 4, mask.surrogate(y), probe=M)
     assert log.ts().tolist() == [0, 1, 2, 3, 4]
     assert all(r.svals.size == 5 for r in log.records)
     assert all(r.recovery_error is not None for r in log.records)
+    log.write_csv(tmp_path / "trajectory.csv")
+    header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
+    assert header == "t,train_loss,recovery_error,sv_1,sv_2,sv_3,sv_4,sv_5"
 
 
 def test_validation_errors():

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,27 @@ class TestRun:
         assert res.ok
         for key in ("compressed/seed_0", "altmin/seed_0"):
             assert 0.0 < res.logs[key].svd_init_s < 0.2
+
+    def test_surrogate_released_before_training(self, tmp_path, monkeypatch):
+        # the dense surrogate feeds the spectral init only; training holds no
+        # reference to it
+        original_surrogate, original_train = CompletionMask.surrogate, experiments.train_compressed
+        made, alive = [], []
+
+        def surrogate(self, y):
+            out = original_surrogate(self, y)
+            made.append(weakref.ref(out))
+            return out
+
+        def train(*args, **kwargs):
+            alive.extend(ref() is not None for ref in made)
+            return original_train(*args, **kwargs)
+
+        monkeypatch.setattr(CompletionMask, "surrogate", surrogate)
+        monkeypatch.setattr(experiments, "train_compressed", train)
+        res = run(tiny_config(tmp_path, problem="complete", p=0.6, model="compressed", T=2))
+        assert res.ok
+        assert alive == [False]
 
     def test_manifest_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dln.data import SyntheticSpec, gen_lowrank
+from dln.data import SyntheticSpec, gen_lowrank, gen_mcar_mask
 from dln.errors import ContractViolationError, DivergenceError
 from dln.linalg import chain_product, make_rng, truncated_svd
 from dln.diagnostics import offdiagonal_leakage
@@ -110,6 +112,46 @@ class TestTrainCompressed:
         trained, _ = train_compressed(model, op, y, TrainConfig(eta=10.0, alpha=1.0, iters=1500))
         frame = truncated_svd(surr, r_hat)
         assert offdiagonal_leakage(chain_product(trained.layers), frame.U, frame.V) <= 1e-10
+
+
+class TestOneDescentBody:
+    """The wide net trains as the compressed net at alpha = 1, bit for bit."""
+
+    @staticmethod
+    def problem(kind):
+        M, U, s, V, op, y = make_factorization(8, 2, 7, (0.4, 0.2))
+        if kind == "completion":
+            op = gen_mcar_mask(8, 0.6, 7)
+            y = op.apply(M)
+        model = init_wide(8, 3, 0.3, "orthogonal", make_rng(7, 2))
+        return model, op, y, M, TrainConfig(eta=0.5, iters=30, log_every=5, top_k=4)
+
+    @staticmethod
+    def bits(trained, log):
+        """Every array a run hands back, as bytes."""
+        out = [w.tobytes() for w in trained.layers]
+        out += [log.ts().tobytes(), log.losses().tobytes(), log.recovery().tobytes()]
+        out += [r.svals.tobytes() for r in log.records]
+        out += [a.tobytes() for snap in log.spectral for a in (snap.U, snap.s, snap.V)]
+        return out
+
+    @pytest.mark.parametrize("kind", ["identity", "completion"])
+    def test_wide_ignores_alpha(self, kind):
+        model, op, y, M, cfg = self.problem(kind)
+        runs = [self.bits(*train_wide(model, op, y, replace(cfg, alpha=a), probe=M,
+                                      track_spectral=2)) for a in (1.0, 5.0)]
+        assert runs[0] == runs[1]
+        # alpha = 5 does move the compressed rule's bits on the same model
+        moved = train_compressed(model, op, y, replace(cfg, alpha=5.0), probe=M,
+                                 track_spectral=2)
+        assert self.bits(*moved) != runs[0]
+
+    @pytest.mark.parametrize("kind", ["identity", "completion"])
+    def test_wide_is_compressed_at_alpha_one(self, kind):
+        model, op, y, M, cfg = self.problem(kind)
+        wide = train_wide(model, op, y, cfg, probe=M, track_spectral=2)
+        compressed = train_compressed(model, op, y, cfg, probe=M, track_spectral=2)
+        assert self.bits(*wide) == self.bits(*compressed)
 
 
 class TestTrajectoryLog:
