@@ -3,10 +3,17 @@
 
 Useful where the real MovieLens 100K download is unavailable: the file
 exercises the identical parsing, splitting, and training pipeline at a
-configurable scale.
+configurable scale. Standard output is the one config line that runs the
+ratings recipe at the file's own shape, so
+
+    python scripts/make_movielens_standin.py standin.data > standin.cfg
+    dln movielens --data standin.data --config standin.cfg
+
+trains all three models on the stand-in; the summary goes to stderr.
 """
 
 import argparse
+import sys
 
 from dln.data import gen_ratings_standin
 
@@ -24,7 +31,9 @@ def main() -> None:
         args.path, n_users=args.users, n_items=args.items,
         n_ratings=args.ratings, rank=args.rank, seed=args.seed,
     )
-    print(f"wrote {args.ratings} ratings on a {shape[0]}x{shape[1]} grid to {args.path}")
+    print(f"wrote {args.ratings} ratings on a {shape[0]}x{shape[1]} grid to {args.path}",
+          file=sys.stderr)
+    print(f"movielens_shape = {shape[0]},{shape[1]}")
 
 
 if __name__ == "__main__":

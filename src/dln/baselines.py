@@ -1,9 +1,10 @@
 """Two-factor alternating least squares baseline for matrix completion.
 
-Each half sweep solves exact row-wise (or column-wise) least squares over the
-observed entries with a tiny Tikhonov damping, so the train loss never
-increases across half sweeps. Rows or columns with no observations keep their
-current factor values.
+ALS is a two-layer :class:`~dln.models.DLN` started from the mask's surrogate,
+which :func:`altmin_complete` builds and frees once the init returns. Each half
+sweep solves exact row-wise (or column-wise) least squares over the observed
+entries with a tiny Tikhonov damping, so the train loss never increases across
+half sweeps. Rows or columns with no observations keep their current values.
 
 Rows are grouped by observation count, and columns the same way. A group of c
 rows with w entries each gathers the other factor into one c x w x r_hat stack
@@ -17,22 +18,16 @@ sweeps are bit for bit those of one damped solve per row.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, DivergenceError
 from .linalg import Matrix, truncated_svd
+from .models import DLN
 from .operators import CompletionMask
 from .trainer import Recorder, TrajectoryLog, descend
 
 DAMPING = 1e-10
-
-
-@dataclass
-class AltMinModel:
-    Lf: Matrix  # d_out x r_hat
-    Rf: Matrix  # r_hat x d_in
 
 
 def _grouped(indices: np.ndarray, other: np.ndarray, values: np.ndarray, n: int):
@@ -55,14 +50,13 @@ def _grouped(indices: np.ndarray, other: np.ndarray, values: np.ndarray, n: int)
     return pos, vals
 
 
-def altmin_init(surrogate: Matrix, r_hat: int) -> AltMinModel:
-    """Factors from the surrogate's leading triplets, split as U sqrt(s) and
-    sqrt(s) V^T."""
+def altmin_init(surrogate: Matrix, r_hat: int) -> DLN:
+    """The chain [sqrt(s) V^T, U sqrt(s)] of the surrogate's leading triplets."""
     if not 1 <= r_hat <= min(surrogate.shape):
         raise ContractViolationError(f"r_hat {r_hat} out of range 1..{min(surrogate.shape)}")
     f = truncated_svd(surrogate, r_hat)
     root = np.sqrt(f.s)
-    return AltMinModel(Lf=f.U * root, Rf=(f.V * root).T.copy())
+    return DLN([(f.V * root).T.copy(), f.U * root])
 
 
 def _damped_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -80,17 +74,18 @@ def _solve_group(F: Matrix, positions: np.ndarray, values: np.ndarray) -> np.nda
     return _damped_solve(np.matmul(Ht, H), rhs)
 
 
-def half_sweep_left(model: AltMinModel, row_pos, row_vals) -> None:
-    """Re-solve every observed row of Lf against the current Rf (in place)."""
-    F = model.Rf.T
+def half_sweep_left(model: DLN, row_pos, row_vals) -> None:
+    """Re-solve every observed row of the last layer against the first (in place)."""
+    R, L = model.layers
     for (ids, positions), values in zip(row_pos, row_vals):
-        model.Lf[ids] = _solve_group(F, positions, values)
+        L[ids] = _solve_group(R.T, positions, values)
 
 
-def half_sweep_right(model: AltMinModel, col_pos, col_vals) -> None:
-    """Re-solve every observed column of Rf against the current Lf (in place)."""
+def half_sweep_right(model: DLN, col_pos, col_vals) -> None:
+    """Re-solve every observed column of the first layer against the last (in place)."""
+    R, L = model.layers
     for (ids, positions), values in zip(col_pos, col_vals):
-        model.Rf[:, ids] = _solve_group(model.Lf, positions, values).T
+        R[:, ids] = _solve_group(L, positions, values).T
 
 
 def altmin_complete(
@@ -98,12 +93,13 @@ def altmin_complete(
     y: np.ndarray,
     r_hat: int,
     iters: int,
-    surrogate: Matrix,
     probe: Matrix | None = None,
     extra_metrics=None,
-) -> tuple[AltMinModel, TrajectoryLog]:
-    """Alternating minimization from :func:`altmin_init` of ``surrogate``;
-    one logged iterate per full sweep, with the chain's r_hat singular values.
+) -> tuple[DLN, TrajectoryLog]:
+    """Alternating minimization from :func:`altmin_init` of the mask's
+    surrogate; one logged iterate per full sweep, with the chain's r_hat
+    singular values. The surrogate is built outside the init timer and let go
+    before the first sweep.
 
     Runs in the gradient trainers' loop (:func:`~dln.trainer.descend`) and
     logs through their :class:`Recorder`, so baseline and network runs share
@@ -116,13 +112,11 @@ def altmin_complete(
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size != mask.m:
         raise ContractViolationError("measurement length does not match mask")
-    if surrogate.shape != mask.shape:
-        raise ContractViolationError(
-            f"surrogate shape {surrogate.shape} does not match mask {mask.shape}"
-        )
+    surrogate = mask.surrogate(y)
     t0 = time.perf_counter()
     model = altmin_init(surrogate, r_hat)
     init_s = time.perf_counter() - t0
+    del surrogate
     row_pos, row_vals = _grouped(mask.rows, mask.cols, y, mask.shape[0])
     col_pos, col_vals = _grouped(mask.cols, mask.rows, y, mask.shape[1])
 
@@ -134,8 +128,7 @@ def altmin_complete(
             # the factors outgrew the damping and a system is exactly singular
             raise DivergenceError(t, float("nan")) from None
 
-    # the chain (Rf, Lf) multiplies to Lf @ Rf; the sweeps update both in place
-    record = Recorder([model.Rf, model.Lf], mask, y, r_hat, probe,
-                      extra_metrics=extra_metrics)
+    # the sweeps update both layers in place
+    record = Recorder(model.layers, mask, y, r_hat, probe, extra_metrics=extra_metrics)
     record.log.svd_init_s = init_s
     return model, descend(record, sweep, iters, 1)

@@ -34,24 +34,21 @@ class SpectralTrajectory:
 def alignment(log: TrajectoryLog, U_star: Matrix, V_star: Matrix, r: int) -> SpectralTrajectory:
     """Alignment of the logged singular vectors with the target's.
 
-    Uses the spectral snapshots stored during training; absolute inner
-    products kill the sign ambiguity of singular vectors.
+    Uses the triplets the records carry (training with ``track_spectral >
+    0``); absolute inner products kill the sign ambiguity of singular vectors.
     """
-    if not log.spectral:
-        raise ContractViolationError("log has no spectral snapshots; train with track_spectral > 0")
+    tracked = [(rec.t, rec.spectrum) for rec in log.records if rec.spectrum is not None]
+    if not tracked:
+        raise ContractViolationError("log has no tracked spectrum; train with track_spectral > 0")
     if U_star.shape[1] < r or V_star.shape[1] < r:
         raise ContractViolationError("target factors carry fewer than r columns")
-    if min(s.s.size for s in log.spectral) < r:
-        raise ContractViolationError("snapshots track fewer than r components")
-    ts, svals, la, ra = [], [], [], []
-    for snap in log.spectral:
-        ts.append(snap.t)
-        svals.append(snap.s)
-        la.append([abs(float(snap.U[:, i] @ U_star[:, i])) for i in range(r)])
-        ra.append([abs(float(snap.V[:, i] @ V_star[:, i])) for i in range(r)])
+    if min(f.s.size for _, f in tracked) < r:
+        raise ContractViolationError("records track fewer than r components")
+    la = [[abs(float(f.U[:, i] @ U_star[:, i])) for i in range(r)] for _, f in tracked]
+    ra = [[abs(float(f.V[:, i] @ V_star[:, i])) for i in range(r)] for _, f in tracked]
     return SpectralTrajectory(
-        ts=np.array(ts, dtype=np.int64),
-        svals=np.vstack(svals),
+        ts=np.array([t for t, _ in tracked], dtype=np.int64),
+        svals=np.vstack([f.s for _, f in tracked]),
         left_align=np.array(la),
         right_align=np.array(ra),
     )

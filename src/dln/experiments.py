@@ -310,9 +310,8 @@ def _write_logs(dest: Path, log: TrajectoryLog, experiment: str, seed: int,
     log.write_csv(dest / "trajectory.csv")
     log.write_timing_csv(dest / "timing.csv")
     rows = list(extra_rows or [])
-    for name, values in log.extras.items():
-        for rec, value in zip(log.records, values):
-            rows.append((rec.t, name, None, value))
+    for name in log.final().extras:  # name-major: each metric's rows together
+        rows += [(rec.t, name, None, rec.extras[name]) for rec in log.records]
     if rows:
         diagnostics.write_diagnostics_csv(dest / "diagnostics.csv", experiment, seed, rows)
 
@@ -368,8 +367,8 @@ def _fit_wide(cfg: ExperimentConfig, seed: int, pb: _Problem):
 
 
 def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
-    # the surrogate is built outside the timer, as for the ALS baseline, and
-    # is dense: it is let go before training
+    # the surrogate is built outside the timer and, being dense, let go before
+    # training, as `altmin_complete` does for the ALS baseline
     surr = pb.op.surrogate(pb.y)
     t0 = time.perf_counter()
     model = init_compressed(surr, cfg.L, cfg.r_hat, cfg.eps)
@@ -397,10 +396,8 @@ def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
 
 
 def _fit_altmin(cfg: ExperimentConfig, seed: int, pb: _Problem):
-    return altmin_complete(
-        pb.op, pb.y, cfg.r_hat, cfg.altmin_iters, pb.op.surrogate(pb.y),
-        probe=pb.M, extra_metrics=pb.extra,
-    )
+    return altmin_complete(pb.op, pb.y, cfg.r_hat, cfg.altmin_iters, probe=pb.M,
+                           extra_metrics=pb.extra)
 
 
 class ModelEntry(NamedTuple):
@@ -502,9 +499,10 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
 
 
 def _alignment(cfg: ExperimentConfig, log: TrajectoryLog, pb: _Problem):
-    """The tracked spectrum's alignment with a synthetic target, or None. Its
-    width, ``left_align.shape[1]``, is the number of tracked components."""
-    if cfg.track_spectral <= 0 or pb.U is None or not log.spectral:
+    """The tracked spectrum's alignment with a synthetic target, or None (as for
+    ALS, which tracks no spectrum). Its width, ``left_align.shape[1]``, is the
+    number of tracked components."""
+    if cfg.track_spectral <= 0 or pb.U is None or log.final().spectrum is None:
         return None
     return diagnostics.alignment(log, pb.U, pb.V, min(cfg.track_spectral, cfg.r))
 
@@ -514,10 +512,10 @@ def _spectral_diag_rows(log: TrajectoryLog, st):
         return []
     r = st.left_align.shape[1]
     rows = diagnostics.spectral_rows(st)
-    for prev, cur in zip(log.spectral, log.spectral[1:]):
-        k = min(prev.U.shape[1], cur.U.shape[1], r)
+    # `alignment` has checked that every record tracks at least r triplets
+    for prev, cur in zip(log.records, log.records[1:]):
         rows.append((int(cur.t), "subspace_distance", None,
-                     diagnostics.subspace_distance(prev.U, cur.U, k)))
+                     diagnostics.subspace_distance(prev.spectrum.U, cur.spectrum.U, r)))
     return rows
 
 
@@ -532,9 +530,13 @@ def ablate(cfg: ExperimentConfig, axis: str, values) -> Path:
     """Sweep exactly one axis over the given values; summary.csv per run."""
     if axis not in ABLATION_AXES:
         raise ConfigError("axis", f"must be one of {tuple(ABLATION_AXES)}")
+    swept = ABLATION_AXES[axis]
+    # each value names its own run directory
+    if not values or len(set(values)) != len(values):
+        raise ConfigError(swept, f"need at least one value, all distinct; got {list(values)}")
     validate_config(cfg)
     out = Path(cfg.out_dir)
-    subs = [replace(cfg, **{ABLATION_AXES[axis]: value}, out_dir=str(out / f"{axis}_{value}"))
+    subs = [replace(cfg, **{swept: value}, out_dir=str(out / f"{axis}_{value}"))
             for value in values]
     for sub in subs:
         validate_config(sub)

@@ -12,7 +12,8 @@ Logged wall-clock is training-only: the timer pauses around logging work
 (extra forward passes, SVDs for the tracked spectrum), so per-iteration cost
 comparisons between models are not polluted by the logging cadence. Timing is
 serialized separately (``timing.csv``) so the deterministic trajectory files
-are byte-identical across reruns.
+are byte-identical across reruns. A logged iterate is one
+:class:`TrajectoryRecord`, which carries its tracked spectrum and extra metrics.
 
 The logged spectrum of a low-rank model (the compressed network, and the
 alternating-minimization baseline, which logs through the same
@@ -32,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, DivergenceError
-from .linalg import Matrix, chain_product, chain_svd
+from .linalg import Matrix, SvdResult, chain_product, chain_svd
 from .models import DLN, chain_gradients
 from .operators import SensingOperator
 
@@ -69,25 +70,15 @@ class TrajectoryRecord:
     recovery_error: float | None
     svals: np.ndarray
     elapsed_s: float
-
-
-@dataclass
-class SpectralSnapshot:
-    """Leading singular triplets of the end-to-end matrix at a logged iterate."""
-
-    t: int
-    U: Matrix
-    s: np.ndarray
-    V: Matrix
+    spectrum: SvdResult | None = None  # tracked triplets, or None when the run tracks none
+    extras: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
 class TrajectoryLog:
     records: list[TrajectoryRecord] = field(default_factory=list)
     top_k: int = 0
-    spectral: list[SpectralSnapshot] = field(default_factory=list)
     svd_init_s: float = 0.0
-    extras: dict[str, list[float]] = field(default_factory=dict)
 
     def ts(self) -> np.ndarray:
         return np.array([r.t for r in self.records], dtype=np.int64)
@@ -129,9 +120,10 @@ class Recorder:
     """Logs one iterate of a layer chain (``layers[0]`` applied first).
 
     Shared by the gradient trainers and the alternating-minimization baseline.
-    Each call evaluates the end-to-end matrix once and appends the train loss,
-    the recovery error against ``probe``, the top-k spectrum, a spectral
-    snapshot of ``track_spectral`` triplets and the extra metrics to ``log``.
+    Each call evaluates the end-to-end matrix once and appends one
+    :class:`TrajectoryRecord` to ``log``: the train loss, the recovery error
+    against ``probe``, the top-k spectrum, ``track_spectral`` singular
+    triplets and the extra metrics.
     The spectrum comes from :func:`chain_svd`, so a chain with a bottleneck is
     decomposed through its factors. A loss that is not finite or exceeds
     ``LOSS_CAP`` raises :class:`DivergenceError` before anything is logged.
@@ -152,7 +144,6 @@ class Recorder:
         self.probe, self.track_spectral = probe, track_spectral
         self.extra_metrics = extra_metrics or {}
         self.log = TrajectoryLog(top_k=top_k)
-        self.log.extras = {name: [] for name in self.extra_metrics}
         self.probe_norm = None
         if probe is not None:
             self.probe_norm = float(np.linalg.norm(probe))
@@ -170,12 +161,10 @@ class Recorder:
         rec = None
         if self.probe is not None:
             rec = float(np.linalg.norm(W - self.probe)) / self.probe_norm
-        log.records.append(TrajectoryRecord(t, lo, rec, svals, elapsed))
-        if self.track_spectral > 0:
-            f = chain_svd(layers, self.track_spectral, compute_uv=True, product=W)
-            log.spectral.append(SpectralSnapshot(t, f.U, f.s, f.V))
-        for name, fn in self.extra_metrics.items():
-            log.extras[name].append(float(fn(W)))
+        spectrum = (chain_svd(layers, self.track_spectral, compute_uv=True, product=W)
+                    if self.track_spectral > 0 else None)
+        extras = {name: float(fn(W)) for name, fn in self.extra_metrics.items()}
+        log.records.append(TrajectoryRecord(t, lo, rec, svals, elapsed, spectrum, extras))
 
 
 def descend(record: Recorder, step: Callable[[int], None], iters: int,

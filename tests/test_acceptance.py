@@ -149,7 +149,7 @@ def test_criterion_04_completion_vs_altmin():
         comp_final = log_c.final().recovery_error
         assert comp_final <= 1e-2, f"seed {seed}: compressed recovery {comp_final}"
 
-        _, log_a = altmin_complete(mask, y, r_hat, 60, surr, probe=M)
+        _, log_a = altmin_complete(mask, y, r_hat, 60, probe=M)
         assert log_a.final().train_loss <= 1e-6, f"seed {seed}: baseline train loss"
         assert log_a.final().recovery_error >= 10 * comp_final, (
             f"seed {seed}: baseline recovered despite overspecified rank"
@@ -307,11 +307,11 @@ def _ratings_protocol(path, shape, T_wide, eps, out_prefix=""):
     cfg_c = TrainConfig(eta=eta, alpha=5.0, iters=T_wide, log_every=10, top_k=10)
     _, log_c = train_compressed(comp, mask, y, cfg_c, extra_metrics=hold)
 
-    am, _ = altmin_complete(mask, y, 10, 40, surr)
-    alt_rmse = diagnostics.holdout_rmse(am.Lf @ am.Rf, test)
+    am, _ = altmin_complete(mask, y, 10, 40)
+    alt_rmse = diagnostics.holdout_rmse(am.layers[1] @ am.layers[0], test)
 
-    hw = np.array(log_w.extras["holdout_rmse"])
-    hc = np.array(log_c.extras["holdout_rmse"])
+    hw = np.array([rec.extras["holdout_rmse"] for rec in log_w.records])
+    hc = np.array([rec.extras["holdout_rmse"] for rec in log_c.records])
     wide_final, comp_final = hw[-1], hc[-1]
     crossings = np.nonzero(hc <= wide_final)[0]
     assert crossings.size, "compressed never reached the wide model's final held-out error"

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dln.baselines import (
     DAMPING,
-    AltMinModel,
     _grouped,
     altmin_complete,
     altmin_init,
@@ -15,6 +14,7 @@ from dln.baselines import (
 from dln.data import SyntheticSpec, gen_lowrank, gen_mcar_mask
 from dln.errors import ContractViolationError
 from dln.linalg import make_rng
+from dln.models import DLN
 from dln.operators import CompletionMask
 
 
@@ -30,7 +30,7 @@ def test_fully_observed_exact_fit_in_three_sweeps():
     M, U, s, V = gen_lowrank(SyntheticSpec(d=d, r=r_hat, seed=0, sigma_values=(3.0, 2.0, 1.0)))
     mask = gen_mcar_mask(d, 1.0, 0)
     y = mask.apply(M)
-    model, log = altmin_complete(mask, y, r_hat, 3, mask.surrogate(y), probe=M)
+    model, log = altmin_complete(mask, y, r_hat, 3, probe=M)
     assert log.final().train_loss <= 1e-10
 
 
@@ -39,11 +39,12 @@ def test_unobserved_row_keeps_factor():
     mask = CompletionMask.from_pairs([(0, 0), (0, 1), (2, 1), (2, 2)], 3)
     y = np.array([1.0, 2.0, 3.0, 4.0])
     model = altmin_init(mask.surrogate(y), 2)
-    frozen = model.Lf[1].copy()
+    L = model.layers[1]
+    frozen = L[1].copy()
     row_pos, row_vals = _grouped(mask.rows, mask.cols, y, 3)
     half_sweep_left(model, row_pos, row_vals)
-    assert np.array_equal(model.Lf[1], frozen)
-    assert not np.array_equal(model.Lf[0], frozen)
+    assert np.array_equal(L[1], frozen)
+    assert not np.array_equal(L[0], frozen)
 
 
 def _per_row(indices, other, values, n):
@@ -58,15 +59,16 @@ def _per_row(indices, other, values, n):
 
 def _per_row_sweeps(model, row_pos, row_vals, col_pos, col_vals):
     # reference: one damped solve per row, then per column
-    damp = DAMPING * np.eye(model.Lf.shape[1])
+    R, L = model.layers
+    damp = DAMPING * np.eye(L.shape[1])
     for i, (cols, b) in enumerate(zip(row_pos, row_vals)):
         if cols.size:
-            G = model.Rf[:, cols]
-            model.Lf[i] = np.linalg.solve(G @ G.T + damp, G @ b)
+            G = R[:, cols]
+            L[i] = np.linalg.solve(G @ G.T + damp, G @ b)
     for j, (rows, b) in enumerate(zip(col_pos, col_vals)):
         if rows.size:
-            H = model.Lf[rows, :]
-            model.Rf[:, j] = np.linalg.solve(H.T @ H + damp, H.T @ b)
+            H = L[rows, :]
+            R[:, j] = np.linalg.solve(H.T @ H + damp, H.T @ b)
 
 
 def test_batched_half_sweeps_match_per_row_solves_bitwise():
@@ -84,17 +86,17 @@ def test_batched_half_sweeps_match_per_row_solves_bitwise():
     row_lists = _per_row(mask.rows, mask.cols, y, d_out)
     col_lists = _per_row(mask.cols, mask.rows, y, d_in)
     init = altmin_init(mask.surrogate(y), r_hat)
-    batched = AltMinModel(init.Lf.copy(), init.Rf.copy())
-    reference = AltMinModel(init.Lf.copy(), init.Rf.copy())
+    batched = DLN([w.copy() for w in init.layers])
+    reference = DLN([w.copy() for w in init.layers])
     for _ in range(3):
         half_sweep_left(batched, row_pos, row_vals)
         half_sweep_right(batched, col_pos, col_vals)
         _per_row_sweeps(reference, *row_lists, *col_lists)
-        assert np.array_equal(batched.Lf, reference.Lf)
-        assert np.array_equal(batched.Rf, reference.Rf)
-    assert np.array_equal(batched.Lf[[2, 9]], init.Lf[[2, 9]])
-    assert np.array_equal(batched.Rf[:, [0, 17]], init.Rf[:, [0, 17]])
-    assert not np.array_equal(batched.Lf, init.Lf)
+        assert all(map(np.array_equal, batched.layers, reference.layers))
+    (R, L), (R0, L0) = batched.layers, init.layers
+    assert np.array_equal(L[[2, 9]], L0[[2, 9]])
+    assert np.array_equal(R[:, [0, 17]], R0[:, [0, 17]])
+    assert not np.array_equal(L, L0)
 
 
 @st.composite
@@ -131,8 +133,8 @@ def test_grouped_sweeps_match_per_row_solves_on_random_masks(drawn, r_hat):
     row_lists = _per_row(mask.rows, mask.cols, y, d_out)
     col_lists = _per_row(mask.cols, mask.rows, y, d_in)
     init = altmin_init(mask.surrogate(y), min(r_hat, d_out))
-    batched = AltMinModel(init.Lf.copy(), init.Rf.copy())
-    reference = AltMinModel(init.Lf.copy(), init.Rf.copy())
+    batched = DLN([w.copy() for w in init.layers])
+    reference = DLN([w.copy() for w in init.layers])
     for _ in range(3):
         try:
             _per_row_sweeps(reference, *row_lists, *col_lists)
@@ -145,13 +147,12 @@ def test_grouped_sweeps_match_per_row_solves_on_random_masks(drawn, r_hat):
             return
         half_sweep_left(batched, *row_groups)
         half_sweep_right(batched, *col_groups)
-        assert np.array_equal(batched.Lf, reference.Lf)
-        assert np.array_equal(batched.Rf, reference.Rf)
+        assert all(map(np.array_equal, batched.layers, reference.layers))
 
 
 def test_spectral_init_time_is_logged():
     M, mask, y = completion_problem(20, 3, 0.5, 2)
-    _, log = altmin_complete(mask, y, 3, 1, mask.surrogate(y))
+    _, log = altmin_complete(mask, y, 3, 1)
     assert log.svd_init_s > 0.0
 
 
@@ -162,7 +163,7 @@ def test_half_sweeps_never_increase_loss():
     col_pos, col_vals = _grouped(mask.cols, mask.rows, y, mask.shape[1])
 
     def train_loss():
-        return 0.5 * float(np.sum((mask.apply(model.Lf @ model.Rf) - y) ** 2))
+        return 0.5 * float(np.sum((mask.apply(model.layers[1] @ model.layers[0]) - y) ** 2))
 
     prev = train_loss()
     for _ in range(6):
@@ -180,22 +181,22 @@ def test_well_specified_rank_and_dense_sampling_recovers():
     # rank known exactly and 90% observed: the baseline does recover
     d, r = 40, 4
     M, mask, y = completion_problem(d, r, 0.9, 5)
-    model, log = altmin_complete(mask, y, r, 30, mask.surrogate(y), probe=M)
+    model, log = altmin_complete(mask, y, r, 30, probe=M)
     assert log.final().recovery_error <= 1e-6
 
 
 def test_deterministic_given_seed():
     M, mask, y = completion_problem(15, 3, 0.6, 7)
-    m1, l1 = altmin_complete(mask, y, 5, 4, mask.surrogate(y))
-    m2, l2 = altmin_complete(mask, y, 5, 4, mask.surrogate(y))
-    assert np.array_equal(m1.Lf, m2.Lf)
+    m1, l1 = altmin_complete(mask, y, 5, 4)
+    m2, l2 = altmin_complete(mask, y, 5, 4)
+    assert all(map(np.array_equal, m1.layers, m2.layers))
     assert l1.losses().tolist() == l2.losses().tolist()
 
 
 def test_log_schema_matches_trainer(tmp_path):
-    # the chain (Rf, Lf) has width r_hat: that many singular values are logged
+    # the two-layer chain has width r_hat: that many singular values are logged
     M, mask, y = completion_problem(15, 3, 0.6, 11)
-    _, log = altmin_complete(mask, y, 5, 4, mask.surrogate(y), probe=M)
+    _, log = altmin_complete(mask, y, 5, 4, probe=M)
     assert log.ts().tolist() == [0, 1, 2, 3, 4]
     assert all(r.svals.size == 5 for r in log.records)
     assert all(r.recovery_error is not None for r in log.records)
@@ -206,12 +207,9 @@ def test_log_schema_matches_trainer(tmp_path):
 
 def test_validation_errors():
     mask = CompletionMask.from_pairs([(0, 0)], 2)
-    surr = mask.surrogate(np.array([1.0]))
     with pytest.raises(ContractViolationError):
-        altmin_complete(mask, [1.0], 3, 2, surr)  # r_hat > d
+        altmin_complete(mask, [1.0], 3, 2)  # r_hat > d
     with pytest.raises(ContractViolationError):
-        altmin_complete(mask, [1.0, 2.0], 1, 2, surr)  # wrong y length
+        altmin_complete(mask, [1.0, 2.0], 1, 2)  # wrong y length
     with pytest.raises(ContractViolationError):
-        altmin_complete(mask, [1.0], 1, 0, surr)  # no sweeps
-    with pytest.raises(ContractViolationError, match="surrogate shape"):
-        altmin_complete(mask, [1.0], 1, 2, np.eye(3))
+        altmin_complete(mask, [1.0], 1, 0)  # no sweeps

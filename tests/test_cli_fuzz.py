@@ -58,7 +58,7 @@ def command_lines(draw):
     if command == "ablate":
         pairs.append(("--axis", draw(st.sampled_from(["alpha", "rhat", "depth", "init"]))))
         pairs.append(("--values", draw(st.sampled_from(
-            ["1,2", "2,x", "2", "orthogonal", "uniform,foo", "", "0"]))))
+            ["1,2", "2,x", "2", "orthogonal", "uniform,foo", "", "0", "1,1.0", ","]))))
     config = draw(st.lists(st.sampled_from(CONFIG_LINES), max_size=2))
     return command, pairs, config
 

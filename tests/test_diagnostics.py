@@ -80,21 +80,25 @@ class TestAlignment:
         assert np.all(st.right_align[after_start] >= 1 - 1e-10)
 
     def test_self_alignment(self, rng):
-        from dln.trainer import SpectralSnapshot, TrajectoryLog
+        from dln.linalg import SvdResult
+        from dln.trainer import TrajectoryLog, TrajectoryRecord
 
         q = sample_semi_orthogonal(6, 6, rng)
         log = TrajectoryLog(top_k=3)
-        log.spectral.append(SpectralSnapshot(0, q[:, :3], np.ones(3), q[:, :3]))
+        spectrum = SvdResult(q[:, :3], np.ones(3), q[:, :3])
+        log.records.append(TrajectoryRecord(0, 0.0, None, np.ones(3), 0.0, spectrum))
         st = alignment(log, q[:, :3], q[:, :3], 3)
         assert np.allclose(st.left_align, 1.0)
         assert np.allclose(st.right_align, 1.0)
 
     def test_orthogonal_complement_alignment_zero(self, rng):
-        from dln.trainer import SpectralSnapshot, TrajectoryLog
+        from dln.linalg import SvdResult
+        from dln.trainer import TrajectoryLog, TrajectoryRecord
 
         q = sample_semi_orthogonal(6, 6, rng)
         log = TrajectoryLog(top_k=2)
-        log.spectral.append(SpectralSnapshot(0, q[:, :2], np.ones(2), q[:, :2]))
+        spectrum = SvdResult(q[:, :2], np.ones(2), q[:, :2])
+        log.records.append(TrajectoryRecord(0, 0.0, None, np.ones(2), 0.0, spectrum))
         st = alignment(log, q[:, 2:4], q[:, 2:4], 2)
         assert np.allclose(st.left_align, 0.0, atol=1e-12)
 

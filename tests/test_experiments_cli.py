@@ -195,7 +195,7 @@ class TestRun:
             original(model, row_pos, row_vals)
             sweeps.append(1)
             if len(sweeps) == 2:
-                model.Lf[0, 0] = np.nan
+                model.layers[1][0, 0] = np.nan
 
         monkeypatch.setattr(baselines, "half_sweep_left", poisoned)
         cfg = tiny_config(tmp_path, problem="complete", p=0.6, model="altmin")
@@ -304,6 +304,48 @@ class TestRun:
         res = run(tiny_config(tmp_path, problem="complete", p=0.6, model="compressed", T=2))
         assert res.ok
         assert alive == [False]
+
+    def test_als_surrogate_released_before_the_sweeps(self, tmp_path, monkeypatch):
+        # altmin_complete builds the dense surrogate for its init only
+        from dln import baselines
+
+        original_surrogate, original_sweep = CompletionMask.surrogate, baselines.half_sweep_left
+        made, alive = [], []
+
+        def surrogate(self, y):
+            out = original_surrogate(self, y)
+            made.append(weakref.ref(out))
+            return out
+
+        def sweep(*args):
+            if not alive:
+                alive.extend(ref() is not None for ref in made)
+            return original_sweep(*args)
+
+        monkeypatch.setattr(CompletionMask, "surrogate", surrogate)
+        monkeypatch.setattr(baselines, "half_sweep_left", sweep)
+        res = run(tiny_config(tmp_path, problem="complete", p=0.6, model="altmin",
+                              altmin_iters=2))
+        assert res.ok
+        assert alive == [False]
+
+    def test_ratings_diagnostics_rows_are_metric_major(self, tmp_path):
+        # every holdout_rmse row, t ascending, then every holdout_rel_error row
+        from dln.data import gen_ratings_standin
+
+        data = tmp_path / "u.data"
+        shape = gen_ratings_standin(data, n_users=12, n_items=15, n_ratings=120, rank=2)
+        cfg = default_config("movielens", movielens_path=str(data), movielens_shape=shape,
+                             r_hat=2, T=4, log_every=2, altmin_iters=3,
+                             out_dir=str(tmp_path / "out"))
+        res = run(cfg)
+        assert res.statuses == {f"{m}/seed_0": "ok" for m in ("wide", "compressed", "altmin")}
+        for model, ts in (("wide", [0, 2, 4]), ("compressed", [0, 2, 4]),
+                          ("altmin", [0, 1, 2, 3])):
+            with open(tmp_path / "out" / model / "seed_0" / "diagnostics.csv") as fh:
+                rows = [(r["metric"], int(r["t"])) for r in csv.DictReader(fh)]
+            assert rows == ([("holdout_rmse", t) for t in ts]
+                            + [("holdout_rel_error", t) for t in ts])
 
     def test_manifest_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -471,6 +513,24 @@ class TestAblate:
         cfg = tiny_config(tmp_path)
         with pytest.raises(ConfigError):
             ablate(cfg, "width", [1])
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 1.0], []], ids=["duplicate", "empty"])
+    def test_duplicate_or_empty_sweep_refused(self, tmp_path, values):
+        # two equal values would write one run directory twice
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(ConfigError) as exc:
+            ablate(cfg, "alpha", values)
+        assert exc.value.field == "alpha"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", ["1,1", "1,1.0", ","])
+    def test_duplicate_or_empty_values_exit_two(self, tmp_path, capsys, raw):
+        out = tmp_path / "o"
+        argv = TINY_ARGV[1:] + ["--axis", "alpha", "--values", raw, "--out", str(out)]
+        assert main(["ablate", "--problem", "factorize", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'alpha'") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestConfigFile:

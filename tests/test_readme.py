@@ -40,8 +40,8 @@ def test_readme_commands_build_valid_configs():
                     cfg, **{field.name: _parse_value(field, raw)}))
 
 
-# flags the README names for other programs: pip's, and the stand-in script's
-OTHER_PROGRAMS = {"--no-build-isolation", "--standin"}
+# flags the README names for other programs: pip's
+OTHER_PROGRAMS = {"--no-build-isolation"}
 
 
 def test_readme_flags_are_accepted():

@@ -132,7 +132,8 @@ class TestOneDescentBody:
         out = [w.tobytes() for w in trained.layers]
         out += [log.ts().tobytes(), log.losses().tobytes(), log.recovery().tobytes()]
         out += [r.svals.tobytes() for r in log.records]
-        out += [a.tobytes() for snap in log.spectral for a in (snap.U, snap.s, snap.V)]
+        out += [a.tobytes() for rec in log.records
+                for a in (rec.spectrum.U, rec.spectrum.s, rec.spectrum.V)]
         return out
 
     @pytest.mark.parametrize("kind", ["identity", "completion"])
