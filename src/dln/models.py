@@ -115,8 +115,8 @@ def loss(model: DLN, op: SensingOperator, y: np.ndarray) -> float:
     return 0.5 * float(r @ r)
 
 
-def chain_gradients(layers: list[Matrix], op: SensingOperator, y: np.ndarray,
-                    work: list[Matrix | None] | None = None) -> tuple[list[Matrix], float]:
+def chain_gradients(layers: list[Matrix], op: SensingOperator,
+                    y: np.ndarray) -> tuple[list[Matrix], float]:
     """Per-layer gradients of the half squared residual, plus the loss.
 
     Reverse-mode backprop (the delta recursion). The forward pass keeps the
@@ -128,30 +128,18 @@ def chain_gradients(layers: list[Matrix], op: SensingOperator, y: np.ndarray,
     W_l^T @ delta, so the last delta is the gradient of the first layer. A
     chain has at least two layers.
 
-    ``work`` lets a training loop keep the large intermediates from one call
-    to the next. It is a list of n + 1 slots for an n-layer chain: slot l
-    (1 <= l < n - 1) receives the forward product W_l ... W_0, slots n - 1
-    and n are the head's two buffers, and slot 0 is unused (the first product
-    is ``layers[0]`` itself). A ``None`` slot is allocated and stored in the
-    list; a filled slot is written in place, so pass the same list, unchanged,
-    for every step of one chain (``[None] * (n + 1)`` to start). The returned
-    gradients never alias a slot.
+    Every product is allocated per call; the returned gradients share memory
+    with no layer and with each other, so a caller may scale them in place.
     """
     n = len(layers)
     if n < 2:
         raise ContractViolationError("need at least 2 layers")
-    if work is None:
-        work = [None] * (n + 1)
-    elif len(work) != n + 1:
-        raise ContractViolationError(f"work needs {n + 1} slots for {n} layers, got {len(work)}")
     prefixes: list[Matrix | None] = [None] * n
     prod = layers[0]
     for l in range(1, n - 1):
         prefixes[l] = prod
-        prod = work[l] = np.matmul(layers[l], prod, out=work[l])
-    head = work[n - 1:]
-    lo, grad, delta = op.head_gradients(layers[-1], prod, y, head)
-    work[n - 1:] = head
+        prod = layers[l] @ prod
+    lo, grad, delta = op.head_gradients(layers[-1], prod, y)
     grads = [grad]
     for l in range(n - 2, 0, -1):
         grads.append(delta @ prefixes[l].T)

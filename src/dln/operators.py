@@ -12,20 +12,11 @@ returns the back-projection exactly (no 1/m), Gaussian sensing averages by
 always the unnormalized residual; any measurement-count normalization is the
 caller's business (fold it into the step size).
 
-``adjoint(y, out=None)`` allocates its result unless ``out`` is given; then it
-writes into ``out`` and returns it. ``out`` must be a C-contiguous float64
-array of ``op.shape`` that is zero wherever the operator does not write (the
-completion mask writes only its observed entries). An array returned by an
-earlier ``adjoint`` call of the same operator meets that contract, so a
-training loop can keep one buffer for every step.
-
-``head_gradients(L, R, y, work)`` is the last step of a layer chain's
-gradient: for the end-to-end product W = L @ R it returns the loss
-0.5 * |apply(W) - y|^2, delta @ R.T and L.T @ delta, where delta =
-adjoint(apply(W) - y). ``work`` is a two-slot list of buffers the operator
-fills on the first call and reuses after (the same list for every step of one
-chain). Identity and Gaussian sensing form W and delta in full; the
-completion mask walks W in row blocks (:meth:`CompletionMask.head_gradients`).
+``head_gradients(L, R, y)`` is the last step of a layer chain's gradient: for
+the end-to-end product W = L @ R it returns the loss 0.5 * |apply(W) - y|^2,
+delta @ R.T and L.T @ delta, where delta = adjoint(apply(W) - y). Identity
+and Gaussian sensing form W and delta in full; the completion mask walks W in
+row blocks (:meth:`CompletionMask.head_gradients`).
 """
 
 from __future__ import annotations
@@ -55,24 +46,14 @@ def _check_measurement(m: int, y: Measurement) -> np.ndarray:
     return y
 
 
-def _check_out(shape: tuple[int, int], out: Matrix) -> None:
-    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ContractViolationError(
-            f"adjoint output must be a C-contiguous float64 {shape[0]}x{shape[1]} array"
-        )
-
-
 # a completion head's row block and delta block together take about this much
 _BLOCK_BYTES = 1 << 20
 
 
-def _dense_head(op, L: Matrix, R: Matrix, y: Measurement,
-                work: list) -> tuple[float, Matrix, Matrix]:
-    """``head_gradients`` through the full product: W in ``work[0]``, delta in
-    ``work[1]``."""
-    W = work[0] = np.matmul(L, R, out=work[0])
-    res = op.apply(W) - y
-    delta = work[1] = op.adjoint(res, out=work[1])
+def _dense_head(op, L: Matrix, R: Matrix, y: Measurement) -> tuple[float, Matrix, Matrix]:
+    """``head_gradients`` through the full product W = L @ R and the full delta."""
+    res = op.apply(L @ R) - y
+    delta = op.adjoint(res)
     return 0.5 * float(res @ res), delta @ R.T, L.T @ delta
 
 
@@ -94,13 +75,8 @@ class Identity:
         _check_target(self.shape, M)
         return M.ravel().copy()
 
-    def adjoint(self, y: Measurement, out: Matrix | None = None) -> Matrix:
-        y = _check_measurement(self.m, y).reshape(self.d, self.d)
-        if out is None:
-            return y.copy()
-        _check_out(self.shape, out)
-        np.copyto(out, y)
-        return out
+    def adjoint(self, y: Measurement) -> Matrix:
+        return _check_measurement(self.m, y).reshape(self.d, self.d).copy()
 
     def surrogate(self, y: Measurement) -> Matrix:
         # full observation: the back-projection is the target itself, so no
@@ -142,14 +118,9 @@ class GaussianSensing:
         _check_target(self.shape, M)
         return self.matrices.reshape(self.m, -1) @ M.ravel()
 
-    def adjoint(self, y: Measurement, out: Matrix | None = None) -> Matrix:
+    def adjoint(self, y: Measurement) -> Matrix:
         y = _check_measurement(self.m, y)
-        a = self.matrices.reshape(self.m, -1)
-        if out is None:
-            return (y @ a).reshape(self.d, self.d)
-        _check_out(self.shape, out)
-        np.matmul(y, a, out=out.reshape(-1))
-        return out
+        return (y @ self.matrices.reshape(self.m, -1)).reshape(self.d, self.d)
 
     def surrogate(self, y: Measurement) -> Matrix:
         return self.adjoint(y) / self.m
@@ -215,34 +186,32 @@ class CompletionMask:
         _check_target(self.shape, M)
         return M.take(self.flat).astype(np.float64, copy=False)
 
-    def adjoint(self, y: Measurement, out: Matrix | None = None) -> Matrix:
+    def adjoint(self, y: Measurement) -> Matrix:
         y = _check_measurement(self.m, y)
-        if out is None:
-            out = np.zeros(self.shape)
-        else:
-            _check_out(self.shape, out)
+        out = np.zeros(self.shape)
         out.reshape(-1)[self.flat] = y
         return out
 
     def surrogate(self, y: Measurement) -> Matrix:
         return self.adjoint(y) / self.m
 
-    def head_gradients(self, L: Matrix, R: Matrix, y: Measurement,
-                       work: list) -> tuple[float, Matrix, Matrix]:
-        """Row-blocked head: ``work`` holds a b x n_cols product block and a
-        delta block that is zero between calls, b rows chosen so the two take
-        about ``_BLOCK_BYTES`` together; no d_out x n_cols matrix is formed.
+    def head_gradients(self, L: Matrix, R: Matrix,
+                       y: Measurement) -> tuple[float, Matrix, Matrix]:
+        """Row-blocked head: each call allocates a b x n_cols product block and
+        a zeroed delta block, b rows chosen so the two take about
+        ``_BLOCK_BYTES`` together; no d_out x n_cols matrix is formed.
 
         For each block B of b rows it forms L[B] @ R, gathers the block's
         observed entries into the residual, scatters them into the delta
         block, writes delta_B @ R.T into the gradient's rows B, adds
         L[B].T @ delta_B to L.T @ delta and zeroes the scattered entries
-        again. BLAS can round an entry of a row block's product differently
-        from the same entry of the full product, and L.T @ delta sums the
-        blocks in order, so the loss and both products may differ from the
-        dense head's in the last bits. When one block covers W, or k >= b (a
-        wide chain, whose k x n_cols accumulator rewritten for every block
-        costs more than the blocks save), the dense head runs instead.
+        again, so the delta block is zero when the next block starts. BLAS
+        can round an entry of a row block's product differently from the
+        same entry of the full product, and L.T @ delta sums the blocks in
+        order, so the loss and both products may differ from the dense
+        head's in the last bits. When one block covers W, or k >= b (a wide
+        chain, whose k x n_cols accumulator rewritten for every block costs
+        more than the blocks save), the dense head runs instead.
         """
         d_out, k = L.shape
         if d_out != self.n_rows or R.shape != (k, self.n_cols):
@@ -251,13 +220,10 @@ class CompletionMask:
             )
         b = max(1, _BLOCK_BYTES // (16 * self.n_cols))
         if d_out <= b or k >= b:
-            return _dense_head(self, L, R, y, work)
+            return _dense_head(self, L, R, y)
         y = _check_measurement(self.m, y)
-        if work[0] is None:
-            work[0] = np.empty((b, self.n_cols))
-            work[1] = np.zeros((b, self.n_cols))
-        block, delta = work
-        # a block's flat indices address the buffers' leading rows
+        block, delta = np.empty((b, self.n_cols)), np.zeros((b, self.n_cols))
+        # a block's flat indices address the blocks' leading rows
         block_flat, delta_flat = block.reshape(-1), delta.reshape(-1)
         starts = np.searchsorted(self.rows, np.arange(0, d_out + b, b).clip(max=d_out))
         res = np.empty(self.m)

@@ -197,10 +197,9 @@ def train_compressed(
     rates = [cfg.eta] * len(model.layers)
     rates[0] = rates[-1] = cfg.alpha * cfg.eta
     layers = [w.copy() for w in model.layers]
-    work = [None] * (len(layers) + 1)  # chain_gradients' buffers, kept across steps
 
     def step(t: int) -> None:
-        grads, prev_loss = chain_gradients(layers, op, y, work)
+        grads, prev_loss = chain_gradients(layers, op, y)
         if not prev_loss <= LOSS_CAP:
             raise DivergenceError(t - 1, prev_loss)
         for w, rate, g in zip(layers, rates, grads):

@@ -1,5 +1,5 @@
 """scripts/compare_runs.py: a run and its manifest re-run compare identical,
-and an edited or missing file is flagged."""
+and an edited, moved or missing file is flagged."""
 
 import importlib.util
 import shutil
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dln.cli import main
+from dln.linalg import load_matrix_bin, save_matrix_bin
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
 _spec = importlib.util.spec_from_file_location("compare_runs", SCRIPT)
@@ -62,6 +63,21 @@ def test_edited_value_is_flagged(runs, capsys, tmp_path):
     verdict = seen.pop("compressed/seed_0/trajectory.csv")
     assert verdict.startswith("max rel dev train_loss ")
     assert float(verdict.split()[-1]) == pytest.approx(1e-9, rel=1e-3)
+    assert set(seen.values()) == {"identical"}
+
+
+def test_moved_layer_is_flagged(runs, capsys, tmp_path):
+    moved = tmp_path / "c"
+    shutil.copytree(runs / "b", moved)
+    path = moved / "compressed" / "seed_0" / "checkpoint" / "layer_00.dlnm"
+    w = load_matrix_bin(path)
+    w[0, 0] *= 1 + 1e-12
+    save_matrix_bin(path, w)
+    rc, seen, _ = verdicts(capsys, runs / "a", moved)
+    assert rc == 1
+    verdict = seen.pop("compressed/seed_0/checkpoint/layer_00.dlnm")
+    assert verdict.startswith("max rel dev values ")
+    assert float(verdict.split()[-1]) == pytest.approx(1e-12, rel=1e-2)
     assert set(seen.values()) == {"identical"}
 
 
