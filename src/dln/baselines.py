@@ -1,7 +1,7 @@
 """Two-factor alternating least squares baseline for matrix completion.
 
 ALS is a two-layer :class:`~dln.models.DLN` started from the mask's surrogate,
-which :func:`altmin_complete` builds and frees once the init returns. Each half
+which the init builds when it reads it and holds no longer. Each half
 sweep solves exact row-wise (or column-wise) least squares over the observed
 entries with a tiny Tikhonov damping, so the train loss never increases across
 half sweeps. Rows or columns with no observations keep their current values.
@@ -17,7 +17,9 @@ sweeps are bit for bit those of one damped solve per row.
 
 from __future__ import annotations
 
+import functools
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -50,10 +52,10 @@ def _grouped(indices: np.ndarray, other: np.ndarray, values: np.ndarray, n: int)
     return pos, vals
 
 
-def altmin_init(surrogate: Matrix, r_hat: int) -> DLN:
-    """The chain [sqrt(s) V^T, U sqrt(s)] of the surrogate's leading triplets."""
-    if not 1 <= r_hat <= min(surrogate.shape):
-        raise ContractViolationError(f"r_hat {r_hat} out of range 1..{min(surrogate.shape)}")
+def altmin_init(surrogate: Matrix | Callable[[], Matrix], r_hat: int) -> DLN:
+    """The chain [sqrt(s) V^T, U sqrt(s)] of the surrogate's leading triplets;
+    the surrogate, or a function that builds it, goes to
+    :func:`~dln.linalg.truncated_svd` as it is."""
     f = truncated_svd(surrogate, r_hat)
     root = np.sqrt(f.s)
     return DLN([(f.V * root).T.copy(), f.U * root])
@@ -98,8 +100,8 @@ def altmin_complete(
 ) -> tuple[DLN, TrajectoryLog]:
     """Alternating minimization from :func:`altmin_init` of the mask's
     surrogate; one logged iterate per full sweep, with the chain's r_hat
-    singular values. The surrogate is built outside the init timer and let go
-    before the first sweep.
+    singular values. The init is handed a builder of the surrogate, so the
+    init timer covers its builds and no copy outlives the init.
 
     Runs in the gradient trainers' loop (:func:`~dln.trainer.descend`) and
     logs through their :class:`Recorder`, so baseline and network runs share
@@ -112,11 +114,9 @@ def altmin_complete(
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size != mask.m:
         raise ContractViolationError("measurement length does not match mask")
-    surrogate = mask.surrogate(y)
     t0 = time.perf_counter()
-    model = altmin_init(surrogate, r_hat)
+    model = altmin_init(functools.partial(mask.surrogate, y), r_hat)
     init_s = time.perf_counter() - t0
-    del surrogate
     row_pos, row_vals = _grouped(mask.rows, mask.cols, y, mask.shape[0])
     col_pos, col_vals = _grouped(mask.cols, mask.rows, y, mask.shape[1])
 

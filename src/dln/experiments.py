@@ -28,6 +28,7 @@ completion problems use it as is.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -367,13 +368,11 @@ def _fit_wide(cfg: ExperimentConfig, seed: int, pb: _Problem):
 
 
 def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
-    # the surrogate is built outside the timer and, being dense, let go before
-    # training, as `altmin_complete` does for the ALS baseline
-    surr = pb.op.surrogate(pb.y)
+    # the init builds the dense surrogate each time it reads it, inside the
+    # timer, and holds none once it returns, as `altmin_complete` does for ALS
     t0 = time.perf_counter()
-    model = init_compressed(surr, cfg.L, cfg.r_hat, cfg.eps)
+    model = init_compressed(functools.partial(pb.op.surrogate, pb.y), cfg.L, cfg.r_hat, cfg.eps)
     svd_s = time.perf_counter() - t0
-    del surr
     trained, log = train_compressed(model, pb.op, pb.y, pb.train, probe=pb.M,
                                     track_spectral=cfg.track_spectral, extra_metrics=pb.extra)
     log.svd_init_s = svd_s

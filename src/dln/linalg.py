@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -88,23 +89,55 @@ def svd(a: Matrix) -> SvdResult:
     return SvdResult(np.ascontiguousarray(U), s, np.ascontiguousarray(V))
 
 
-def truncated_svd(a: Matrix, k: int) -> SvdResult:
+def truncated_svd(a: Matrix | Callable[[], Matrix], k: int) -> SvdResult:
     """Leading k singular triplets, same ordering and signs as :func:`svd`.
 
     For k < min(a.shape) the triplets come from the eigendecomposition of the
     smaller Gram matrix when :func:`gram_bound` certifies it; otherwise, and
     always for k = min(a.shape), from the full SVD, bit for bit
     ``svd(a).truncate(k)``.
+
+    ``a`` may also be a function of no arguments that returns the matrix, such
+    as ``functools.partial(op.surrogate, y)``. The Gram route then builds the
+    matrix for the Gram product and lets it go before ``eigh``, keeps only the
+    top k eigenvectors, and builds the matrix again for the other side's
+    vectors; the full-SVD fallback builds it again too. A builder must return
+    the same matrix every call.
     """
-    if not 1 <= k <= min(a.shape):
+    build = a if callable(a) else lambda: a
+    m = build()
+    shape = m.shape
+    if not 1 <= k <= min(shape):
         raise ContractViolationError(
-            f"truncation rank {k} out of range 1..{min(a.shape)}"
+            f"truncation rank {k} out of range 1..{min(shape)}"
         )
-    if k < min(a.shape):
-        f = _gram_svd(a, k)
-        if f is not None:
-            return f
-    return svd(a).truncate(k)
+    if k == min(shape):
+        return svd(m).truncate(k)
+    # eigh of the smaller Gram matrix A A^T (A = m or m^T); its top-k vectors
+    # Q are one side's singular vectors, A^T Q / s the other's
+    wide = shape[0] <= shape[1]
+    gram = m @ m.T if wide else m.T @ m
+    del m
+    top = _top_eigenpairs(gram, k)
+    del gram
+    if top is None or not gram_bound(top[0], k, shape) <= GRAM_TOLERANCE:
+        return svd(build()).truncate(k)
+    lam, near = top
+    s = np.sqrt(lam[:k])
+    m = build()
+    far = ((m.T if wide else m) @ near) / s
+    U, V = _normalize_signs(near, far) if wide else _normalize_signs(far, near)
+    return SvdResult(np.ascontiguousarray(U), s, np.ascontiguousarray(V))
+
+
+def _top_eigenpairs(gram: Matrix, k: int) -> tuple[np.ndarray, Matrix] | None:
+    # every eigenvalue, descending, and a copy of the top k eigenvectors, so the
+    # full eigenvector matrix is let go on return; None when LAPACK fails
+    try:
+        lam, Q = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure is rare
+        return None
+    return lam[::-1], Q[:, :-k - 1:-1].copy()
 
 
 # largest certified bound (:func:`gram_bound`) at which truncated_svd keeps the
@@ -125,25 +158,6 @@ def gram_bound(lam: np.ndarray, k: int, shape: tuple[int, int]) -> float:
     if not (lam[k - 1] > 0 and gap > err):
         return np.inf
     return err / (gap - err)
-
-
-def _gram_svd(a: Matrix, k: int) -> SvdResult | None:
-    # eigh of the smaller Gram matrix A A^T (A = a or a^T); its top-k vectors
-    # are one side's singular vectors, A^T Q / s the other's
-    wide = a.shape[0] <= a.shape[1]
-    A = a if wide else a.T
-    try:
-        lam, Q = np.linalg.eigh(A @ A.T)
-    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure is rare
-        return None
-    lam, Q = lam[::-1], Q[:, ::-1]
-    if not gram_bound(lam, k, a.shape) <= GRAM_TOLERANCE:
-        return None
-    s = np.sqrt(lam[:k])
-    near = Q[:, :k]
-    far = (A.T @ near) / s
-    U, V = _normalize_signs(near, far) if wide else _normalize_signs(far, near)
-    return SvdResult(np.ascontiguousarray(U), s, np.ascontiguousarray(V))
 
 
 def chain_product(layers: list[Matrix]) -> Matrix:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -94,16 +95,18 @@ def init_wide(d: int, L: int, eps: float, mode: str, rng: np.random.Generator,
     return DLN(layers)
 
 
-def init_compressed(surrogate: Matrix, L: int, r_hat: int, eps: float) -> DLN:
+def init_compressed(surrogate: Matrix | Callable[[], Matrix], L: int, r_hat: int,
+                    eps: float) -> DLN:
     """Compressed network spectrally initialized from a d_out x d_in surrogate.
 
     Outer layers are the scale-eps leading singular vectors of the surrogate
     (last layer eps * U_rhat, first eps * V_rhat^T); intermediates are
-    eps * I, so every end-to-end singular value starts at eps^depth.
+    eps * I, so every end-to-end singular value starts at eps^depth. The
+    surrogate is the matrix or a function that builds it, passed to
+    :func:`~dln.linalg.truncated_svd` as it is; a builder lets the init hold
+    no copy of it while the Gram matrix is decomposed.
     """
     _check_init(L, eps)
-    if not 1 <= r_hat <= min(surrogate.shape):
-        raise ContractViolationError(f"r_hat {r_hat} out of range 1..{min(surrogate.shape)}")
     f = truncated_svd(surrogate, r_hat)
     mids = [eps * np.eye(r_hat) for _ in range(L - 2)]
     return DLN([eps * f.V.T.copy(), *mids, eps * f.U.copy()])

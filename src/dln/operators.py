@@ -123,7 +123,9 @@ class GaussianSensing:
         return (y @ self.matrices.reshape(self.m, -1)).reshape(self.d, self.d)
 
     def surrogate(self, y: Measurement) -> Matrix:
-        return self.adjoint(y) / self.m
+        out = self.adjoint(y)
+        out /= self.m
+        return out
 
     head_gradients = _dense_head
 
@@ -193,7 +195,9 @@ class CompletionMask:
         return out
 
     def surrogate(self, y: Measurement) -> Matrix:
-        return self.adjoint(y) / self.m
+        out = self.adjoint(y)
+        out /= self.m
+        return out
 
     def head_gradients(self, L: Matrix, R: Matrix,
                        y: Measurement) -> tuple[float, Matrix, Matrix]:

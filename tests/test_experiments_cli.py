@@ -268,25 +268,66 @@ class TestRun:
         assert (base / "incremental.json").exists() and (base / "diagnostics.csv").exists()
         assert len(calls) == 1
 
-    def test_spectral_init_time_excludes_the_surrogate(self, tmp_path, monkeypatch):
-        from dln.operators import CompletionMask
+    def test_spectral_init_time_counts_the_same_surrogate_builds(self, tmp_path, monkeypatch):
+        # each model's init builds the surrogate inside its svd_init_s timer,
+        # as often as the other's
+        from dln import baselines
 
         original = CompletionMask.surrogate
+        builds = {"compressed": 0, "altmin": 0}
+        model = []
 
         def slow(self, y):
             time.sleep(0.2)
+            builds[model[-1]] += 1
             return original(self, y)
 
+        def labelled(name, init):
+            def wrapper(*args):
+                model.append(name)
+                return init(*args)
+            return wrapper
+
         monkeypatch.setattr(CompletionMask, "surrogate", slow)
+        monkeypatch.setattr(experiments, "init_compressed",
+                            labelled("compressed", experiments.init_compressed))
+        monkeypatch.setattr(baselines, "altmin_init", labelled("altmin", baselines.altmin_init))
         res = run(tiny_config(tmp_path, problem="complete", p=0.6,
                               model="compressed,altmin", T=2))
         assert res.ok
+        n = builds["compressed"]
+        assert n >= 1 and builds["altmin"] == n
         for key in ("compressed/seed_0", "altmin/seed_0"):
-            assert 0.0 < res.logs[key].svd_init_s < 0.2
+            assert 0.2 * n <= res.logs[key].svd_init_s < 0.2 * (n + 1)
+
+    def test_no_surrogate_alive_while_the_gram_matrix_is_decomposed(self, tmp_path, monkeypatch):
+        # the spectral init reads the surrogate through a builder and lets
+        # every copy go before eigh, for the compressed net and for ALS alike
+        original_surrogate, original_eigh = CompletionMask.surrogate, np.linalg.eigh
+        made, alive = [], []
+
+        def surrogate(self, y):
+            out = original_surrogate(self, y)
+            made.append(weakref.ref(out))
+            return out
+
+        def eigh(a, *args, **kwargs):
+            alive.append(any(ref() is not None for ref in made))
+            return original_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(CompletionMask, "surrogate", surrogate)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for model in ("compressed", "altmin"):
+            made.clear()
+            alive.clear()
+            res = run(tiny_config(tmp_path / model, problem="complete", p=0.6, model=model,
+                                  T=2, altmin_iters=2))
+            assert res.ok
+            assert made and alive == [False]
 
     def test_surrogate_released_before_training(self, tmp_path, monkeypatch):
         # the dense surrogate feeds the spectral init only; training holds no
-        # reference to it
+        # reference to any copy of it
         original_surrogate, original_train = CompletionMask.surrogate, experiments.train_compressed
         made, alive = [], []
 
@@ -303,7 +344,7 @@ class TestRun:
         monkeypatch.setattr(experiments, "train_compressed", train)
         res = run(tiny_config(tmp_path, problem="complete", p=0.6, model="compressed", T=2))
         assert res.ok
-        assert alive == [False]
+        assert alive and not any(alive)
 
     def test_als_surrogate_released_before_the_sweeps(self, tmp_path, monkeypatch):
         # altmin_complete builds the dense surrogate for its init only
@@ -327,7 +368,7 @@ class TestRun:
         res = run(tiny_config(tmp_path, problem="complete", p=0.6, model="altmin",
                               altmin_iters=2))
         assert res.ok
-        assert alive == [False]
+        assert alive and not any(alive)
 
     def test_ratings_diagnostics_rows_are_metric_major(self, tmp_path):
         # every holdout_rmse row, t ascending, then every holdout_rel_error row

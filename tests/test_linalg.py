@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -213,6 +214,54 @@ class TestTruncatedSvdRoutes:
         assert gram_bound(np.linalg.eigvalsh(a @ a.T)[::-1], 6, a.shape) <= GRAM_TOLERANCE
         f, g = svd(a).truncate(6), truncated_svd(a, 6)
         assert _sin_theta(g.U, f.U) <= 1e-9 and _sin_theta(g.V, f.V) <= 1e-9
+
+
+def _route_inputs(m, n, seed, k):
+    # (input, k) for each route: Gram-certified, rank-deficient fallback to the
+    # full SVD, and k = min(m, n)
+    rng = make_rng(seed, 1)
+    s = np.concatenate([np.sort(rng.uniform(1.0, 4.0, k))[::-1],
+                        np.sort(rng.uniform(0.0, 0.5, min(m, n) - k))[::-1]])
+    deficient = _with_spectrum(seed, m, n, np.linspace(2.0, 1.0, k - 1)) if k > 1 \
+        else np.zeros((m, n))
+    return {"gram": (_with_spectrum(seed, m, n, s), k),
+            "fallback": (deficient, k),
+            "full": (rng.standard_normal((m, n)), min(m, n))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shapes, st.data())
+def test_builder_gives_the_matrix_bits_and_is_let_go_during_eigh(shape, data):
+    m, n, seed = shape
+    k = data.draw(st.integers(1, min(m, n) - 1))
+    for route, (a, kk) in _route_inputs(m, n, seed, k).items():
+        made, alive, vectors = [], [], []
+
+        def build():
+            # the full eigenvector matrix is gone by the time of a rebuild
+            assert all(ref() is None for ref in vectors)
+            out = a.copy()
+            made.append(weakref.ref(out))
+            return out
+
+        def eigh(g, _eigh=np.linalg.eigh):
+            alive.append(any(ref() is not None for ref in made))
+            lam, Q = _eigh(g)
+            vectors.append(weakref.ref(Q))
+            return lam, Q
+
+        with mock.patch.object(np.linalg, "eigh", eigh):
+            g = truncated_svd(build, kk)
+        f = truncated_svd(a, kk)
+        assert np.array_equal(g.U, f.U) and np.array_equal(g.s, f.s)
+        assert np.array_equal(g.V, f.V)
+        # one build for the full SVD; two on the Gram route and its fallback
+        assert len(made) == (1 if route == "full" else 2)
+        assert alive == ([] if route == "full" else [False])
+        if route == "gram":
+            assert gram_bound(svd(a).s ** 2, kk, a.shape) <= GRAM_TOLERANCE
+        if route == "fallback":
+            _assert_full_svd_route(a, kk)
 
 
 class TestSampleOrthogonal:

@@ -392,6 +392,55 @@ def test_blocked_mask_head_matches_dense_reference(seed, depth, d_in, blocks, wi
             w += 0.1 * rng.standard_normal(w.shape)
 
 
+def balance_residual(layers, grads, l):
+    """|W_{l+1}^T G_{l+1} - G_l W_l^T|, relative to |W_{l+1}| |G_{l+1}| + |G_l| |W_l|."""
+    lhs, rhs = layers[l + 1].T @ grads[l + 1], grads[l] @ layers[l].T
+    scale = (np.linalg.norm(layers[l + 1]) * np.linalg.norm(grads[l + 1])
+             + np.linalg.norm(grads[l]) * np.linalg.norm(layers[l]))
+    return np.linalg.norm(lhs - rhs) / scale
+
+
+def assert_gradients_balanced(layers, op, y):
+    # the true gradients of any loss of the product satisfy W_{l+1}^T G_{l+1}
+    # = G_l W_l^T for every l; a gradient scaled by 1.001 breaks the identity,
+    # which the loss alone would not show
+    grads, _ = chain_gradients(layers, op, y)
+    depth = len(layers)
+    tol = 4 * depth * np.finfo(np.float64).eps
+    assert max(balance_residual(layers, grads, l) for l in range(depth - 1)) <= tol
+    for j in range(depth):
+        scaled = [g * 1.001 if i == j else g for i, g in enumerate(grads)]
+        assert max(balance_residual(layers, scaled, l) for l in range(depth - 1)) > 100 * tol
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**CHAINS)
+def test_gradients_satisfy_the_balance_identity(seed, depth, op_name, d_in, d_out, interior):
+    # random Gaussian layers: a symmetric eps * I middle layer, as in a fresh
+    # compressed chain, would hide a transposed gradient
+    rng = make_rng(seed)
+    op, layers, y = random_chain(rng, depth, op_name, d_in, d_out, interior)
+    assert_gradients_balanced(layers, op, y)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(2, 4), d_in=st.integers(2200, 4000),
+       blocks=st.integers(1, 3), wide=st.booleans())
+@example(seed=1, depth=3, d_in=3000, blocks=3, wide=False)
+def test_blocked_head_gradients_satisfy_the_balance_identity(seed, depth, d_in, blocks, wide):
+    # the completion mask's row-blocked head, several blocks or one
+    rng = make_rng(seed)
+    b = block_rows(d_in)
+    d_out = max(2, blocks * b - int(rng.integers(0, b)))
+    rows, cols = np.nonzero(rng.random((d_out, d_in)) < 0.05)
+    op = CompletionMask(rows, cols, d_out, d_in)
+    y = op.apply(rng.standard_normal((d_out, d_in)))
+    k = b + 1 if wide else int(rng.integers(1, b))
+    widths = [d_in] + [k + int(rng.integers(0, 3)) for _ in range(depth - 2)] + [k, d_out]
+    layers = [rng.standard_normal((widths[i + 1], widths[i])) for i in range(depth)]
+    assert_gradients_balanced(layers, op, y)
+
+
 @pytest.mark.parametrize("d_out,d_in", [(300, 500), (943, 1682)], ids=["300x500", "943x1682"])
 def test_blocked_head_step_stays_within_its_block_budget(d_out, d_in):
     # a compressed completion step allocates its two row blocks (about

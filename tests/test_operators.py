@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dln.errors import ContractViolationError
 from dln.linalg import make_rng, truncated_svd
 from dln.operators import CompletionMask, GaussianSensing, Identity
-from dln.data import SyntheticSpec, gen_gaussian_ops, gen_lowrank
+from dln.data import SyntheticSpec, gen_gaussian_ops, gen_lowrank, gen_mcar_mask
 
 
 class TestIdentity:
@@ -141,6 +141,18 @@ def test_identity_methods_roundtrip(rng):
     y = op.apply(m)
     assert np.array_equal(op.adjoint(y), m)
     assert np.array_equal(op.surrogate(y), m)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_averaged_surrogates_divide_the_adjoint_in_place(seed):
+    # the in-place division keeps the bits of adjoint(y) / m
+    rng = make_rng(seed)
+    d = int(rng.integers(2, 30))
+    ops = [GaussianSensing(rng.standard_normal((int(rng.integers(1, 50)), d, d))),
+           gen_mcar_mask(d, float(rng.uniform(0.1, 1.0)), seed)]
+    for op in ops:
+        y = rng.standard_normal(op.m) * 10.0 ** rng.integers(-3, 4)
+        assert same_bits(op.surrogate(y), op.adjoint(y) / op.m)
 
 
 def test_gaussian_surrogate_concentration():
