@@ -96,7 +96,7 @@ def altmin_complete(
     r_hat: int,
     iters: int,
     probe: Matrix | None = None,
-    extra_metrics=None,
+    holdout: tuple[CompletionMask, np.ndarray] | None = None,
 ) -> tuple[DLN, TrajectoryLog]:
     """Alternating minimization from :func:`altmin_init` of the mask's
     surrogate; one logged iterate per full sweep, with the chain's r_hat
@@ -105,9 +105,11 @@ def altmin_complete(
 
     Runs in the gradient trainers' loop (:func:`~dln.trainer.descend`) and
     logs through their :class:`Recorder`, so baseline and network runs share
-    the trajectory schema, the clock and the divergence guard: a
-    sweep that leaves a loss that is not finite or exceeds ``LOSS_CAP``, or
-    meets a singular damped system, raises :class:`DivergenceError`.
+    the trajectory schema, the held-out metrics of ``holdout`` (a mask and its
+    values, as :func:`~dln.data.split_ratings` returns them), the clock and the
+    divergence guard: a sweep that leaves a loss that is not finite or exceeds
+    ``LOSS_CAP``, or meets a singular damped system, raises
+    :class:`DivergenceError`.
     """
     if iters < 1:
         raise ContractViolationError("need at least one sweep")
@@ -129,6 +131,6 @@ def altmin_complete(
             raise DivergenceError(t, float("nan")) from None
 
     # the sweeps update both layers in place
-    record = Recorder(model.layers, mask, y, r_hat, probe, extra_metrics=extra_metrics)
+    record = Recorder(model.layers, mask, y, r_hat, probe, holdout=holdout)
     record.log.svd_init_s = init_s
     return model, descend(record, sweep, iters, 1)

@@ -116,46 +116,43 @@ def load_movielens(path: str | Path, shape: tuple[int, int] = MOVIELENS_SHAPE) -
     IDs are 1-based in the file and mapped to 0-based indices; the canonical
     100K file has 943 users, 1682 items, and 100000 lines.
 
-    numpy's C reader parses the file and the ranges are checked on whole
-    columns. When either refuses the file, the line scanner reads it again to
-    raise the error with its line number; the result always comes from the C
-    reader.
+    numpy's C reader parses the file from an open handle, so the text is never
+    held whole, and the ranges are checked on whole columns. When either
+    refuses the file, the line scanner reads its text to raise the error with
+    its line number. The result, whose four columns are views of one table,
+    always comes from the C reader.
     """
     n_users, n_items = shape
     try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"cannot decode the ratings file: {exc}") from None
-    try:
-        with warnings.catch_warnings():
+        with open(path) as fh, warnings.catch_warnings():
             # an empty file only warns, and so does a field such as 1.0 read
             # as an integer by the numpy versions that still accept it
             warnings.simplefilter("error")
-            table = np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t",
-                               comments=None, ndmin=2)
-    except (ValueError, Warning):  # the scanner below reports the refusal
+            table = np.loadtxt(fh, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+    except (ValueError, Warning):  # a decoding error too; the scanner reports it
         table = None
     if table is None or table.shape[1] != 4 or not np.all(
             (table[:, :3] >= 1) & (table[:, :3] <= (n_users, n_items, 5))):
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"cannot decode the ratings file: {exc}") from None
         _scan_movielens(text, shape)
         # Python's int() reads some fields the C reader does not, such as 1_000
         raise ParseError("fields must be plain decimal integers")
-    users, items = table[:, 0] - 1, table[:, 1] - 1
-    _reject_duplicates(users, items, n_items)
-    return RatingsDataset(
-        users=users,
-        items=items,
-        ratings=table[:, 2].astype(np.float64),
-        timestamps=table[:, 3].copy(),
-        n_users=n_users,
-        n_items=n_items,
-    )
+    table[:, :2] -= 1
+    _reject_duplicates(table[:, 0], table[:, 1], n_items)
+    ratings = table.view(np.float64)[:, 2]  # cast in its own column: no second table
+    ratings[:] = table[:, 2]
+    return RatingsDataset(table[:, 0], table[:, 1], ratings, table[:, 3], n_users, n_items)
 
 
 def _reject_duplicates(users: np.ndarray, items: np.ndarray, n_items: int) -> None:
-    uniq, counts = np.unique(users * n_items + items, return_counts=True)
-    if np.any(counts > 1):
-        dup = int(uniq[np.argmax(counts > 1)])
+    keys = users * n_items + items
+    keys.sort()  # in place: np.unique's counts would hold several more key arrays
+    same = keys[1:] == keys[:-1]
+    if same.any():
+        dup = int(keys[np.argmax(same)])
         raise ParseError(
             f"duplicate (user, item) pair ({dup // n_items + 1}, {dup % n_items + 1})"
         )
@@ -239,12 +236,13 @@ def gen_ratings_standin(
 
 def split_ratings(
     ds: RatingsDataset, train_frac: float, seed: int
-) -> tuple[CompletionMask, np.ndarray, np.ndarray]:
+) -> tuple[CompletionMask, np.ndarray, tuple[CompletionMask, np.ndarray]]:
     """Uniform split without replacement; train count is floor(frac * n).
 
-    Returns the train mask with its measurement vector (ordered row-major
-    over the sorted train indices) and the held-out entries as (user, item,
-    rating) rows.
+    Returns the train mask with its measurement vector and the hold-out as a
+    (mask, values) pair of the same form; each mask is sorted row-major and
+    its values follow that order. The recorder takes the pair as its
+    ``holdout`` (:class:`dln.trainer.Recorder`).
     """
     if not 0 < train_frac < 1:
         raise ContractViolationError("need train_frac in (0, 1)")
@@ -253,13 +251,12 @@ def split_ratings(
     if n_train < 1 or n_train >= n:
         raise ContractViolationError("split leaves an empty train or test set")
     perm = make_rng(seed, 4).permutation(n)
-    train_idx, test_idx = perm[:n_train], perm[n_train:]
-    # measurement order must follow the mask's sorted row-major layout; the
-    # pairs are distinct, so sorting their flat indices gives that order
-    order = train_idx[np.argsort(ds.users[train_idx] * ds.n_items + ds.items[train_idx])]
-    mask = CompletionMask(ds.users[order], ds.items[order], ds.n_users, ds.n_items)
-    y = ds.ratings[order]
-    test = np.column_stack(
-        [ds.users[test_idx], ds.items[test_idx], ds.ratings[test_idx]]
-    ).astype(np.float64)
-    return mask, y, test
+
+    def entries(idx: np.ndarray) -> tuple[CompletionMask, np.ndarray]:
+        # measurement order must follow the mask's sorted row-major layout; the
+        # pairs are distinct, so sorting their flat indices gives that order
+        order = idx[np.argsort(ds.users[idx] * ds.n_items + ds.items[idx])]
+        mask = CompletionMask(ds.users[order], ds.items[order], ds.n_users, ds.n_items)
+        return mask, ds.ratings[order]
+
+    return *entries(perm[:n_train]), entries(perm[n_train:])

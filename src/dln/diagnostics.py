@@ -1,6 +1,7 @@
 """Post-hoc metrics over training logs: subspace alignment, sequential-fit
 detection, and held-out error for real ratings data. The recovery error is
-logged by :class:`dln.trainer.Recorder` itself.
+logged by :class:`dln.trainer.Recorder` itself, and so are the two held-out
+metrics below, of the hold-out mask :func:`dln.data.split_ratings` returns.
 """
 
 from __future__ import annotations
@@ -8,12 +9,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import Matrix
-from .trainer import TrajectoryLog
+
+if TYPE_CHECKING:  # the trainer's recorder calls this module
+    from .trainer import TrajectoryLog
 
 
 # fitted: (sigma_i - sigma*_i)^2 <= (C_VAL_REL * sigma*_i)^2, alignments >= 1 - C_VEC
@@ -99,32 +103,18 @@ def settled_from(ok: np.ndarray) -> int | None:
     return None if first == len(ok) else first
 
 
-def _holdout_residual(W_hat: Matrix, test_entries) -> tuple[np.ndarray, np.ndarray]:
-    """Prediction minus value at held-out (row, col, value) triples, and the values."""
-    test = np.asarray(test_entries, dtype=np.float64)
-    if test.size == 0:
-        raise ContractViolationError("empty test set")
-    test = test.reshape(-1, 3)
-    rows = test[:, 0].astype(np.int64)
-    cols = test[:, 1].astype(np.int64)
-    if rows.min() < 0 or rows.max() >= W_hat.shape[0] or cols.min() < 0 or cols.max() >= W_hat.shape[1]:
-        raise ContractViolationError("test indices out of range")
-    return W_hat[rows, cols] - test[:, 2], test[:, 2]
+def holdout_rmse(res: np.ndarray) -> float:
+    """Root mean squared error of a held-out residual, prediction minus value."""
+    return float(np.sqrt(np.mean(res**2)))
 
 
-def holdout_rmse(W_hat: Matrix, test_entries) -> float:
-    """Root mean squared error over held-out (row, col, value) triples."""
-    err, _ = _holdout_residual(W_hat, test_entries)
-    return float(np.sqrt(np.mean(err**2)))
-
-
-def holdout_relative_error(W_hat: Matrix, test_entries) -> float:
-    """Relative l2 error over held-out entries (distinct from the RMSE)."""
-    err, values = _holdout_residual(W_hat, test_entries)
+def holdout_relative_error(res: np.ndarray, values: np.ndarray) -> float:
+    """Relative l2 error of a held-out residual against its values (distinct
+    from the RMSE)."""
     denom = float(np.linalg.norm(values))
     if denom == 0.0:
         raise ContractViolationError("held-out values are all zero")
-    return float(np.linalg.norm(err)) / denom
+    return float(np.linalg.norm(res)) / denom
 
 
 def offdiagonal_leakage(W: Matrix, U: Matrix, V: Matrix) -> float:

@@ -10,7 +10,8 @@ the requested models, and writes a self-describing output tree::
       <model>/seed_<k>/
         trajectory.csv         deterministic per-iterate metrics
         timing.csv             cumulative training-only wall-clock
-        diagnostics.csv        tidy (experiment, seed, t, metric, component)
+        diagnostics.csv        tidy (experiment, seed, t, metric, component);
+                               ratings: held-out rows over the split's hold-out mask
         oracle.json            recursion-oracle report (when requested)
         incremental.json       per-component fit iterations (when tracked)
 
@@ -319,7 +320,7 @@ def _write_logs(dest: Path, log: TrajectoryLog, experiment: str, seed: int,
 
 @dataclass(frozen=True)
 class _Problem:
-    """One seed's measurements, its training config and a synthetic target's factors."""
+    """One seed's measurements, training config, synthetic factors and ratings hold-out."""
 
     op: SensingOperator
     y: np.ndarray
@@ -328,17 +329,13 @@ class _Problem:
     s: np.ndarray | None
     V: np.ndarray | None
     train: TrainConfig
-    extra: dict | None
+    holdout: tuple[CompletionMask, np.ndarray] | None
 
 
 def _seed_problem(cfg: ExperimentConfig, seed: int, ratings) -> _Problem:
     if cfg.problem == "movielens":
-        op, y, test = split_ratings(ratings, cfg.train_frac, seed)
+        op, y, holdout = split_ratings(ratings, cfg.train_frac, seed)
         M = U = s = V = None
-        extra = {
-            "holdout_rmse": lambda W: diagnostics.holdout_rmse(W, test),
-            "holdout_rel_error": lambda W: diagnostics.holdout_relative_error(W, test),
-        }
     else:
         spec = SyntheticSpec(
             d=cfg.d, r=cfg.r, seed=seed,
@@ -352,10 +349,10 @@ def _seed_problem(cfg: ExperimentConfig, seed: int, ratings) -> _Problem:
         else:
             op = gen_mcar_mask(cfg.d, cfg.p, seed)
         y = op.apply(M)
-        extra = None
+        holdout = None
     train = TrainConfig(eta=effective_eta(cfg, op.m), alpha=cfg.alpha, iters=cfg.T,
                         log_every=cfg.log_every, top_k=cfg.r_hat)
-    return _Problem(op, y, M, U, s, V, train, extra)
+    return _Problem(op, y, M, U, s, V, train, holdout)
 
 
 # The fit functions name the initialisers and trainers through this module's
@@ -364,7 +361,7 @@ def _fit_wide(cfg: ExperimentConfig, seed: int, pb: _Problem):
     d_out, d_in = pb.op.shape
     model = init_wide(d_in, cfg.L, cfg.eps, cfg.init_mode, make_rng(seed, 2), d_out=d_out)
     return train_wide(model, pb.op, pb.y, pb.train, probe=pb.M,
-                      track_spectral=cfg.track_spectral, extra_metrics=pb.extra)
+                      track_spectral=cfg.track_spectral, holdout=pb.holdout)
 
 
 def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
@@ -374,7 +371,7 @@ def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
     model = init_compressed(functools.partial(pb.op.surrogate, pb.y), cfg.L, cfg.r_hat, cfg.eps)
     svd_s = time.perf_counter() - t0
     trained, log = train_compressed(model, pb.op, pb.y, pb.train, probe=pb.M,
-                                    track_spectral=cfg.track_spectral, extra_metrics=pb.extra)
+                                    track_spectral=cfg.track_spectral, holdout=pb.holdout)
     log.svd_init_s = svd_s
     return trained, log
 
@@ -396,7 +393,7 @@ def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
 
 def _fit_altmin(cfg: ExperimentConfig, seed: int, pb: _Problem):
     return altmin_complete(pb.op, pb.y, cfg.r_hat, cfg.altmin_iters, probe=pb.M,
-                           extra_metrics=pb.extra)
+                           holdout=pb.holdout)
 
 
 class ModelEntry(NamedTuple):

@@ -13,7 +13,8 @@ Logged wall-clock is training-only: the timer pauses around logging work
 comparisons between models are not polluted by the logging cadence. Timing is
 serialized separately (``timing.csv``) so the deterministic trajectory files
 are byte-identical across reruns. A logged iterate is one
-:class:`TrajectoryRecord`, which carries its tracked spectrum and extra metrics.
+:class:`TrajectoryRecord`, which carries its tracked spectrum and, on ratings,
+the held-out metrics of the hold-out mask :func:`dln.data.split_ratings` returns.
 
 The logged spectrum of a low-rank model (the compressed network, and the
 alternating-minimization baseline, which logs through the same
@@ -32,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import diagnostics
 from .errors import ContractViolationError, DivergenceError
 from .linalg import Matrix, SvdResult, chain_product, chain_svd
 from .models import DLN, chain_gradients
@@ -71,7 +73,7 @@ class TrajectoryRecord:
     svals: np.ndarray
     elapsed_s: float
     spectrum: SvdResult | None = None  # tracked triplets, or None when the run tracks none
-    extras: dict[str, float] = field(default_factory=dict)
+    extras: dict[str, float] = field(default_factory=dict)  # held-out metrics by name
 
 
 @dataclass
@@ -123,7 +125,8 @@ class Recorder:
     Each call evaluates the end-to-end matrix once and appends one
     :class:`TrajectoryRecord` to ``log``: the train loss, the recovery error
     against ``probe``, the top-k spectrum, ``track_spectral`` singular
-    triplets and the extra metrics.
+    triplets and, given ``holdout=(mask, values)`` that fits ``op``, the
+    held-out RMSE and relative error of one residual ``mask.apply(W) - values``.
     The spectrum comes from :func:`chain_svd`, so a chain with a bottleneck is
     decomposed through its factors. A loss that is not finite or exceeds
     ``LOSS_CAP`` raises :class:`DivergenceError` before anything is logged.
@@ -138,11 +141,15 @@ class Recorder:
         top_k: int,
         probe: Matrix | None = None,
         track_spectral: int = 0,
-        extra_metrics: dict[str, Callable[[Matrix], float]] | None = None,
+        holdout: tuple[SensingOperator, np.ndarray] | None = None,
     ):
         self.layers, self.op, self.y = layers, op, y
-        self.probe, self.track_spectral = probe, track_spectral
-        self.extra_metrics = extra_metrics or {}
+        self.probe, self.track_spectral, self.holdout = probe, track_spectral, holdout
+        if holdout is not None and (holdout[0].shape != op.shape
+                                    or np.size(holdout[1]) != holdout[0].m):
+            raise ContractViolationError(
+                f"a {holdout[0].shape} hold-out of {holdout[0].m} entries and "
+                f"{np.size(holdout[1])} values does not fit a {op.shape} operator")
         self.log = TrajectoryLog(top_k=top_k)
         self.probe_norm = None
         if probe is not None:
@@ -163,7 +170,12 @@ class Recorder:
             rec = float(np.linalg.norm(W - self.probe)) / self.probe_norm
         spectrum = (chain_svd(layers, self.track_spectral, compute_uv=True, product=W)
                     if self.track_spectral > 0 else None)
-        extras = {name: float(fn(W)) for name, fn in self.extra_metrics.items()}
+        extras = {}
+        if self.holdout is not None:
+            mask, values = self.holdout
+            held = mask.apply(W) - values
+            extras = {"holdout_rmse": diagnostics.holdout_rmse(held),
+                      "holdout_rel_error": diagnostics.holdout_relative_error(held, values)}
         log.records.append(TrajectoryRecord(t, lo, rec, svals, elapsed, spectrum, extras))
 
 
@@ -190,10 +202,10 @@ def train_compressed(
     cfg: TrainConfig,
     probe: Matrix | None = None,
     track_spectral: int = 0,
-    extra_metrics: dict[str, Callable[[Matrix], float]] | None = None,
+    holdout: tuple[SensingOperator, np.ndarray] | None = None,
 ) -> tuple[DLN, TrajectoryLog]:
     """Descent with rate alpha*eta on the outer layers and eta on the rest;
-    the input model is not mutated."""
+    the input model is not mutated. ``holdout`` goes to the :class:`Recorder`."""
     rates = [cfg.eta] * len(model.layers)
     rates[0] = rates[-1] = cfg.alpha * cfg.eta
     layers = [w.copy() for w in model.layers]
@@ -208,7 +220,7 @@ def train_compressed(
             np.multiply(g, rate, out=g)
             w -= g
 
-    record = Recorder(layers, op, y, cfg.top_k, probe, track_spectral, extra_metrics)
+    record = Recorder(layers, op, y, cfg.top_k, probe, track_spectral, holdout)
     return DLN(layers), descend(record, step, cfg.iters, cfg.log_every)
 
 
@@ -219,9 +231,9 @@ def train_wide(
     cfg: TrainConfig,
     probe: Matrix | None = None,
     track_spectral: int = 0,
-    extra_metrics: dict[str, Callable[[Matrix], float]] | None = None,
+    holdout: tuple[SensingOperator, np.ndarray] | None = None,
 ) -> tuple[DLN, TrajectoryLog]:
     """Uniform-rate descent: :func:`train_compressed` at alpha = 1, whatever
     ``cfg.alpha`` holds."""
     return train_compressed(model, op, y, replace(cfg, alpha=1.0), probe, track_spectral,
-                            extra_metrics)
+                            holdout)

@@ -293,22 +293,21 @@ def test_criterion_09_gradient_flow_oracle():
 def _ratings_protocol(path, shape, T_wide, eps, out_prefix=""):
     """Shared ratings-completion protocol: wide vs compressed vs baseline."""
     ds = load_movielens(path, shape=shape)
-    mask, y, test = split_ratings(ds, 0.8, seed=0)
+    mask, y, holdout = split_ratings(ds, 0.8, seed=0)
     eta = 0.5 / mask.m
     surr = mask.surrogate(y)
     d_out, d_in = mask.shape
-    hold = {"holdout_rmse": lambda W: diagnostics.holdout_rmse(W, test)}
 
     wide = init_wide(d_in, 3, eps, "orthogonal", make_rng(0, 2), d_out=d_out)
     cfg_w = TrainConfig(eta=eta, alpha=1.0, iters=T_wide, log_every=10, top_k=10)
-    _, log_w = train_wide(wide, mask, y, cfg_w, extra_metrics=hold)
+    _, log_w = train_wide(wide, mask, y, cfg_w, holdout=holdout)
 
     comp = init_compressed(surr, 3, 10, eps)
     cfg_c = TrainConfig(eta=eta, alpha=5.0, iters=T_wide, log_every=10, top_k=10)
-    _, log_c = train_compressed(comp, mask, y, cfg_c, extra_metrics=hold)
+    _, log_c = train_compressed(comp, mask, y, cfg_c, holdout=holdout)
 
-    am, _ = altmin_complete(mask, y, 10, 40)
-    alt_rmse = diagnostics.holdout_rmse(am.layers[1] @ am.layers[0], test)
+    _, log_a = altmin_complete(mask, y, 10, 40, holdout=holdout)
+    alt_rmse = log_a.final().extras["holdout_rmse"]
 
     hw = np.array([rec.extras["holdout_rmse"] for rec in log_w.records])
     hc = np.array([rec.extras["holdout_rmse"] for rec in log_c.records])

@@ -1,5 +1,6 @@
 """scripts/compare_runs.py: a run and its manifest re-run compare identical,
-and an edited, moved or missing file is flagged."""
+for a completion run and for a ratings run, and an edited, moved or missing
+file is flagged."""
 
 import importlib.util
 import shutil
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dln.cli import main
+from dln.data import gen_ratings_standin
 from dln.linalg import load_matrix_bin, save_matrix_bin
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
@@ -31,6 +33,23 @@ def runs(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def ratings_runs(tmp_path_factory):
+    """A tiny ratings run of every model on a stand-in file, with checkpoints,
+    and its ``--manifest`` re-run."""
+    root = tmp_path_factory.mktemp("ratings")
+    n_users, n_items = gen_ratings_standin(root / "u.data", n_users=30, n_items=40,
+                                           n_ratings=600, rank=3)
+    (root / "run.cfg").write_text(f"movielens_shape = {n_users},{n_items}\n"
+                                  "save_models = true\n")
+    assert main(["movielens", "--data", str(root / "u.data"), "--model", "all", "--rhat", "3",
+                 "--T", "20", "--log-every", "5", "--altmin-iters", "3",
+                 "--config", str(root / "run.cfg"), "--out", str(root / "a")]) == 0
+    assert main(["movielens", "--manifest", str(root / "a" / "manifest.json"),
+                 "--out", str(root / "b")]) == 0
+    return root
+
+
 def verdicts(capsys, a, b):
     rc = compare_runs.main([str(a), str(b)])
     lines = capsys.readouterr().out.splitlines()
@@ -46,6 +65,18 @@ def test_rerun_compares_identical(runs, capsys):
             "train_values.csv", "layer_00.dlnm", "manifest.json"} <= names
     # the run manifest and timing files are not deterministic and are left out
     assert "manifest.json" not in seen and not any(n == "timing.csv" for n in names)
+    assert summary == f"{len(seen)} files: {len(seen)} identical, 0 not"
+
+
+def test_ratings_rerun_compares_identical(ratings_runs, capsys):
+    rc, seen, summary = verdicts(capsys, ratings_runs / "a", ratings_runs / "b")
+    assert rc == 0
+    assert set(seen.values()) == {"identical"}
+    # each model's held-out rows are among the files compared
+    assert {f"{m}/seed_0/diagnostics.csv" for m in ("wide", "compressed", "altmin")} <= set(seen)
+    for model in ("wide", "compressed"):
+        for name in ("trajectory.csv", "mask.csv", "train_values.csv", "checkpoint/layer_00.dlnm"):
+            assert f"{model}/seed_0/{name}" in seen
     assert summary == f"{len(seen)} files: {len(seen)} identical, 0 not"
 
 

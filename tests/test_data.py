@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,24 @@ class TestLoadMovielens:
         assert ds.n_users == 943 and ds.n_items == 1682
 
 
+def test_load_traces_at_most_two_and_a_half_files(tmp_path):
+    # the C reader streams the file, so its text is never held whole; the
+    # parsed int64 table alone is about 1.6 files at this line length
+    path = tmp_path / "u.data"
+    shape = gen_ratings_standin(path, n_users=943, n_items=1682, n_ratings=100_000)
+    tracemalloc.start()
+    try:
+        ds = load_movielens(path, shape=shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * path.stat().st_size
+    ref = _scan_movielens(path.read_text(), shape)
+    for name in ("users", "items", "ratings", "timestamps"):
+        a, b = getattr(ds, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 RATINGS_ALPHABET = "0123456789\t\n +-.#\r"
 SMALL_SHAPE = (3, 4)
 
@@ -234,12 +253,10 @@ def _split_via_dense_table(ds, train_frac, seed):
     perm = make_rng(seed, 4).permutation(len(ds))
     train_idx, test_idx = perm[:n_train], perm[n_train:]
     mask = CompletionMask(ds.users[train_idx], ds.items[train_idx], ds.n_users, ds.n_items)
+    held = CompletionMask(ds.users[test_idx], ds.items[test_idx], ds.n_users, ds.n_items)
     full = np.full((ds.n_users, ds.n_items), np.nan)
-    full[ds.users[train_idx], ds.items[train_idx]] = ds.ratings[train_idx]
-    test = np.column_stack(
-        [ds.users[test_idx], ds.items[test_idx], ds.ratings[test_idx]]
-    ).astype(np.float64)
-    return mask, full[mask.rows, mask.cols], test
+    full[ds.users, ds.items] = ds.ratings
+    return mask, full[mask.rows, mask.cols], (held, full[held.rows, held.cols])
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,11 +271,13 @@ def test_split_matches_dense_table_reference(n_users, n_items, data):
     users, items = np.divmod(cells, n_items)
     ds = RatingsDataset(users, items, rng.integers(1, 6, n).astype(np.float64),
                         np.arange(n, dtype=np.int64), n_users, n_items)
-    mask, y, test = split_ratings(ds, frac, seed)
-    ref_mask, ref_y, ref_test = _split_via_dense_table(ds, frac, seed)
-    assert np.array_equal(mask.rows, ref_mask.rows) and np.array_equal(mask.cols, ref_mask.cols)
-    assert np.array_equal(y, ref_y)
-    assert np.array_equal(test, ref_test)
+    mask, y, holdout = split_ratings(ds, frac, seed)
+    ref_mask, ref_y, ref_holdout = _split_via_dense_table(ds, frac, seed)
+    for (got, values), (ref, ref_values) in (((mask, y), (ref_mask, ref_y)),
+                                             (holdout, ref_holdout)):
+        assert np.array_equal(got.rows, ref.rows) and np.array_equal(got.cols, ref.cols)
+        assert got.shape == ref.shape == (n_users, n_items)
+        assert np.array_equal(values, ref_values)
 
 
 class TestSplitRatings:
@@ -272,35 +291,37 @@ class TestSplitRatings:
 
     def test_counts_exact(self):
         ds = self._dataset(n=50)
-        mask, y, test = split_ratings(ds, 0.8, seed=0)
-        assert mask.m == 40 and test.shape[0] == 10
+        mask, y, (held, held_y) = split_ratings(ds, 0.8, seed=0)
+        assert mask.m == y.size == 40 and held.m == held_y.size == 10
 
     def test_disjoint_union(self):
         ds = self._dataset(n=60)
-        mask, y, test = split_ratings(ds, 0.8, seed=1)
+        mask, y, (held, _) = split_ratings(ds, 0.8, seed=1)
         train_set = set(zip(mask.rows.tolist(), mask.cols.tolist()))
-        test_set = set(zip(test[:, 0].astype(int).tolist(), test[:, 1].astype(int).tolist()))
+        test_set = set(zip(held.rows.tolist(), held.cols.tolist()))
         assert not (train_set & test_set)
         all_set = set(zip(ds.users.tolist(), ds.items.tolist()))
         assert train_set | test_set == all_set
 
     def test_measurements_follow_mask_order(self):
         ds = self._dataset(n=40)
-        mask, y, test = split_ratings(ds, 0.75, seed=2)
+        mask, y, holdout = split_ratings(ds, 0.75, seed=2)
         lookup = {(u, i): r for u, i, r in zip(ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist())}
-        for k in range(mask.m):
-            assert y[k] == lookup[(int(mask.rows[k]), int(mask.cols[k]))]
+        for m, values in ((mask, y), holdout):
+            for k in range(m.m):
+                assert values[k] == lookup[(int(m.rows[k]), int(m.cols[k]))]
 
     def test_single_test_entry(self):
         ds = self._dataset(n=30)
-        mask, y, test = split_ratings(ds, 1.0 - 1.0 / 30.0, seed=3)
-        assert test.shape[0] == 1
+        mask, y, (held, held_y) = split_ratings(ds, 1.0 - 1.0 / 30.0, seed=3)
+        assert held.m == held_y.size == 1
 
     def test_same_seed_identical(self):
         ds = self._dataset(n=40)
-        m1, y1, t1 = split_ratings(ds, 0.8, seed=5)
-        m2, y2, t2 = split_ratings(ds, 0.8, seed=5)
-        assert np.array_equal(m1.rows, m2.rows) and np.array_equal(y1, y2) and np.array_equal(t1, t2)
+        m1, y1, (h1, hy1) = split_ratings(ds, 0.8, seed=5)
+        m2, y2, (h2, hy2) = split_ratings(ds, 0.8, seed=5)
+        assert np.array_equal(m1.flat, m2.flat) and np.array_equal(y1, y2)
+        assert np.array_equal(h1.flat, h2.flat) and np.array_equal(hy1, hy2)
 
     def test_bad_fraction(self):
         ds = self._dataset(n=20)

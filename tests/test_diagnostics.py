@@ -1,7 +1,10 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dln.data import SyntheticSpec, gen_lowrank
+from dln.data import SyntheticSpec, gen_lowrank, load_movielens, split_ratings
 from dln.diagnostics import (
     SpectralTrajectory,
     alignment,
@@ -16,8 +19,10 @@ from dln.diagnostics import (
 from dln.errors import ContractViolationError
 from dln.linalg import chain_product, make_rng, sample_semi_orthogonal
 from dln.models import DLN, init_compressed
-from dln.operators import Identity
-from dln.trainer import TrainConfig, train_compressed, train_wide
+from dln.operators import CompletionMask, Identity
+from dln.trainer import Recorder, TrainConfig, train_compressed, train_wide
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestRecoveryError:
@@ -201,32 +206,72 @@ class TestDetectIncremental:
 
 
 class TestHoldout:
+    """The held-out metrics over a residual, prediction minus value; the
+    recorder forms it from the hold-out mask (``TestRecordedHoldout``)."""
+
     def test_exact_predictions(self):
-        W = np.array([[1.0, 2.0], [3.0, 4.0]])
-        entries = [(0, 0, 1.0), (1, 1, 4.0)]
-        assert holdout_rmse(W, entries) == 0.0
+        assert holdout_rmse(np.zeros(2)) == 0.0
 
     def test_constant_off_by_one(self):
-        W = np.full((2, 2), 3.0)
-        entries = [(0, 0, 2.0), (0, 1, 2.0), (1, 0, 2.0)]
-        assert holdout_rmse(W, entries) == pytest.approx(1.0)
+        assert holdout_rmse(np.ones(3)) == pytest.approx(1.0)
 
     def test_hand_rmse(self):
-        W = np.array([[3.0, 0.0], [0.0, 4.0]])
-        entries = [(0, 0, 0.0), (1, 1, 0.0)]
-        assert holdout_rmse(W, entries) == pytest.approx(np.sqrt(12.5))
+        assert holdout_rmse(np.array([3.0, 4.0])) == pytest.approx(np.sqrt(12.5))
 
     def test_empty_rejected(self):
-        with pytest.raises(ContractViolationError):
-            holdout_rmse(np.eye(2), [])
+        # a hold-out is a CompletionMask, which refuses an empty index set
+        with pytest.raises(ContractViolationError, match="empty observation set"):
+            CompletionMask(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 2, 2)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ContractViolationError):
-            holdout_rmse(np.eye(2), [(2, 0, 1.0)])
+        with pytest.raises(ContractViolationError, match="out of range"):
+            CompletionMask([2], [0], 2, 2)
 
     def test_relative_error(self):
-        W = np.array([[2.0]])
-        assert holdout_relative_error(W, [(0, 0, 1.0)]) == pytest.approx(1.0)
+        assert holdout_relative_error(np.array([1.0]), np.array([1.0])) == pytest.approx(1.0)
+
+    def test_all_zero_values_rejected(self):
+        with pytest.raises(ContractViolationError, match="all zero"):
+            holdout_relative_error(np.array([1.0, 2.0]), np.zeros(2))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench's workload module, for its ratings-file writer."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        return importlib.import_module("workloads")
+
+
+class TestRecordedHoldout:
+    """The recorder's held-out metrics against plain numpy over the held-out
+    (user, item, rating) rows in split order, read from the file itself."""
+
+    @pytest.mark.parametrize("seed", [41, 42, 43, 44, 45])
+    def test_matches_the_held_out_rows(self, tmp_path, workloads, seed):
+        path = tmp_path / "u.data"
+        workloads.write_ratings(path, seed)
+        shape = workloads.RATINGS_SHAPE
+        mask, y, holdout = split_ratings(load_movielens(path, shape=shape), 0.8, seed)
+        table = np.loadtxt(path, dtype=np.int64, delimiter="\t")
+        n_train = int(np.floor(0.8 * len(table)))
+        held = table[make_rng(seed, 4).permutation(len(table))[n_train:]]
+        rows, cols, ratings = held[:, 0] - 1, held[:, 1] - 1, held[:, 2].astype(np.float64)
+        rng = np.random.default_rng(seed)
+        products = {  # name: (first layer, last layer)
+            "rank 10": (rng.standard_normal((10, shape[1])), rng.standard_normal((shape[0], 10))),
+            "constant 3.5": (np.ones((1, shape[1])), np.full((shape[0], 1), 3.5)),
+        }
+        for name, (first, last) in products.items():
+            record = Recorder([first, last], mask, y, top_k=1, holdout=holdout)
+            record(0, 0.0)
+            got = record.log.final().extras
+            res = (last @ first)[rows, cols] - ratings
+            want = {"holdout_rmse": np.sqrt(np.mean(res**2)),
+                    "holdout_rel_error": np.linalg.norm(res) / np.linalg.norm(ratings)}
+            assert set(got) == set(want)
+            for metric, value in want.items():
+                assert abs(got[metric] - value) <= 1e-15 * value, (name, metric, got[metric])
 
 
 class TestLeakage:

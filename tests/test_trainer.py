@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dln.baselines import altmin_complete
 from dln.data import SyntheticSpec, gen_lowrank, gen_mcar_mask
 from dln.errors import ContractViolationError, DivergenceError
 from dln.linalg import chain_product, make_rng, truncated_svd
@@ -13,9 +14,9 @@ from dln.models import (
     init_compressed,
     init_wide,
 )
-from dln.operators import Identity
+from dln.operators import CompletionMask, Identity
 from dln.theory import RecursionParams, initial_state, verify_against_training
-from dln.trainer import TrainConfig, train_compressed, train_wide
+from dln.trainer import Recorder, TrainConfig, train_compressed, train_wide
 
 
 def make_factorization(d, r, seed, sigma_values):
@@ -213,3 +214,30 @@ def test_config_validation():
         TrainConfig(eta=1.0, iters=10, alpha=0.0)
     with pytest.raises(ContractViolationError):
         TrainConfig(eta=1.0, iters=10, log_every=0)
+
+
+@pytest.mark.parametrize("entry", ["Recorder", "train_wide", "train_compressed",
+                                   "altmin_complete"])
+@pytest.mark.parametrize("holdout", [
+    (CompletionMask([0, 5], [1, 2], 6, 7), np.ones(2)),  # a wider mask
+    (CompletionMask([0, 5], [1, 2], 7, 6), np.ones(2)),  # a taller one
+    (CompletionMask([0, 5], [1, 2], 6, 6), np.ones(1)),  # a value short
+    (CompletionMask([0, 5], [1, 2], 6, 6), np.ones(3)),  # a value over
+], ids=["wider", "taller", "fewer-values", "more-values"])
+def test_mismatched_holdout_refused_before_the_first_record(monkeypatch, entry, holdout):
+    mask = gen_mcar_mask(6, 0.5, 0)
+    y = mask.apply(np.ones((6, 6)))
+    model = DLN([np.full((2, 6), 0.5), np.full((6, 2), 0.5)])
+    recorded = []
+    monkeypatch.setattr(Recorder, "__call__", lambda self, t, elapsed: recorded.append(t))
+    calls = {
+        "Recorder": lambda: Recorder(model.layers, mask, y, 2, holdout=holdout),
+        "train_wide": lambda: train_wide(model, mask, y, TrainConfig(eta=0.1, iters=2),
+                                         holdout=holdout),
+        "train_compressed": lambda: train_compressed(model, mask, y, TrainConfig(eta=0.1, iters=2),
+                                                     holdout=holdout),
+        "altmin_complete": lambda: altmin_complete(mask, y, 2, 2, holdout=holdout),
+    }
+    with pytest.raises(ContractViolationError, match="hold-out"):
+        calls[entry]()
+    assert recorded == []
