@@ -40,8 +40,11 @@ def alignment(log: TrajectoryLog, U_star: Matrix, V_star: Matrix, r: int) -> Spe
 
     Uses the triplets the records carry (training with ``track_spectral >
     0``); absolute inner products kill the sign ambiguity of singular vectors.
+    The t = 0 record is left out: both inits start with all end-to-end singular
+    values equal, so its singular vectors are an arbitrary basis.
     """
-    tracked = [(rec.t, rec.spectrum) for rec in log.records if rec.spectrum is not None]
+    tracked = [(rec.t, rec.spectrum) for rec in log.records
+               if rec.spectrum is not None and rec.t > 0]
     if not tracked:
         raise ContractViolationError("log has no tracked spectrum; train with track_spectral > 0")
     if U_star.shape[1] < r or V_star.shape[1] < r:

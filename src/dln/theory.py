@@ -1,13 +1,13 @@
 """Independent oracles for the training dynamics of spectrally-seeded nets.
 
-Under full observation with spectral initialization and a uniform step size,
-the compressed network's end-to-end matrix stays diagonal in the surrogate's
-singular frame, and every singular value follows a scalar recursion: the top
-r values chase their targets while the remaining r_hat - r ones decay. This
-module implements that recursion, a checker that replays it against a real
-training log, the spectral lower bound used to compare recovery errors, and
-the continuous-time (gradient-flow) limit of the singular-value dynamics as
-an RK4 integrator.
+Under full observation with spectral initialization, every layer of the
+compressed network stays diagonal in the surrogate's singular frame at any
+per-layer rates (alpha * eta outside, eta inside), so each (layer, component)
+scalar follows one recursion: the top r components chase their targets while
+the remaining r_hat - r ones decay. This module implements that recursion, a
+checker that replays it against a real training log, the spectral lower bound
+used to compare recovery errors, and the continuous-time (gradient-flow) limit
+of the singular-value dynamics as an RK4 integrator.
 
 None of this code shares state with the trainer: it recomputes trajectories
 from scratch, which is what makes it usable as an oracle.
@@ -34,13 +34,14 @@ class RecursionParams:
     eta: float
     eps: float
     sigma_star: np.ndarray  # descending targets for the top components
+    alpha: float = 1.0  # rate multiplier of the first and last layers
 
     def __post_init__(self):
         s = np.asarray(self.sigma_star, dtype=np.float64).ravel()
         if self.L < 2:
             raise ContractViolationError("need depth >= 2")
-        if not (self.eta > 0 and self.eps > 0):
-            raise ContractViolationError("eta and eps must be positive")
+        if not (self.eta > 0 and self.eps > 0 and self.alpha > 0):
+            raise ContractViolationError("eta, eps and alpha must be positive")
         if s.size and np.any(np.diff(s) > 0):
             raise ContractViolationError("targets must be sorted descending")
         object.__setattr__(self, "sigma_star", s)
@@ -52,45 +53,44 @@ class RecursionParams:
 
 @dataclass(frozen=True)
 class RecursionState:
-    """Per-factor scalars: lam_i for the fitted components, beta for the rest."""
+    """lam[l, i] is layer l's scalar for component i; column r is the untargeted tail."""
 
-    lam: np.ndarray
-    beta: float
+    lam: np.ndarray  # (L, r + 1)
     t: int
     params: RecursionParams
 
 
 def initial_state(params: RecursionParams) -> RecursionState:
-    return RecursionState(
-        lam=np.full(params.r, params.eps), beta=params.eps, t=0, params=params
-    )
+    return RecursionState(np.full((params.L, params.r + 1), params.eps), 0, params)
 
 
 def recursion_step(state: RecursionState) -> RecursionState:
-    """One exact step of the diagonal training recursion.
+    """One exact, synchronous step of the diagonal training recursion:
 
-    lam_i <- lam_i * (1 - eta * (lam_i^L - sigma*_i) * lam_i^(L-2))
-    beta  <- beta  * (1 - eta * beta^(2(L-1)))
-    """
+    lam[l, i] <- lam[l, i] - eta_l * prod_{k != l} lam[k, i] * (prod_k lam[k, i] - target_i)
+
+    with eta_l = alpha * eta on the first and last layers, eta on the others,
+    and target 0 for the untargeted column."""
     p = state.params
     lam = state.lam
-    beta = np.float64(state.beta)
+    rates = np.array([[p.alpha * p.eta]] + [[p.eta]] * (p.L - 2) + [[p.alpha * p.eta]])
+    target = np.append(p.sigma_star, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        new_lam = lam * (1.0 - p.eta * (lam ** p.L - p.sigma_star) * lam ** (p.L - 2))
-        new_beta = float(beta * (1.0 - p.eta * beta ** (2 * (p.L - 1))))
-    if not (np.all(np.isfinite(new_lam)) and np.isfinite(new_beta)):
+        others = np.stack([np.prod(np.delete(lam, l, axis=0), axis=0) for l in range(p.L)])
+        new_lam = lam - rates * others * (np.prod(lam, axis=0) - target)
+    if not np.all(np.isfinite(new_lam)):
         raise DivergenceError(state.t + 1, float(np.max(np.abs(lam))))
-    return RecursionState(lam=new_lam, beta=new_beta, t=state.t + 1, params=p)
+    return RecursionState(lam=new_lam, t=state.t + 1, params=p)
 
 
 def implied_singular_values(state: RecursionState, r_hat: int) -> np.ndarray:
-    """End-to-end spectrum the recursion predicts: lam_i^L then beta^L tail."""
+    """End-to-end spectrum the recursion predicts: each component's product
+    over the layers, the untargeted one repeated r_hat - r times."""
     p = state.params
     if r_hat < p.r:
         raise ContractViolationError(f"r_hat {r_hat} smaller than tracked components {p.r}")
-    return np.concatenate(
-        [state.lam ** p.L, np.full(r_hat - p.r, state.beta ** p.L)]
-    )
+    s = np.prod(state.lam, axis=0)
+    return np.concatenate([s[:-1], np.full(r_hat - p.r, s[-1])])
 
 
 def stable_step_bound(sigma_max: float, L: int, alpha: float = 1.0) -> float:
@@ -139,7 +139,7 @@ def verify_against_training(
     report fails at the first logged iterate off by more than ``ORACLE_TOL``.
 
     The log must come from a full-observation run of a spectrally-initialized
-    compressed network trained with a uniform rate matching ``state0.params``.
+    compressed network trained with the rates of ``state0.params``.
     Compares as many leading values as the log carries (at most r_hat).
     """
     if state0.t != 0:

@@ -80,9 +80,25 @@ class TestAlignment:
         # spectral seeding under full observation pins the singular vectors
         log, M, U, s, V = frozen_frame_run()
         st = alignment(log, U, V, 2)
-        after_start = st.ts >= 1  # at t=0 all values tie and pairing is arbitrary
-        assert np.all(st.left_align[after_start] >= 1 - 1e-10)
-        assert np.all(st.right_align[after_start] >= 1 - 1e-10)
+        # at t=0 all values tie and pairing is arbitrary, so that record is left out
+        assert log.records[0].t == 0 and st.ts[0] == log.records[1].t
+        assert np.all(st.left_align >= 1 - 1e-10)
+        assert np.all(st.right_align >= 1 - 1e-10)
+
+    def test_t0_record_left_out(self, rng):
+        from dln.linalg import SvdResult
+        from dln.trainer import TrajectoryLog, TrajectoryRecord
+
+        q = sample_semi_orthogonal(6, 6, rng)
+        log = TrajectoryLog(top_k=2)
+        for t, cols in ((0, slice(2, 4)), (5, slice(0, 2))):
+            spectrum = SvdResult(q[:, cols], np.ones(2), q[:, cols])
+            log.records.append(TrajectoryRecord(t, 0.0, None, np.ones(2), 0.0, spectrum))
+        st = alignment(log, q[:, :2], q[:, :2], 2)
+        assert st.ts.tolist() == [5] and np.allclose(st.left_align, 1.0)
+        log.records.pop()
+        with pytest.raises(ContractViolationError):
+            alignment(log, q[:, :2], q[:, :2], 2)
 
     def test_self_alignment(self, rng):
         from dln.linalg import SvdResult
@@ -91,7 +107,7 @@ class TestAlignment:
         q = sample_semi_orthogonal(6, 6, rng)
         log = TrajectoryLog(top_k=3)
         spectrum = SvdResult(q[:, :3], np.ones(3), q[:, :3])
-        log.records.append(TrajectoryRecord(0, 0.0, None, np.ones(3), 0.0, spectrum))
+        log.records.append(TrajectoryRecord(1, 0.0, None, np.ones(3), 0.0, spectrum))
         st = alignment(log, q[:, :3], q[:, :3], 3)
         assert np.allclose(st.left_align, 1.0)
         assert np.allclose(st.right_align, 1.0)
@@ -103,7 +119,7 @@ class TestAlignment:
         q = sample_semi_orthogonal(6, 6, rng)
         log = TrajectoryLog(top_k=2)
         spectrum = SvdResult(q[:, :2], np.ones(2), q[:, :2])
-        log.records.append(TrajectoryRecord(0, 0.0, None, np.ones(2), 0.0, spectrum))
+        log.records.append(TrajectoryRecord(1, 0.0, None, np.ones(2), 0.0, spectrum))
         st = alignment(log, q[:, 2:4], q[:, 2:4], 2)
         assert np.allclose(st.left_align, 0.0, atol=1e-12)
 

@@ -58,11 +58,18 @@ class TestConfig:
             validate_config(cfg)
         assert exc.value.field == "eta"
 
-    def test_oracle_requires_uniform_rate(self, tmp_path):
-        cfg = tiny_config(tmp_path, oracle=True, alpha=2.0)
+    def test_oracle_replays_alpha_two(self, tmp_path):
+        # the oracle replays the run's own outer-layer rate
+        res = run(tiny_config(tmp_path, oracle=True, alpha=2.0, model="compressed"))
+        assert res.statuses["compressed/seed_0/oracle"] == "pass"
+        report = json.loads((tmp_path / "out" / "compressed" / "seed_0" / "oracle.json").read_text())
+        assert report["max_rel_dev"] <= 1e-10
+
+    def test_oracle_needs_rhat_at_least_r(self, tmp_path):
+        cfg = tiny_config(tmp_path, oracle=True, r=2, r_hat=1, sigma_values=(0.1, 0.05))
         with pytest.raises(ConfigError) as exc:
             validate_config(cfg)
-        assert exc.value.field == "alpha"
+        assert exc.value.field == "r_hat"
 
     def test_altmin_needs_completion(self, tmp_path):
         cfg = tiny_config(tmp_path, model="altmin")
@@ -250,6 +257,23 @@ class TestRun:
         assert len(fits) == 2 and all(f is not None for f in fits)
         assert fits[0] <= fits[1]
 
+
+    def test_spectral_rows_leave_out_t0(self, tmp_path):
+        # the init ties every singular value at t = 0; the trajectory keeps
+        # that iterate, the spectral diagnostics do not
+        cfg = tiny_config(tmp_path, model="wide,compressed", track_spectral=2, T=60)
+        assert run(cfg).ok
+        for model in ("wide", "compressed"):
+            base = tmp_path / "out" / model / "seed_0"
+            with open(base / "diagnostics.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert {r["metric"] for r in rows} == {"sval", "left_align", "right_align",
+                                                   "subspace_distance"}
+            assert all(r["t"] != "0" for r in rows), model
+            drift = [r["t"] for r in rows if r["metric"] == "subspace_distance"]
+            assert drift == ["40", "60"], model
+            with open(base / "trajectory.csv") as fh:
+                assert next(csv.DictReader(fh))["t"] == "0"
 
     def test_alignment_computed_once_per_seed(self, tmp_path, monkeypatch):
         from dln import diagnostics
@@ -832,6 +856,21 @@ class TestCli:
         rc = main(["oracle", *self.ORACLE_RUN, "--out", str(tmp_path / "o")])
         assert rc == 0
         assert "oracle seed_0: PASS" in capsys.readouterr().out
+
+    def test_oracle_rhat_below_r_exit_two_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["oracle", "--rhat", "3", "--T", "20", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "'r_hat'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_factorize_oracle_at_recipe_rates_prints_pass(self, tmp_path, capsys):
+        # recipe defaults (alpha = 5, both networks) at a shorter T
+        out = tmp_path / "o"
+        assert main(["factorize", "--oracle", "--T", "300", "--out", str(out)]) == 0
+        assert "oracle seed_0: PASS" in capsys.readouterr().out
+        report = json.loads((out / "compressed" / "seed_0" / "oracle.json").read_text())
+        assert report["pass"] is True and report["max_rel_dev"] <= 1e-10
 
     def test_oracle_manifest_rerun(self, tmp_path):
         assert main(["oracle", *self.ORACLE_RUN, "--out", str(tmp_path / "a")]) == 0

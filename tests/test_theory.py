@@ -34,30 +34,39 @@ class TestRecursionStep:
     def test_hand_value_lambda(self):
         params = RecursionParams(L=3, eta=10.0, eps=1e-3, sigma_star=np.array([2.0]))
         s1 = recursion_step(initial_state(params))
-        # 1e-3 * (1 - 10 * (1e-9 - 2) * 1e-3)
-        assert s1.lam[0] == pytest.approx(1.01999999999e-3, rel=1e-12)
+        # 1e-3 - 10 * (1e-3)^2 * ((1e-3)^3 - 2), on every layer at alpha = 1
+        assert s1.lam.shape == (3, 2)
+        assert s1.lam[:, 0] == pytest.approx(np.full(3, 1.01999999999e-3), rel=1e-12)
 
-    def test_hand_value_beta(self):
+    def test_hand_value_tail(self):
         params = RecursionParams(L=3, eta=10.0, eps=1e-3, sigma_star=np.array([2.0]))
         s1 = recursion_step(initial_state(params))
-        # 1e-3 * (1 - 10 * (1e-3)^4)
-        assert s1.beta == pytest.approx(9.9999999999e-4, rel=1e-12)
+        # 1e-3 - 10 * (1e-3)^2 * ((1e-3)^3 - 0)
+        assert s1.lam[:, -1] == pytest.approx(np.full(3, 9.9999999999e-4), rel=1e-12)
+
+    def test_outer_layers_step_at_alpha_eta(self):
+        params = RecursionParams(L=4, eta=10.0, eps=1e-3, sigma_star=np.array([2.0]),
+                                 alpha=5.0)
+        s1 = recursion_step(initial_state(params))
+        # each layer moves by eta_l * (1e-3)^3 * ((1e-3)^4 - 2)
+        grown = 1e-3 + np.array([5.0, 1.0, 1.0, 5.0]) * 10.0 * 1e-9 * (2.0 - 1e-12)
+        assert s1.lam[:, 0] == pytest.approx(grown, rel=1e-12)
 
     def test_fixed_point(self):
         eps = 1e-2
         params = RecursionParams(L=3, eta=1.0, eps=eps, sigma_star=np.array([eps**3]))
         s1 = recursion_step(initial_state(params))
-        assert s1.lam[0] == eps
+        assert np.all(s1.lam[:, 0] == eps)
 
-    def test_beta_strictly_decreasing_and_below_eps(self):
+    def test_tail_strictly_decreasing_and_below_eps(self):
         params = RecursionParams(L=3, eta=10.0, eps=1e-3, sigma_star=np.array([0.1]))
         states = [initial_state(params)]
         for _ in range(1000):
             states.append(recursion_step(states[-1]))
-        betas = np.array([s.beta for s in states])
-        assert np.all(np.diff(betas) < 0)
-        assert np.all(betas <= 1e-3)
-        assert np.all(betas**3 <= (1e-3) ** 3)
+        tails = np.array([s.lam[:, -1] for s in states])
+        assert np.all(np.diff(tails, axis=0) < 0)
+        assert np.all(tails <= 1e-3)
+        assert np.all(np.prod(tails, axis=1) <= (1e-3) ** 3)
 
     def test_monotone_convergence_below_stability_bound(self):
         sigma = np.array([0.5, 0.3])
@@ -68,11 +77,11 @@ class TestRecursionStep:
         prev = state.lam.copy()
         for _ in range(200000):
             state = recursion_step(state)
-            assert np.all(state.lam >= prev - 1e-15)
+            assert np.all(state.lam[:, :2] >= prev[:, :2] - 1e-15)
             prev = state.lam.copy()
-            if np.max(np.abs(state.lam**L - sigma)) <= 1e-8:
+            if np.max(np.abs(implied_singular_values(state, 2) - sigma)) <= 1e-8:
                 break
-        assert np.max(np.abs(state.lam**L - sigma)) <= 1e-8
+        assert np.max(np.abs(implied_singular_values(state, 2) - sigma)) <= 1e-8
 
     def test_overflow_raises(self):
         params = RecursionParams(L=3, eta=1e6, eps=1.0, sigma_star=np.array([5.0]))
@@ -89,7 +98,7 @@ class TestRecursionStep:
 
 
 class TestVerifyAgainstTraining:
-    def _training_log(self, eta=1.0, iters=500):
+    def _training_log(self, eta=1.0, iters=500, L=3, eps=1e-3, alpha=1.0):
         from dln.data import SyntheticSpec, gen_lowrank
         from dln.models import init_compressed
         from dln.operators import Identity
@@ -100,8 +109,8 @@ class TestVerifyAgainstTraining:
         M, U, s, V = gen_lowrank(SyntheticSpec(d=d, r=r, seed=0, sigma_values=sigma))
         op = Identity(d)
         y = op.apply(M)
-        model = init_compressed(op.surrogate(y), 3, r_hat, 1e-3)
-        cfg = TrainConfig(eta=eta, iters=iters, log_every=10, top_k=r_hat)
+        model = init_compressed(op.surrogate(y), L, r_hat, eps)
+        cfg = TrainConfig(eta=eta, alpha=alpha, iters=iters, log_every=10, top_k=r_hat)
         _, log = train_compressed(model, op, y, cfg)
         return log, s
 
@@ -133,6 +142,17 @@ class TestVerifyAgainstTraining:
         params = RecursionParams(L=3, eta=1.0, eps=1e-3, sigma_star=s)
         with pytest.raises(ContractViolationError):
             verify_against_training(log, initial_state(params), 5)  # log tracks 10
+
+    @pytest.mark.parametrize("L", [3, 4])
+    @pytest.mark.parametrize("alpha", [1.0, 5.0])
+    def test_replay_sees_the_outer_rate(self, L, alpha):
+        log, s = self._training_log(iters=300, L=L, eps=0.1, alpha=alpha)
+        own, other = (RecursionParams(L=L, eta=1.0, eps=0.1, sigma_star=s, alpha=a)
+                      for a in (alpha, 6.0 - alpha))  # the run's alpha, then the other one
+        report = verify_against_training(log, initial_state(own), 10)
+        assert report.passed and report.max_rel_dev <= 1e-10
+        report = verify_against_training(log, initial_state(other), 10)
+        assert not report.passed and report.first_fail_iter is not None
 
     def test_report_json(self, tmp_path):
         report = OracleReport(max_rel_dev=1e-9, first_fail_iter=None, passed=True, tol=1e-6)
@@ -253,6 +273,27 @@ class TestDominance:
         b = flow_series(s0, 2.0, 1e-2)
         with pytest.raises(ContractViolationError):
             dominance_witness(a, b)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+def test_stable_step_bound_separates_convergence_from_oscillation(L, alpha):
+    # the mixed-rate bound, checked against the recursion it linearizes
+    target = 0.5
+    bound = stable_step_bound(target, L, alpha=alpha)
+    offsets = []
+    for scale in (0.9, 1.1):
+        params = RecursionParams(L=L, eta=scale * bound, eps=0.3,
+                                 sigma_star=np.array([target]), alpha=alpha)
+        state = initial_state(params)
+        last = []
+        for _ in range(2000):
+            state = recursion_step(state)
+            last = [*last[-1:], implied_singular_values(state, 1)[0]]
+        # past the bound the product settles into a two-cycle around the target
+        offsets.append(max(abs(v - target) for v in last))
+    assert offsets[0] <= 1e-14 * target
+    assert offsets[1] >= 0.1
 
 
 def test_stable_step_bound_formula():
