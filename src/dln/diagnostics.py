@@ -1,6 +1,6 @@
-"""Post-hoc metrics over training logs: subspace alignment, sequential-fit
-detection, and held-out error for real ratings data. The recovery error is
-logged by :class:`dln.trainer.Recorder` itself, and so are the two held-out
+"""Post-hoc metrics over training logs: subspace alignment and drift,
+sequential-fit detection, and held-out error for real ratings data. The
+recovery error is logged by :class:`dln.trainer.Recorder` itself, and so are the two held-out
 metrics below, of the hold-out mask :func:`dln.data.split_ratings` returns.
 """
 
@@ -27,16 +27,17 @@ C_VEC = 1e-3
 
 @dataclass
 class SpectralTrajectory:
-    """Per logged iterate: singular values and per-component alignments."""
+    """Per tracked iterate: singular values, per-component alignments and drift."""
 
     ts: np.ndarray            # (n,)
     svals: np.ndarray         # (n, k)
     left_align: np.ndarray    # (n, r), absolute inner products
     right_align: np.ndarray   # (n, r)
+    drift: np.ndarray         # (n - 1,), subspace_distance of U[:, :r], ts[j] to ts[j + 1]
 
 
 def alignment(log: TrajectoryLog, U_star: Matrix, V_star: Matrix, r: int) -> SpectralTrajectory:
-    """Alignment of the logged singular vectors with the target's.
+    """Alignment of the logged singular vectors with the target's, and their drift.
 
     Uses the triplets the records carry (training with ``track_spectral >
     0``); absolute inner products kill the sign ambiguity of singular vectors.
@@ -58,6 +59,8 @@ def alignment(log: TrajectoryLog, U_star: Matrix, V_star: Matrix, r: int) -> Spe
         svals=np.vstack([f.s for _, f in tracked]),
         left_align=np.array(la),
         right_align=np.array(ra),
+        drift=np.array([subspace_distance(a.U, b.U, r)
+                        for (_, a), (_, b) in zip(tracked, tracked[1:])]),
     )
 
 
@@ -73,16 +76,14 @@ def subspace_distance(U_a: Matrix, U_b: Matrix, r: int) -> float:
     return max(val, 0.0)
 
 
-def detect_incremental(st: SpectralTrajectory, sigma_star: np.ndarray,
-                       r: int) -> list[int | None]:
-    """Fit time t_i of each of the top r components: the first logged iterate
-    after which the value and alignment conditions (``C_VAL_REL``, ``C_VEC``)
-    hold at every later logged iterate.
+def detect_incremental(st: SpectralTrajectory, sigma_star: np.ndarray) -> list[int | None]:
+    """Fit time t_i of each of the r aligned components: the first logged
+    iterate after which the value and alignment conditions (``C_VAL_REL``,
+    ``C_VEC``) hold at every later logged iterate.
 
     Components that never settle come back as None.
     """
-    if r < 1:
-        raise ContractViolationError("need r >= 1")
+    r = st.left_align.shape[1]
     sigma_star = np.asarray(sigma_star, dtype=np.float64).ravel()
     if sigma_star.size < r or st.svals.shape[1] < r:
         raise ContractViolationError("trajectory or targets cover fewer than r components")
@@ -150,9 +151,9 @@ def write_diagnostics_csv(
 
 
 def spectral_rows(st: SpectralTrajectory) -> list[tuple[int, str, int | None, float]]:
-    """Flatten a spectral trajectory into tidy rows: each logged iterate's
-    singular values and its left and right alignments. The subspace drift rows
-    need the logged singular vectors and are added by the experiment runner."""
+    """Flatten a spectral trajectory into tidy rows: each tracked iterate's
+    singular values and its left and right alignments, then the subspace drift
+    of each tracked iterate after the first."""
     rows: list[tuple[int, str, int | None, float]] = []
     r = st.left_align.shape[1]
     for n, t in enumerate(st.ts):
@@ -161,4 +162,5 @@ def spectral_rows(st: SpectralTrajectory) -> list[tuple[int, str, int | None, fl
         for i in range(r):
             rows.append((int(t), "left_align", i + 1, float(st.left_align[n, i])))
             rows.append((int(t), "right_align", i + 1, float(st.right_align[n, i])))
+    rows += [(int(t), "subspace_distance", None, float(v)) for t, v in zip(st.ts[1:], st.drift)]
     return rows

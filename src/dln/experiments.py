@@ -56,7 +56,7 @@ from .errors import ConfigError, ContractViolationError, DivergenceError, ParseE
 from .linalg import make_rng
 from .models import INIT_MODES, init_compressed, init_wide, save_model
 from .operators import CompletionMask, Identity, SensingOperator
-from .theory import RecursionParams, initial_state, verify_against_training
+from .theory import RecursionParams, verify_against_training
 from .trainer import TrainConfig, TrajectoryLog, train_compressed, train_wide
 
 PROBLEMS = ("factorize", "sense", "complete", "movielens")
@@ -166,6 +166,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.r_hat > min(cfg.movielens_shape):
             raise ConfigError("r_hat", f"must lie in 1..{min(cfg.movielens_shape)} for ratings "
                               f"of shape {cfg.movielens_shape[0]}x{cfg.movielens_shape[1]}")
+        if cfg.track_spectral > 0:
+            raise ConfigError("track_spectral", "ratings have no synthetic target to align with")
     else:
         for name in ("r", "r_hat"):
             if getattr(cfg, name) > cfg.d:
@@ -307,11 +309,10 @@ def _archive_measurements(dest: Path, op, y) -> None:
                 fh.write(("%.17g\n" * block.size) % tuple(block.tolist()))
 
 
-def _write_logs(dest: Path, log: TrajectoryLog, experiment: str, seed: int,
-                extra_rows=None) -> None:
+def _write_logs(dest: Path, log: TrajectoryLog, experiment: str, seed: int, st) -> None:
     log.write_csv(dest / "trajectory.csv")
     log.write_timing_csv(dest / "timing.csv")
-    rows = list(extra_rows or [])
+    rows = [] if st is None else diagnostics.spectral_rows(st)
     for name in log.final().extras:  # name-major: each metric's rows together
         rows += [(rec.t, name, None, rec.extras[name]) for rec in log.records]
     if rows:
@@ -379,7 +380,7 @@ def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
 def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
                        dest: Path, st) -> dict[str, str]:
     if st is not None:
-        fits = diagnostics.detect_incremental(st, pb.s, st.left_align.shape[1])
+        fits = diagnostics.detect_incremental(st, pb.s)
         (dest / "incremental.json").write_text(
             json.dumps({"fit_iterations": fits}, sort_keys=True) + "\n"
         )
@@ -387,7 +388,7 @@ def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
         return {}
     params = RecursionParams(L=cfg.L, eta=pb.train.eta, eps=cfg.eps, sigma_star=pb.s,
                              alpha=cfg.alpha)
-    report = verify_against_training(log, initial_state(params), cfg.r_hat)
+    report = verify_against_training(log, params, cfg.r_hat)
     report.to_json(dest / "oracle.json")
     return {"oracle": "pass" if report.passed else "fail"}
 
@@ -474,7 +475,7 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
                 dest = out / name / f"seed_{seed}"
                 dest.mkdir(parents=True, exist_ok=True)
                 st = _alignment(cfg, log, pb)
-                _write_logs(dest, log, cfg.problem, seed, _spectral_diag_rows(log, st))
+                _write_logs(dest, log, cfg.problem, seed, st)
                 if entry.checkpoint is not None:
                     _archive_measurements(dest, pb.op, pb.y)
                     if cfg.save_models:
@@ -496,26 +497,12 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
 
 
 def _alignment(cfg: ExperimentConfig, log: TrajectoryLog, pb: _Problem):
-    """The tracked spectrum's alignment with a synthetic target, or None (as for
-    ALS, which tracks no spectrum). Its width, ``left_align.shape[1]``, is the
-    number of tracked components."""
-    if cfg.track_spectral <= 0 or pb.U is None or log.final().spectrum is None:
+    """The tracked spectrum's alignment with the synthetic target, or None (as
+    for ALS, which tracks no spectrum). Its width, ``left_align.shape[1]``, is
+    the number of tracked components."""
+    if cfg.track_spectral <= 0 or log.final().spectrum is None:
         return None
     return diagnostics.alignment(log, pb.U, pb.V, min(cfg.track_spectral, cfg.r))
-
-
-def _spectral_diag_rows(log: TrajectoryLog, st):
-    if st is None:
-        return []
-    r = st.left_align.shape[1]
-    rows = diagnostics.spectral_rows(st)
-    # `alignment` has checked that every record past t = 0 tracks at least r
-    # triplets; the t = 0 basis is arbitrary, so no drift is measured from it
-    kept = [rec for rec in log.records if rec.t > 0]
-    for prev, cur in zip(kept, kept[1:]):
-        rows.append((int(cur.t), "subspace_distance", None,
-                     diagnostics.subspace_distance(prev.spectrum.U, cur.spectrum.U, r)))
-    return rows
 
 
 def iters_to_threshold(log: TrajectoryLog, threshold: float) -> int | None:
@@ -533,7 +520,9 @@ def ablate(cfg: ExperimentConfig, axis: str, values) -> Path:
     # each value names its own run directory
     if not values or len(set(values)) != len(values):
         raise ConfigError(swept, f"need at least one value, all distinct; got {list(values)}")
-    validate_config(cfg)
+    # only the swept configs run, so the base's own value of the field is not checked
+    if not cfg.out_dir:
+        raise ConfigError("out_dir", "output directory is required")
     out = Path(cfg.out_dir)
     subs = [replace(cfg, **{swept: value}, out_dir=str(out / f"{axis}_{value}"))
             for value in values]

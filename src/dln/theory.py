@@ -7,7 +7,8 @@ scalar follows one recursion: the top r components chase their targets while
 the remaining r_hat - r ones decay. This module implements that recursion, a
 checker that replays it against a real training log, the spectral lower bound
 used to compare recovery errors, and the continuous-time (gradient-flow) limit
-of the singular-value dynamics as an RK4 integrator.
+of the singular-value dynamics as an RK4 integrator sampled from time 0, all
+components active (:func:`flow_series`) or activated in turn (:func:`gated_flow_series`).
 
 None of this code shares state with the trainer: it recomputes trajectories
 from scratch, which is what makes it usable as an oracle.
@@ -16,16 +17,18 @@ from scratch, which is what makes it usable as an oracle.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .diagnostics import settled_from
 from .errors import ContractViolationError, DivergenceError, NumericalError
 from .linalg import Matrix
-from .trainer import TrajectoryLog
+
+if TYPE_CHECKING:  # annotation only: the oracles run no trainer code
+    from .trainer import TrajectoryLog
 
 
 @dataclass(frozen=True)
@@ -133,17 +136,15 @@ class OracleReport:
 
 
 def verify_against_training(
-    log: TrajectoryLog, state0: RecursionState, r_hat: int
+    log: TrajectoryLog, params: RecursionParams, r_hat: int
 ) -> OracleReport:
-    """Replay the recursion and compare with logged singular values; the
+    """Replay the recursion from t = 0 against the logged singular values; the
     report fails at the first logged iterate off by more than ``ORACLE_TOL``.
 
     The log must come from a full-observation run of a spectrally-initialized
-    compressed network trained with the rates of ``state0.params``.
+    compressed network trained with the rates of ``params``.
     Compares as many leading values as the log carries (at most r_hat).
     """
-    if state0.t != 0:
-        raise ContractViolationError("verification must start from the t=0 state")
     if log.top_k > r_hat:
         raise ContractViolationError(
             f"log tracks {log.top_k} values but the recursion only implies {r_hat}"
@@ -153,7 +154,7 @@ def verify_against_training(
     k = log.top_k
     max_dev = 0.0
     first_fail = None
-    state = state0
+    state = initial_state(params)
     for rec in log.records:
         while state.t < rec.t:
             state = recursion_step(state)
@@ -187,21 +188,6 @@ class FlowParams:
         if self.L < 2:
             raise ContractViolationError("need depth >= 2")
         object.__setattr__(self, "sigma_star", s)
-
-
-@dataclass(frozen=True)
-class FlowState:
-    sigma: np.ndarray
-    time: float
-    params: FlowParams
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma, dtype=np.float64).ravel()
-        if s.size != self.params.sigma_star.size:
-            raise ContractViolationError("state and targets differ in length")
-        if np.any(s < 0):
-            raise ContractViolationError("singular values must be nonnegative")
-        object.__setattr__(self, "sigma", s)
 
 
 @dataclass
@@ -246,38 +232,33 @@ def _rk4_step(sigma: np.ndarray, dt: float, params: FlowParams,
     return np.maximum(new, 0.0)
 
 
-def flow_integrate(state: FlowState, duration: float, dt: float) -> FlowState:
-    """RK4 integration of sigma_i' = -L * sigma_i^(2-2/L) * (sigma_i - sigma*_i)."""
-    if duration < 0:
-        raise ContractViolationError("need dt > 0 and duration >= 0")
-    series = _sampled_flow(state, duration, dt, sample_every=sys.maxsize)
-    return FlowState(sigma=series.sigmas[-1], time=float(series.times[-1]), params=state.params)
-
-
-def _sampled_flow(state: FlowState, duration: float, dt: float, sample_every: int,
-                  gate=None) -> FlowSeries:
-    """RK4 flow sampled every ``sample_every`` steps and at the end; ``gate``
-    maps the current sigma to the active-component mask (None: all active)."""
-    if dt <= 0 or sample_every < 1:
-        raise ContractViolationError("need dt > 0 and sample_every >= 1")
+def _sampled_flow(params: FlowParams, sigma0, duration: float, dt: float,
+                  sample_every: int, gate=None) -> FlowSeries:
+    """RK4 flow sampled at time 0, every ``sample_every`` steps and at the end;
+    ``gate`` maps sigma to the active-component mask (None: all active)."""
+    sigma = np.array(sigma0, dtype=np.float64).ravel()
+    if sigma.size != params.sigma_star.size or np.any(sigma < 0):
+        raise ContractViolationError("need one nonnegative start value per target")
+    if dt <= 0 or duration < 0 or sample_every < 1:
+        raise ContractViolationError("need dt > 0, duration >= 0 and sample_every >= 1")
     steps = int(round(duration / dt))
-    sigma = state.sigma.copy()
-    times = [state.time]
-    samples = [sigma.copy()]
+    times, samples = [0.0], [sigma]
     for n in range(1, steps + 1):
-        sigma = _rk4_step(sigma, dt, state.params, None if gate is None else gate(sigma))
+        sigma = _rk4_step(sigma, dt, params, None if gate is None else gate(sigma))
         if n % sample_every == 0 or n == steps:
-            times.append(state.time + n * dt)
-            samples.append(sigma.copy())
-    return FlowSeries(np.array(times), np.vstack(samples), state.params)
+            times.append(n * dt)
+            samples.append(sigma)
+    return FlowSeries(np.array(times), np.vstack(samples), params)
 
 
-def flow_series(state: FlowState, duration: float, dt: float,
+def flow_series(params: FlowParams, sigma0, duration: float, dt: float,
                 sample_every: int = 1) -> FlowSeries:
-    return _sampled_flow(state, duration, dt, sample_every)
+    """RK4 integration of sigma_i' = -L * sigma_i^(2-2/L) * (sigma_i - sigma*_i)
+    from ``sigma0`` at time 0, every component active."""
+    return _sampled_flow(params, sigma0, duration, dt, sample_every)
 
 
-def gated_flow_series(state: FlowState, duration: float, dt: float,
+def gated_flow_series(params: FlowParams, sigma0, duration: float, dt: float,
                       sample_every: int = 1) -> FlowSeries:
     """Flow where component i is frozen until component i-1 has been fitted.
 
@@ -285,7 +266,7 @@ def gated_flow_series(state: FlowState, duration: float, dt: float,
     activates only once the previous mode sits within ``FIT_REL_TOL``
     (relative) of its target. Component 1 is active from the start.
     """
-    target = state.params.sigma_star
+    target = params.sigma_star
     k = target.size
     active = np.zeros(k)
     if k:
@@ -298,7 +279,7 @@ def gated_flow_series(state: FlowState, duration: float, dt: float,
                 active[i] = 1.0
         return active
 
-    return _sampled_flow(state, duration, dt, sample_every, gate)
+    return _sampled_flow(params, sigma0, duration, dt, sample_every, gate)
 
 
 def dominance_witness(flow_a: FlowSeries, flow_b: FlowSeries, tol: float = 1e-9) -> bool:

@@ -35,13 +35,10 @@ from dln.models import (
 from dln.operators import CompletionMask, GaussianSensing, Identity
 from dln.theory import (
     FlowParams,
-    FlowState,
     RecursionParams,
     dominance_witness,
-    flow_integrate,
     flow_series,
     gated_flow_series,
-    initial_state,
     spectral_lower_bound,
     verify_against_training,
 )
@@ -71,7 +68,7 @@ def test_criterion_01_recursion_oracle_equivalence():
     trained, log = train_compressed(model, op, y, cfg)
 
     params = RecursionParams(L=L, eta=eta, eps=eps, sigma_star=s)
-    rep = verify_against_training(log, initial_state(params), r_hat)
+    rep = verify_against_training(log, params, r_hat)
     assert rep.passed, f"max relative deviation {rep.max_rel_dev}"
 
     frame = truncated_svd(surr, r_hat)
@@ -186,7 +183,7 @@ def test_criterion_06_incremental_learning():
     _, log = train_compressed(comp, op, y, cfg, probe=M, track_spectral=r)
 
     st = diagnostics.alignment(log, U, V, r)
-    fits = diagnostics.detect_incremental(st, s, r)
+    fits = diagnostics.detect_incremental(st, s)
     assert all(t is not None for t in fits), f"undetected components: {fits}"
     assert all(fits[i] <= fits[i + 1] for i in range(r - 1)), f"unordered fits: {fits}"
     dorm_cap = 10 * eps**L
@@ -274,18 +271,17 @@ def test_criterion_08_linear_algebra_core():
 def test_criterion_09_gradient_flow_oracle():
     # closed-form check for the depth-2 separable solution
     params = FlowParams(L=2, sigma_star=np.array([1.0]))
-    state = FlowState(sigma=np.array([1e-6]), time=0.0, params=params)
-    out = flow_integrate(state, 12.0, 1e-3)
+    end = flow_series(params, [1e-6], 12.0, 1e-3).sigmas[-1]
     e = np.exp(2.0 * 12.0)
     expected = 1e-6 * e / (1.0 + 1e-6 * (e - 1.0))
-    assert abs(out.sigma[0] - expected) <= 1e-6
+    assert abs(end[0] - expected) <= 1e-6
 
     # sequentially gated modes never beat the all-active flow
     targets = np.array([1.0, 0.6, 0.3])
     fp = FlowParams(L=3, sigma_star=targets)
-    s0 = FlowState(sigma=np.full(3, 1e-2), time=0.0, params=fp)
-    gated = gated_flow_series(s0, 60.0, 2e-3, sample_every=100)
-    free = flow_series(s0, 60.0, 2e-3, sample_every=100)
+    s0 = np.full(3, 1e-2)
+    gated = gated_flow_series(fp, s0, 60.0, 2e-3, sample_every=100)
+    free = flow_series(fp, s0, 60.0, 2e-3, sample_every=100)
     assert dominance_witness(gated, free)
     report(9, "RK4 matches the closed form; gated flow is dominated")
 

@@ -123,6 +123,27 @@ class TestAlignment:
         st = alignment(log, q[:, 2:4], q[:, 2:4], 2)
         assert np.allclose(st.left_align, 0.0, atol=1e-12)
 
+    def test_spectral_rows_end_with_drift_of_consecutive_iterates(self, rng):
+        # a fresh orthonormal frame at each logged iterate, so every drift is
+        # nonzero; none is measured from t = 0
+        from dln.linalg import SvdResult
+        from dln.trainer import TrajectoryLog, TrajectoryRecord
+
+        log = TrajectoryLog(top_k=3)
+        for t in (0, 4, 8, 12):
+            q = sample_semi_orthogonal(7, 7, rng)
+            spectrum = SvdResult(q[:, :3], np.array([3.0, 2.0, 1.0]), q[:, 3:6])
+            log.records.append(TrajectoryRecord(t, 0.0, None, spectrum.s, 0.0, spectrum))
+        tracked = log.records[1:]
+        target = sample_semi_orthogonal(7, 7, rng)[:, :2]
+        rows = spectral_rows(alignment(log, target, target, 2))
+        drift = rows[-(len(tracked) - 1):]
+        assert all(metric != "subspace_distance" for _, metric, _, _ in rows[:-len(drift)])
+        want = [(b.t, "subspace_distance", None, subspace_distance(a.spectrum.U, b.spectrum.U, 2))
+                for a, b in zip(tracked, tracked[1:])]
+        assert drift == want
+        assert all(v > 0.1 for *_, v in drift)
+
     def test_requires_snapshots(self):
         from dln.trainer import TrajectoryLog
 
@@ -160,23 +181,26 @@ class TestSubspaceDistance:
 
 
 class TestDetectIncremental:
+    """Fit times of as many components as the trajectory aligns."""
+
     def _st(self, ts, svals, la, ra):
         return SpectralTrajectory(
             ts=np.asarray(ts), svals=np.asarray(svals, dtype=float),
             left_align=np.asarray(la, dtype=float), right_align=np.asarray(ra, dtype=float),
+            drift=np.zeros(len(ts) - 1),
         )
 
     def test_constant_at_target(self):
         sigma = np.array([2.0, 1.0])
         st = self._st([0, 10, 20], np.tile(sigma, (3, 1)), np.ones((3, 2)), np.ones((3, 2)))
-        assert detect_incremental(st, sigma, 2) == [0, 0]
+        assert detect_incremental(st, sigma) == [0, 0]
 
     def test_staged_fits_are_ordered(self):
         sigma = np.array([2.0, 1.0])
         svals = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [2.0, 1.0]]
         ones = np.ones((4, 2))
         st = self._st([0, 5, 10, 15], svals, ones, ones)
-        t = detect_incremental(st, sigma, 2)
+        t = detect_incremental(st, sigma)
         assert t == [5, 10]
         assert t[0] <= t[1]
 
@@ -185,7 +209,7 @@ class TestDetectIncremental:
         svals = [[2.0, 0.0], [2.0, 0.0]]
         ones = np.ones((2, 2))
         st = self._st([0, 5], svals, ones, ones)
-        t = detect_incremental(st, sigma, 2)
+        t = detect_incremental(st, sigma)
         assert t == [0, None]
 
     def test_alignment_condition_gates_detection(self):
@@ -193,14 +217,14 @@ class TestDetectIncremental:
         svals = [[2.0], [2.0]]
         bad = np.array([[0.5], [0.5]])
         st = self._st([0, 5], svals, bad, np.ones((2, 1)))
-        assert detect_incremental(st, sigma, 1) == [None]
+        assert detect_incremental(st, sigma) == [None]
 
     def test_condition_must_hold_for_all_later_iterates(self):
         sigma = np.array([1.0])
         svals = [[1.0], [0.2], [1.0]]  # dips back out mid-run
         ones = np.ones((3, 1))
         st = self._st([0, 5, 10], svals, ones, ones)
-        assert detect_incremental(st, sigma, 1) == [10]
+        assert detect_incremental(st, sigma) == [10]
 
     @pytest.mark.parametrize("value_off, align_off, fitted", [
         (2e-3, 0.0, False),
@@ -218,7 +242,15 @@ class TestDetectIncremental:
         align = np.full((2, 1), 1.0 - align_off)
         for la, ra in ((align, np.ones((2, 1))), (np.ones((2, 1)), align)):
             st = self._st([0, 5], svals, la, ra)
-            assert detect_incremental(st, sigma, 1) == ([0] if fitted else [None])
+            assert detect_incremental(st, sigma) == ([0] if fitted else [None])
+
+    def test_fits_as_many_components_as_aligned(self):
+        # three values tracked, two aligned: two fit times; one target is too few
+        svals = [[2.0, 1.0, 0.5]] * 2
+        st = self._st([0, 5], svals, np.ones((2, 2)), np.ones((2, 2)))
+        assert detect_incremental(st, np.array([2.0, 1.0, 0.5])) == [0, 0]
+        with pytest.raises(ContractViolationError, match="fewer than r"):
+            detect_incremental(st, np.array([2.0]))
 
 
 class TestHoldout:
@@ -307,7 +339,7 @@ class TestLeakage:
 def test_recovery_non_increasing_after_last_fit():
     log, M, U, s, V = frozen_frame_run(d=20, r=2, r_hat=4, iters=2500)
     st = alignment(log, U, V, 2)
-    fits = detect_incremental(st, s, 2)
+    fits = detect_incremental(st, s)
     assert all(f is not None for f in fits)
     rec = log.recovery()
     tail = rec[log.ts() >= fits[-1]]

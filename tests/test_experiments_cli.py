@@ -29,6 +29,7 @@ from dln.experiments import (
     resolve_models,
     run,
     validate_config,
+    write_manifest,
 )
 
 # a valid tiny factorize command line
@@ -588,6 +589,23 @@ class TestAblate:
         assert exc.value.field == "alpha"
         assert not (tmp_path / "out").exists()
 
+    def test_base_value_of_the_swept_field_not_validated(self, tmp_path):
+        # the recipe's r_hat = 20 exceeds d = 6, but only the swept values run
+        out = tmp_path / "o"
+        assert main(["ablate", "--problem", "factorize", "--axis", "rhat", "--values", "2,3",
+                     "--d", "6", "--r", "2", "--T", "5", "--out", str(out)]) == 0
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["model"]) for r in rows] == [
+            ("2", "wide"), ("2", "compressed"), ("3", "wide"), ("3", "compressed")]
+
+    def test_empty_out_dir_refused(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as exc:
+            ablate(dataclasses.replace(tiny_config(tmp_path), out_dir=""), "alpha", [1.0])
+        assert exc.value.field == "out_dir"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("raw", ["1,1", "1,1.0", ","])
     def test_duplicate_or_empty_values_exit_two(self, tmp_path, capsys, raw):
         out = tmp_path / "o"
@@ -718,6 +736,24 @@ class TestCli:
              "--out", str(out)], capsys, "r_hat",
         )
         assert not out.exists()
+
+    def test_ratings_track_spectral_exit_two_writes_nothing(self, tmp_path, capsys):
+        # ratings have no synthetic target to align tracked triplets with; a
+        # manifest written before this rule is refused as the flag is
+        from dln.data import gen_ratings_standin
+
+        data = tmp_path / "u.data"
+        shape = gen_ratings_standin(data, n_users=12, n_items=15, n_ratings=120, rank=2)
+        write_manifest(default_config("movielens", movielens_path=str(data), r_hat=2, T=2,
+                                      movielens_shape=shape, track_spectral=3,
+                                      out_dir=str(tmp_path / "old")), tmp_path)
+        for argv in (["movielens", "--data", str(data), "--rhat", "2", "--T", "2",
+                      "--track-spectral", "3"],
+                     ["movielens", "--manifest", str(tmp_path / "manifest.json")]):
+            out = tmp_path / "o"
+            self._assert_config_error(argv + ["--out", str(out)], capsys,
+                                      "error: config field 'track_spectral'")
+            assert not out.exists()
 
     def test_empty_ratings_split_writes_nothing(self, tmp_path, capsys):
         # floor(0.01 * 20) leaves no train rating; found before the manifest is written

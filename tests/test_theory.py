@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,12 @@ from dln.errors import ContractViolationError, NumericalError
 from dln.linalg import make_rng
 from dln.theory import (
     FlowParams,
-    FlowState,
     OracleReport,
     RecursionParams,
     RecursionState,
     default_flow_dt,
     dominance_witness,
     fit_times,
-    flow_integrate,
     flow_series,
     gated_flow_series,
     implied_singular_values,
@@ -117,13 +117,13 @@ class TestVerifyAgainstTraining:
     def test_matching_run_passes(self):
         log, s = self._training_log()
         params = RecursionParams(L=3, eta=1.0, eps=1e-3, sigma_star=s)
-        report = verify_against_training(log, initial_state(params), 10)
+        report = verify_against_training(log, params, 10)
         assert report.passed and report.max_rel_dev <= 1e-6
 
     def test_mismatched_eta_fails_with_report(self):
         log, s = self._training_log()
         params = RecursionParams(L=3, eta=2.0, eps=1e-3, sigma_star=s)
-        report = verify_against_training(log, initial_state(params), 10)
+        report = verify_against_training(log, params, 10)
         assert not report.passed
         assert report.first_fail_iter is not None
         assert report.max_rel_dev > 1e-6
@@ -134,14 +134,14 @@ class TestVerifyAgainstTraining:
         params = RecursionParams(L=3, eta=1.0, eps=1e-3, sigma_star=np.array([0.5]))
         log = TrajectoryLog(top_k=3)
         log.records.append(TrajectoryRecord(0, 0.1, None, np.full(3, 1e-9), 0.0))
-        report = verify_against_training(log, initial_state(params), 3)
+        report = verify_against_training(log, params, 3)
         assert report.passed
 
     def test_structural_mismatch_raises(self):
         log, s = self._training_log()
         params = RecursionParams(L=3, eta=1.0, eps=1e-3, sigma_star=s)
         with pytest.raises(ContractViolationError):
-            verify_against_training(log, initial_state(params), 5)  # log tracks 10
+            verify_against_training(log, params, 5)  # log tracks 10
 
     @pytest.mark.parametrize("L", [3, 4])
     @pytest.mark.parametrize("alpha", [1.0, 5.0])
@@ -149,9 +149,9 @@ class TestVerifyAgainstTraining:
         log, s = self._training_log(iters=300, L=L, eps=0.1, alpha=alpha)
         own, other = (RecursionParams(L=L, eta=1.0, eps=0.1, sigma_star=s, alpha=a)
                       for a in (alpha, 6.0 - alpha))  # the run's alpha, then the other one
-        report = verify_against_training(log, initial_state(own), 10)
+        report = verify_against_training(log, own, 10)
         assert report.passed and report.max_rel_dev <= 1e-10
-        report = verify_against_training(log, initial_state(other), 10)
+        report = verify_against_training(log, other, 10)
         assert not report.passed and report.first_fail_iter is not None
 
     def test_report_json(self, tmp_path):
@@ -194,41 +194,59 @@ class TestSpectralLowerBound:
 class TestFlow:
     def test_equilibrium_constant(self):
         params = FlowParams(L=3, sigma_star=np.array([0.7, 0.2]))
-        state = FlowState(sigma=params.sigma_star.copy(), time=0.0, params=params)
-        out = flow_integrate(state, 5.0, 1e-3)
-        assert np.allclose(out.sigma, params.sigma_star, atol=1e-14)
+        end = flow_series(params, params.sigma_star, 5.0, 1e-3).sigmas[-1]
+        assert np.allclose(end, params.sigma_star, atol=1e-14)
 
     def test_depth2_matches_closed_form(self):
         params = FlowParams(L=2, sigma_star=np.array([1.0]))
-        state = FlowState(sigma=np.array([1e-6]), time=0.0, params=params)
-        out = flow_integrate(state, 12.0, 1e-3)
-        assert out.sigma[0] >= 0.99
+        end = flow_series(params, [1e-6], 12.0, 1e-3).sigmas[-1]
+        assert end[0] >= 0.99
         expected = logistic_closed_form(1e-6, 1.0, 12.0)
-        assert abs(out.sigma[0] - expected) <= 1e-6
+        assert abs(end[0] - expected) <= 1e-6
 
     def test_rk4_order(self):
         # halving dt shrinks the endpoint error by roughly 2^4
         params = FlowParams(L=2, sigma_star=np.array([1.0]))
-        state = FlowState(sigma=np.array([1e-3]), time=0.0, params=params)
         exact = logistic_closed_form(1e-3, 1.0, 8.0)
         errs = []
         for dt in (4e-2, 2e-2):
-            out = flow_integrate(state, 8.0, dt)
-            errs.append(abs(out.sigma[0] - exact))
+            end = flow_series(params, [1e-3], 8.0, dt).sigmas[-1]
+            errs.append(abs(end[0] - exact))
         ratio = errs[0] / errs[1]
         assert 8.0 <= ratio <= 32.0
 
     def test_zero_target_strictly_decreasing(self):
         params = FlowParams(L=3, sigma_star=np.array([0.0]))
-        series = flow_series(FlowState(sigma=np.array([1e-3]), time=0.0, params=params), 10.0, 1e-2)
+        series = flow_series(params, [1e-3], 10.0, 1e-2)
         vals = series.sigmas[:, 0]
         assert np.all(np.diff(vals) < 0)
 
     def test_instability_raises(self):
         params = FlowParams(L=2, sigma_star=np.array([1.0]))
-        state = FlowState(sigma=np.array([50.0]), time=0.0, params=params)
         with pytest.raises(NumericalError):
-            flow_integrate(state, 10.0, 1.0)
+            flow_series(params, [50.0], 10.0, 1.0)
+
+    @pytest.mark.parametrize("sigma0,duration,match", [
+        ([1e-3, 1e-3], 1.0, "one nonnegative start value"),
+        ([-1e-3], 1.0, "one nonnegative start value"),
+        ([1e-3], -1.0, "duration >= 0"),
+    ], ids=["length", "negative", "duration"])
+    def test_bad_arguments_refused(self, sigma0, duration, match):
+        params = FlowParams(L=3, sigma_star=np.array([1.0]))
+        for entry in (flow_series, gated_flow_series):
+            with pytest.raises(ContractViolationError, match=match):
+                entry(params, sigma0, duration, 1e-2)
+
+    @pytest.mark.parametrize("entry", [flow_series, gated_flow_series])
+    def test_endpoint_independent_of_sampling(self, entry):
+        # the last sample is the end of the run, whatever the sampling stride
+        params = FlowParams(L=3, sigma_star=np.array([1.0, 0.4]))
+        runs = [entry(params, [1e-2, 1e-2], 3.0, 1e-2, sample_every=k) for k in (1, 7, 10**9)]
+        for run in runs:
+            assert run.times[0] == 0.0 and run.times[-1] == 300 * 1e-2
+            assert np.array_equal(run.sigmas[0], [1e-2, 1e-2])
+            assert np.array_equal(run.sigmas[-1], runs[0].sigmas[-1])
+        assert [len(run.times) for run in runs] == [301, 44, 2]
 
     def test_default_dt_scales_with_target(self):
         p_small = FlowParams(L=3, sigma_star=np.array([0.1]))
@@ -239,15 +257,14 @@ class TestFlow:
 class TestDominance:
     def test_identical_initial_states(self):
         params = FlowParams(L=3, sigma_star=np.array([1.0, 0.5]))
-        s0 = FlowState(sigma=np.array([1e-3, 1e-3]), time=0.0, params=params)
-        a = flow_series(s0, 5.0, 1e-2)
-        b = flow_series(s0, 5.0, 1e-2)
+        a = flow_series(params, [1e-3, 1e-3], 5.0, 1e-2)
+        b = flow_series(params, [1e-3, 1e-3], 5.0, 1e-2)
         assert dominance_witness(a, b)
 
     def test_started_at_target_dominates(self):
         params = FlowParams(L=3, sigma_star=np.array([1.0]))
-        a = flow_series(FlowState(sigma=np.array([1e-3]), time=0.0, params=params), 4.0, 1e-2)
-        b = flow_series(FlowState(sigma=params.sigma_star.copy(), time=0.0, params=params), 4.0, 1e-2)
+        a = flow_series(params, [1e-3], 4.0, 1e-2)
+        b = flow_series(params, params.sigma_star, 4.0, 1e-2)
         assert dominance_witness(a, b)
         assert not dominance_witness(b, a)
 
@@ -255,10 +272,10 @@ class TestDominance:
         # all-active flow dominates the one whose modes activate sequentially
         targets = np.array([1.0, 0.6, 0.3])
         params = FlowParams(L=3, sigma_star=targets)
-        s0 = FlowState(sigma=np.full(3, 1e-2), time=0.0, params=params)
+        s0 = np.full(3, 1e-2)
         dt = 2e-3
-        gated = gated_flow_series(s0, 60.0, dt, sample_every=100)
-        free = flow_series(s0, 60.0, dt, sample_every=100)
+        gated = gated_flow_series(params, s0, 60.0, dt, sample_every=100)
+        free = flow_series(params, s0, 60.0, dt, sample_every=100)
         assert dominance_witness(gated, free)
         t_free = fit_times(free)
         t_gated = fit_times(gated)
@@ -268,9 +285,8 @@ class TestDominance:
 
     def test_grid_mismatch_raises(self):
         params = FlowParams(L=3, sigma_star=np.array([1.0]))
-        s0 = FlowState(sigma=np.array([1e-3]), time=0.0, params=params)
-        a = flow_series(s0, 4.0, 1e-2)
-        b = flow_series(s0, 2.0, 1e-2)
+        a = flow_series(params, [1e-3], 4.0, 1e-2)
+        b = flow_series(params, [1e-3], 2.0, 1e-2)
         with pytest.raises(ContractViolationError):
             dominance_witness(a, b)
 
@@ -300,3 +316,27 @@ def test_stable_step_bound_formula():
     assert stable_step_bound(1.0, 2) == pytest.approx(1.0)
     # larger outer-rate multipliers shrink the stable region
     assert stable_step_bound(0.5, 3, alpha=5.0) < stable_step_bound(0.5, 3, alpha=1.0)
+
+
+def test_oracles_import_no_trainer_code():
+    # the oracles' independence from the code they check, at run time;
+    # imports under TYPE_CHECKING serve annotations only
+    import ast
+    import dln.theory
+
+    tree = ast.parse(Path(dln.theory.__file__).read_text())
+    guarded = {id(node) for block in ast.walk(tree) if isinstance(block, ast.If)
+               and ast.unparse(block.test) == "TYPE_CHECKING" for node in ast.walk(block)}
+    imported = set()
+    for node in ast.walk(tree):
+        if id(node) in guarded:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            base = "dln." * (node.level > 0) + (node.module or "")
+            imported |= {base} | {f"{base}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert "dln.diagnostics" in imported  # the walk sees the module's imports
+    banned = {f"dln.{m}" for m in ("trainer", "models", "operators", "baselines", "experiments")}
+    assert not {name for name in imported
+                if any(name == b or name.startswith(b + ".") for b in banned)}

@@ -15,7 +15,7 @@ from dln.models import (
     init_wide,
 )
 from dln.operators import CompletionMask, Identity
-from dln.theory import RecursionParams, initial_state, verify_against_training
+from dln.theory import RecursionParams, verify_against_training
 from dln.trainer import Recorder, TrainConfig, train_compressed, train_wide
 
 
@@ -102,7 +102,7 @@ class TestTrainCompressed:
         cfg = TrainConfig(eta=eta, alpha=1.0, iters=T, log_every=50, top_k=r)
         _, log = train_compressed(model, op, y, cfg)
         params = RecursionParams(L=3, eta=eta, eps=1e-3, sigma_star=s)
-        report = verify_against_training(log, initial_state(params), r_hat)
+        report = verify_against_training(log, params, r_hat)
         assert report.passed and report.max_rel_dev <= 1e-8, report.to_json()
 
     def test_end_to_end_stays_diagonal_in_frame(self):
