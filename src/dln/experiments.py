@@ -211,12 +211,13 @@ class RunResult:
     statuses: dict[str, str] = field(default_factory=dict)
     logs: dict[str, TrajectoryLog] = field(default_factory=dict)
 
+    def runs(self) -> list[str]:
+        """The (model, seed) keys in run order; oracle verdicts are not runs."""
+        return [k for k in self.statuses if not k.endswith("/oracle")]
+
     @property
     def ok(self) -> bool:
-        # oracle verdicts are reported, not treated as run failures
-        return all(
-            v == "ok" for k, v in self.statuses.items() if not k.endswith("/oracle")
-        )
+        return all(self.statuses[k] == "ok" for k in self.runs())
 
 
 def field_rule(f: dataclasses.Field) -> tuple[type, bool, bool, bool]:
@@ -448,7 +449,7 @@ def resolve_models(cfg: ExperimentConfig) -> tuple[str, ...]:
     return tuple(n for n in MODEL_TABLE if n in names)
 
 
-def run(cfg: ExperimentConfig, echo=None) -> RunResult:
+def run(cfg: ExperimentConfig) -> RunResult:
     """Execute one experiment config; returns statuses keyed by model/seed."""
     validate_config(cfg)
     models = resolve_models(cfg)
@@ -463,7 +464,6 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out)
     result = RunResult(out_dir=out)
-    say = echo or (lambda msg: None)
 
     for seed in cfg.seeds:
         pb = _seed_problem(cfg, seed, ratings)
@@ -481,6 +481,7 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
                     if cfg.save_models:
                         save_model(dest / "checkpoint", trained,
                                    extra={"eps": cfg.eps, "seed": seed, **entry.checkpoint(cfg)})
+                del trained  # one model's layers at a time
                 if entry.finish is not None:
                     for sub, verdict in entry.finish(cfg, pb, log, dest, st).items():
                         result.statuses[f"{key}/{sub}"] = verdict
@@ -492,7 +493,7 @@ def run(cfg: ExperimentConfig, echo=None) -> RunResult:
             tmp = out / "status.json.tmp"
             tmp.write_text(json.dumps(result.statuses, indent=2, sort_keys=True) + "\n")
             os.replace(tmp, out / "status.json")
-            say(f"{key}: {result.statuses[key]}")
+        del pb  # one seed's operator and data at a time
     return result
 
 
@@ -532,17 +533,12 @@ def ablate(cfg: ExperimentConfig, axis: str, values) -> Path:
     rows = []
     for value, sub in zip(values, subs):
         res = run(sub)
-        for key, log in res.logs.items():
-            model, seed_name = key.split("/")
-            rows.append([axis, value, model, seed_name.removeprefix("seed_"),
-                         _fmt_optional(log.final().recovery_error),
-                         _fmt_optional(iters_to_threshold(log, THRESHOLD)),
-                         repr(log.train_seconds()), repr(log.svd_init_s)])
-        for key, status in res.statuses.items():
-            if status != "ok" and not key.endswith("/oracle"):
-                model, seed_name = key.split("/")
-                rows.append([axis, value, model, seed_name.removeprefix("seed_"),
-                             "", "", "", ""])
+        for key in res.runs():  # run order; a run that diverged has no log
+            log = res.logs.get(key)
+            rows.append([axis, value, *key.split("/seed_")] + ([""] * 4 if log is None else [
+                _fmt_optional(log.final().recovery_error),
+                _fmt_optional(iters_to_threshold(log, THRESHOLD)),
+                repr(log.train_seconds()), repr(log.svd_init_s)]))
     header = ("axis,value,model,seed,final_recovery_error,"
               "iters_to_threshold,train_seconds,svd_init_seconds")
     lines = [header] + [",".join(str(c) for c in row) for row in rows]

@@ -6,7 +6,8 @@ and the ALS baseline's sweeps for a fixed number of steps. One descent body,
 rate alpha * eta and the intermediates eta. The wide network is its alpha = 1
 case (:func:`train_wide`), whose rates are exactly eta on every layer. Gradient
 updates are synchronous: all layer gradients come from the same iterate before
-any layer moves.
+any layer moves. The trainers update the model they are handed in place and
+return it; layers that share memory are refused.
 
 Logged wall-clock is training-only: the timer pauses around logging work
 (extra forward passes, SVDs for the tracked spectrum), so per-iteration cost
@@ -112,9 +113,7 @@ class TrajectoryLog:
         Path(path).write_text("\n".join(lines) + "\n")
 
     def write_timing_csv(self, path: str | Path) -> None:
-        lines = ["t,elapsed_s"]
-        for r in self.records:
-            lines.append(f"{r.t},{r.elapsed_s!r}")
+        lines = ["t,elapsed_s"] + [f"{r.t},{r.elapsed_s!r}" for r in self.records]
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -130,7 +129,8 @@ class Recorder:
     The spectrum comes from :func:`chain_svd`, so a chain with a bottleneck is
     decomposed through its factors. A loss that is not finite or exceeds
     ``LOSS_CAP`` raises :class:`DivergenceError` before anything is logged.
-    ``layers`` is read at every call: callers update its matrices in place.
+    ``layers`` is read at every call: the trainers update the layers of the
+    model they are handed in place, and those must not share memory.
     """
 
     def __init__(
@@ -204,11 +204,14 @@ def train_compressed(
     track_spectral: int = 0,
     holdout: tuple[SensingOperator, np.ndarray] | None = None,
 ) -> tuple[DLN, TrajectoryLog]:
-    """Descent with rate alpha*eta on the outer layers and eta on the rest;
-    the input model is not mutated. ``holdout`` goes to the :class:`Recorder`."""
-    rates = [cfg.eta] * len(model.layers)
+    """Descent with rate alpha*eta on the outer layers and eta on the rest,
+    in place on the layers of ``model``, which must not share memory; returns
+    ``model``. ``holdout`` goes to the :class:`Recorder`."""
+    layers = model.layers
+    if any(np.shares_memory(a, b) for i, a in enumerate(layers) for b in layers[i + 1:]):
+        raise ContractViolationError("model layers share memory; an update would hit it twice")
+    rates = [cfg.eta] * len(layers)
     rates[0] = rates[-1] = cfg.alpha * cfg.eta
-    layers = [w.copy() for w in model.layers]
 
     def step(t: int) -> None:
         grads, prev_loss = chain_gradients(layers, op, y)
@@ -221,7 +224,7 @@ def train_compressed(
             w -= g
 
     record = Recorder(layers, op, y, cfg.top_k, probe, track_spectral, holdout)
-    return DLN(layers), descend(record, step, cfg.iters, cfg.log_every)
+    return model, descend(record, step, cfg.iters, cfg.log_every)
 
 
 def train_wide(
@@ -234,6 +237,6 @@ def train_wide(
     holdout: tuple[SensingOperator, np.ndarray] | None = None,
 ) -> tuple[DLN, TrajectoryLog]:
     """Uniform-rate descent: :func:`train_compressed` at alpha = 1, whatever
-    ``cfg.alpha`` holds."""
+    ``cfg.alpha`` holds; ``model`` is updated in place and returned."""
     return train_compressed(model, op, y, replace(cfg, alpha=1.0), probe, track_spectral,
                             holdout)

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -395,6 +396,40 @@ class TestRun:
         assert res.ok
         assert alive and not any(alive)
 
+    def test_one_sensing_operator_held_at_a_time(self, tmp_path):
+        # each seed's problem goes before the next seed's operator is drawn
+        cfg = default_config("sense", d=30, r=2, r_hat=4, m=500, T=2, seeds=(0, 1),
+                             out_dir=str(tmp_path / "out"))
+        op_bytes = cfg.m * cfg.d * cfg.d * 8
+        tracemalloc.start()
+        try:
+            res = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok
+        assert peak <= 1.5 * op_bytes
+
+    def test_trained_layers_released_before_the_next_fit(self, tmp_path, monkeypatch):
+        # a (model, seed)'s layers go once saved, before the next model or seed
+        trained_refs, alive = [], []
+
+        def tracked(trainer):
+            def wrapper(*args, **kwargs):
+                alive.append(any(ref() is not None for ref in trained_refs))
+                trained_refs.clear()
+                trained, log = trainer(*args, **kwargs)
+                trained_refs.extend(weakref.ref(w) for w in trained.layers)
+                return trained, log
+            return wrapper
+
+        for name in ("train_wide", "train_compressed", "altmin_complete"):
+            monkeypatch.setattr(experiments, name, tracked(getattr(experiments, name)))
+        res = run(tiny_config(tmp_path, problem="complete", p=0.6, model="all", T=2,
+                              altmin_iters=2, seeds=(0, 1), save_models=True))
+        assert res.ok
+        assert alive == [False] * 6
+
     def test_ratings_diagnostics_rows_are_metric_major(self, tmp_path):
         # every holdout_rmse row, t ascending, then every holdout_rel_error row
         from dln.data import gen_ratings_standin
@@ -569,6 +604,27 @@ class TestAblate:
                          if float(r["recovery_error"]) <= experiments.THRESHOLD)
             assert int(row["iters_to_threshold"]) == first
             assert row["final_recovery_error"] == traj[-1]["recovery_error"]
+
+    def test_summary_rows_in_run_order(self, tmp_path, monkeypatch):
+        # a diverged (model, seed) keeps its place among its value's rows
+        from dln.errors import DivergenceError
+
+        original, calls = experiments.train_wide, []
+
+        def diverge_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise DivergenceError(0, float("inf"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train_wide", diverge_first)
+        out = ablate(tiny_config(tmp_path, T=5, seeds=(0, 1)), "alpha", [1.0, 2.0])
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["model"], r["seed"]) for r in rows] == [
+            (v, m, s) for v in ("1.0", "2.0") for s in ("0", "1")
+            for m in ("wide", "compressed")]
+        assert rows[0]["train_seconds"] == "" and all(r["train_seconds"] for r in rows[1:])
 
     def test_depth_sweep(self, tmp_path):
         cfg = tiny_config(tmp_path, model="compressed", T=40)

@@ -28,10 +28,11 @@ def make_factorization(d, r, seed, sigma_values):
 class TestTrainWide:
     def test_zero_residual_keeps_parameters(self, rng):
         model = DLN([rng.standard_normal((3, 3)) for _ in range(2)])
+        init = [w.copy() for w in model.layers]
         op = Identity(3)
         y = op.apply(chain_product(model.layers))
         trained, log = train_wide(model, op, y, TrainConfig(eta=0.1, iters=25))
-        for a, b in zip(model.layers, trained.layers):
+        for a, b in zip(init, trained.layers):
             assert np.array_equal(a, b)
         assert log.final().train_loss == 0.0
 
@@ -68,10 +69,10 @@ class TestTrainCompressed:
         d, r, r_hat, L, eps, eta, T = 12, 3, 5, 3, 1e-2, 0.5, 40
         M, U, s, V, op, y = make_factorization(d, r, 3, (0.4, 0.3, 0.2))
         model = init_compressed(op.surrogate(y), L, r_hat, eps)
+        layers = [w.copy() for w in model.layers]
         trained, _ = train_compressed(model, op, y, TrainConfig(eta=eta, alpha=1.0, iters=T))
 
         # independent uniform-rate reference loop
-        layers = [w.copy() for w in model.layers]
         for _ in range(T):
             gs, _ = chain_gradients(layers, op, y)
             layers = [w - eta * g for w, g in zip(layers, gs)]
@@ -83,11 +84,12 @@ class TestTrainCompressed:
         d, r_hat, eta, alpha = 8, 3, 0.3, 2.0
         M, U, s, V, op, y = make_factorization(d, 2, 4, (0.4, 0.2))
         model = init_compressed(op.surrogate(y), 3, r_hat, 1e-2)
+        init = [w.copy() for w in model.layers]
         trained, _ = train_compressed(model, op, y, TrainConfig(eta=eta, alpha=alpha, iters=1))
 
-        layers = [w.copy() for w in model.layers]
+        layers = [w.copy() for w in init]
         rates = [alpha * eta, eta, alpha * eta]
-        gs, _ = chain_gradients(model.layers, op, y)
+        gs, _ = chain_gradients(init, op, y)
         for idx in reversed(range(3)):
             layers[idx] = layers[idx] - rates[idx] * gs[idx]
         for a, b in zip(trained.layers, layers):
@@ -104,6 +106,44 @@ class TestTrainCompressed:
         params = RecursionParams(L=3, eta=eta, eps=1e-3, sigma_star=s)
         report = verify_against_training(log, params, r_hat)
         assert report.passed and report.max_rel_dev <= 1e-8, report.to_json()
+
+    @pytest.mark.parametrize("trainer", [train_compressed, train_wide])
+    def test_updates_the_model_it_is_handed(self, trainer):
+        M, U, s, V, op, y = make_factorization(6, 2, 8, (0.4, 0.2))
+        model = init_compressed(op.surrogate(y), 3, 3, 1e-2)
+        layers = list(model.layers)
+        init = [w.copy() for w in layers]
+        trained, _ = trainer(model, op, y, TrainConfig(eta=0.5, alpha=2.0, iters=3))
+        assert trained is model
+        assert all(a is b for a, b in zip(trained.layers, layers))
+        assert not any(np.array_equal(a, b) for a, b in zip(trained.layers, init))
+
+    @pytest.mark.parametrize("trainer", [train_compressed, train_wide])
+    def test_layers_that_share_memory_refused(self, trainer, rng):
+        # one square array twice would take each update twice
+        w = rng.standard_normal((3, 3))
+        before = w.copy()
+        op = Identity(3)
+        with pytest.raises(ContractViolationError, match="share memory"):
+            trainer(DLN([w, w]), op, op.apply(before), TrainConfig(eta=0.1, iters=2))
+        assert np.array_equal(w, before)
+        # overlapping views of one buffer are refused as well
+        buf = rng.standard_normal((4, 3))
+        with pytest.raises(ContractViolationError, match="share memory"):
+            trainer(DLN([buf[:3], buf[1:]]), op, op.apply(before), TrainConfig(eta=0.1, iters=2))
+
+    def test_interleaved_views_of_one_buffer_train(self, rng):
+        # the column halves of one buffer span the same address range but
+        # share no element, so they are two layers; each moves as it would
+        # on its own
+        buf = rng.standard_normal((3, 6))
+        apart = DLN([buf[:, :3].copy(), buf[:, 3:].copy()])
+        op = Identity(3)
+        y = op.apply(rng.standard_normal((3, 3)))
+        cfg = TrainConfig(eta=0.05, iters=4)
+        train_compressed(apart, op, y, cfg)
+        train_compressed(DLN([buf[:, :3], buf[:, 3:]]), op, y, cfg)
+        np.testing.assert_allclose(buf, np.hstack(apart.layers), rtol=1e-12, atol=0)
 
     def test_end_to_end_stays_diagonal_in_frame(self):
         d, r, r_hat = 20, 2, 4
@@ -128,6 +168,11 @@ class TestOneDescentBody:
         return model, op, y, M, TrainConfig(eta=0.5, iters=30, log_every=5, top_k=4)
 
     @staticmethod
+    def copy(model):
+        """A model of its own: the trainers update the one they are handed."""
+        return DLN([w.copy() for w in model.layers])
+
+    @staticmethod
     def bits(trained, log):
         """Every array a run hands back, as bytes."""
         out = [w.tobytes() for w in trained.layers]
@@ -140,19 +185,19 @@ class TestOneDescentBody:
     @pytest.mark.parametrize("kind", ["identity", "completion"])
     def test_wide_ignores_alpha(self, kind):
         model, op, y, M, cfg = self.problem(kind)
-        runs = [self.bits(*train_wide(model, op, y, replace(cfg, alpha=a), probe=M,
+        runs = [self.bits(*train_wide(self.copy(model), op, y, replace(cfg, alpha=a), probe=M,
                                       track_spectral=2)) for a in (1.0, 5.0)]
         assert runs[0] == runs[1]
         # alpha = 5 does move the compressed rule's bits on the same model
-        moved = train_compressed(model, op, y, replace(cfg, alpha=5.0), probe=M,
+        moved = train_compressed(self.copy(model), op, y, replace(cfg, alpha=5.0), probe=M,
                                  track_spectral=2)
         assert self.bits(*moved) != runs[0]
 
     @pytest.mark.parametrize("kind", ["identity", "completion"])
     def test_wide_is_compressed_at_alpha_one(self, kind):
         model, op, y, M, cfg = self.problem(kind)
-        wide = train_wide(model, op, y, cfg, probe=M, track_spectral=2)
-        compressed = train_compressed(model, op, y, cfg, probe=M, track_spectral=2)
+        wide = train_wide(self.copy(model), op, y, cfg, probe=M, track_spectral=2)
+        compressed = train_compressed(self.copy(model), op, y, cfg, probe=M, track_spectral=2)
         assert self.bits(*wide) == self.bits(*compressed)
 
 
