@@ -15,9 +15,11 @@ For each file found under either tree, one line says "identical", "missing"
 |b|) of each numeric column that moved; a cell that moved and is not a
 number is reported as "differs". A CSV column is named by its header, a
 JSON value by its key path with list indices dropped, and a checkpoint layer
-has the one column "values". Exits 0 when every file is identical, 1 when
-any file differs or is missing, and 2 when A or B is not a directory or
-neither holds a deterministic file.
+has the one column "values". Two copies whose columns differ are reported
+as "differs in layout", naming the first column or key path that only one
+of them has, or else both cell counts. Exits 0 when every file is
+identical, 1 when any file differs or is missing, and 2 when A or B is not a
+directory or neither holds a deterministic file.
 """
 
 from __future__ import annotations
@@ -84,6 +86,17 @@ def _cells(path: Path) -> list[tuple[str, object]]:
     return [("values", float(v)) for v in load_matrix_bin(path).ravel()]
 
 
+def _layout(ca, cb) -> str:
+    """The first column or key path found in one file's cells and not the
+    other's, else the two cell counts."""
+    for cells, other, side in ((ca, cb, "A"), (cb, ca, "B")):
+        absent = {c for c, _ in cells} - {c for c, _ in other}
+        for col, _ in cells:
+            if col in absent:
+                return f"{col} only in {side}"
+    return f"{len(ca)} against {len(cb)} cells"
+
+
 def compare_file(a: Path, b: Path) -> str:
     """One line's verdict on two copies of a deterministic file."""
     if a.read_bytes() == b.read_bytes():
@@ -93,7 +106,7 @@ def compare_file(a: Path, b: Path) -> str:
     except ValueError as exc:  # undecodable text, bad JSON or a bad matrix file
         return f"differs (unreadable: {exc})"
     if [c for c, _ in ca] != [c for c, _ in cb]:
-        return f"differs in layout ({len(ca)} against {len(cb)} cells)"
+        return f"differs in layout ({_layout(ca, cb)})"
     worst: dict[str, float] = defaultdict(float)
     moved: list[str] = []
     for (col, x), (_, y) in zip(ca, cb):

@@ -7,11 +7,12 @@ run of the same problem (`--manifest` re-runs one), then the flags. Flag
 values, config files and ablation values are text read by one parser, so a
 value that does not parse is a config error naming its field.
 
-Exit codes: 0 success, 2 config error (including a mistyped, missing or
-unknown field in a manifest), 3 divergence, 4 I/O error (including a manifest
-that cannot be read or is not JSON with a "config" object). The output
-directory comes from --out, then $DLN_OUT_DIR/<subcommand>, then
-./dln_runs/<subcommand>.
+Each command prints one status per (model, seed): ok, diverged@<t> or
+oracle_fail@<t>. Exit codes: 0 all ok, 2 config error (including a mistyped,
+missing or unknown field in a manifest), 3 a (model, seed) diverged or failed
+its oracle check, 4 I/O error (including a manifest that cannot be read or is
+not JSON with a "config" object). The output directory comes from --out, then
+$DLN_OUT_DIR/<subcommand>, then ./dln_runs/<subcommand>.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import ConfigError, ContractViolationError, ParseError, ResourceBud
 from .experiments import (
     ABLATION_AXES,
     ExperimentConfig,
+    RunResult,
     ablate,
     default_config,
     field_rule,
@@ -36,7 +38,7 @@ from .models import INIT_MODES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_DIVERGED = 3
+EXIT_FAILED = 3
 EXIT_IO = 4
 
 _FIELD_ALIASES = {"rhat": "r_hat", "iters": "T", "data": "movielens_path"}
@@ -62,7 +64,7 @@ def _parse_value(field: dataclasses.Field, raw: str):
             raise ConfigError(field.name, f"{raw!r} is none of {', '.join(_BOOLEANS)}")
         return _BOOLEANS[text]
     if conv is str:
-        return raw
+        return raw.strip()
     if pair:
         text = text.replace(":", ",")
     try:
@@ -157,25 +159,24 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    result = run(_build_config(args))
+def _report(result: RunResult) -> int:
+    """Prints the output directory and the status table; the exit code."""
     print(f"wrote {result.out_dir}")
     width = max(len(k) for k in result.statuses)
     for key in sorted(result.statuses):
         print(f"  {key:<{width}}  {result.statuses[key]}")
-    for key, v in sorted(result.statuses.items()):
-        if key.endswith("/oracle"):
-            print(f"oracle {key.split('/')[1]}: {'PASS' if v == 'pass' else 'FAIL'}")
-    return EXIT_OK if result.ok else EXIT_DIVERGED
+    return EXIT_OK if result.ok else EXIT_FAILED
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    return _report(run(_build_config(args)))
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     field = _FIELDS[ABLATION_AXES[args.axis]]
     values = [_parse_value(field, v) for v in args.values.split(",") if v]
-    out = ablate(cfg, args.axis, values)
-    print(f"wrote {out / 'summary.csv'}")
-    return EXIT_OK
+    return _report(ablate(cfg, args.axis, values))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,14 +6,15 @@ the requested models, and writes a self-describing output tree::
     out_dir/
       manifest.json            resolved config, package version, numpy and BLAS
                                build, BLAS thread settings (re-runnable)
-      status.json              per (model, seed) outcome, rewritten after each one
+      status.json              one status per (model, seed): ok, diverged@<t> or
+                               oracle_fail@<t>; rewritten after each one
       <model>/seed_<k>/
         trajectory.csv         deterministic per-iterate metrics
         timing.csv             cumulative training-only wall-clock
         diagnostics.csv        tidy (experiment, seed, t, metric, component);
                                ratings: held-out rows over the split's hold-out mask
         oracle.json            recursion-oracle report (when requested)
-        incremental.json       per-component fit iterations (when tracked)
+        incremental.json       per-component fit iterations (each net, when tracked)
 
 Random streams are split by purpose: (seed, 0) target, (seed, 1) operator or
 mask, (seed, 2) wide init, (seed, 4) ratings split. Tag 3 is unused: the ALS
@@ -211,13 +212,9 @@ class RunResult:
     statuses: dict[str, str] = field(default_factory=dict)
     logs: dict[str, TrajectoryLog] = field(default_factory=dict)
 
-    def runs(self) -> list[str]:
-        """The (model, seed) keys in run order; oracle verdicts are not runs."""
-        return [k for k in self.statuses if not k.endswith("/oracle")]
-
     @property
     def ok(self) -> bool:
-        return all(self.statuses[k] == "ok" for k in self.runs())
+        return all(v == "ok" for v in self.statuses.values())
 
 
 def field_rule(f: dataclasses.Field) -> tuple[type, bool, bool, bool]:
@@ -379,19 +376,14 @@ def _fit_compressed(cfg: ExperimentConfig, seed: int, pb: _Problem):
 
 
 def _finish_compressed(cfg: ExperimentConfig, pb: _Problem, log: TrajectoryLog,
-                       dest: Path, st) -> dict[str, str]:
-    if st is not None:
-        fits = diagnostics.detect_incremental(st, pb.s)
-        (dest / "incremental.json").write_text(
-            json.dumps({"fit_iterations": fits}, sort_keys=True) + "\n"
-        )
+                       dest: Path) -> str | None:
     if not cfg.oracle:
-        return {}
+        return None
     params = RecursionParams(L=cfg.L, eta=pb.train.eta, eps=cfg.eps, sigma_star=pb.s,
                              alpha=cfg.alpha)
     report = verify_against_training(log, params, cfg.r_hat)
     report.to_json(dest / "oracle.json")
-    return {"oracle": "pass" if report.passed else "fail"}
+    return None if report.passed else f"oracle_fail@{report.first_fail_iter}"
 
 
 def _fit_altmin(cfg: ExperimentConfig, seed: int, pb: _Problem):
@@ -407,9 +399,9 @@ class ModelEntry(NamedTuple):
     checkpoint manifest records besides its shape, eps and seed: its kind,
     its init mode and the compressed network's r_hat. It is None for the ALS
     baseline, which archives no measurements and saves no checkpoint.
-    ``finish(cfg, problem, log, dest, alignment)`` writes extra artefacts and
-    returns extra status entries keyed by suffix; ``alignment`` is the tracked
-    spectrum's alignment with a synthetic target, or None.
+    ``finish(cfg, problem, log, dest)`` checks a trained seed, writing its
+    report under ``dest``, and returns the failing status that replaces
+    ``ok``, or None when the check passes.
     """
 
     problems: tuple[str, ...]
@@ -476,17 +468,19 @@ def run(cfg: ExperimentConfig) -> RunResult:
                 dest.mkdir(parents=True, exist_ok=True)
                 st = _alignment(cfg, log, pb)
                 _write_logs(dest, log, cfg.problem, seed, st)
+                if st is not None:
+                    fits = diagnostics.detect_incremental(st, pb.s)
+                    (dest / "incremental.json").write_text(
+                        json.dumps({"fit_iterations": fits}, sort_keys=True) + "\n")
                 if entry.checkpoint is not None:
                     _archive_measurements(dest, pb.op, pb.y)
                     if cfg.save_models:
                         save_model(dest / "checkpoint", trained,
                                    extra={"eps": cfg.eps, "seed": seed, **entry.checkpoint(cfg)})
                 del trained  # one model's layers at a time
-                if entry.finish is not None:
-                    for sub, verdict in entry.finish(cfg, pb, log, dest, st).items():
-                        result.statuses[f"{key}/{sub}"] = verdict
+                failed = entry.finish and entry.finish(cfg, pb, log, dest)
                 result.logs[key] = log
-                result.statuses[key] = "ok"
+                result.statuses[key] = failed or "ok"
             except DivergenceError as exc:
                 result.statuses[key] = f"diverged@{exc.iteration}"
             # replaced whole after every (model, seed), so a crash leaves a valid file
@@ -513,8 +507,9 @@ def iters_to_threshold(log: TrajectoryLog, threshold: float) -> int | None:
     return None
 
 
-def ablate(cfg: ExperimentConfig, axis: str, values) -> Path:
-    """Sweep exactly one axis over the given values; summary.csv per run."""
+def ablate(cfg: ExperimentConfig, axis: str, values) -> RunResult:
+    """Sweep exactly one axis over the given values into one summary.csv; the
+    statuses of every run, keyed ``<axis>_<value>/<model>/seed_<k>``."""
     if axis not in ABLATION_AXES:
         raise ConfigError("axis", f"must be one of {tuple(ABLATION_AXES)}")
     swept = ABLATION_AXES[axis]
@@ -530,20 +525,22 @@ def ablate(cfg: ExperimentConfig, axis: str, values) -> Path:
     for sub in subs:
         validate_config(sub)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    result, rows = RunResult(out_dir=out), []
     for value, sub in zip(values, subs):
         res = run(sub)
-        for key in res.runs():  # run order; a run that diverged has no log
+        for key, status in res.statuses.items():  # run order; a diverged run has no log
+            result.statuses[f"{axis}_{value}/{key}"] = status
             log = res.logs.get(key)
-            rows.append([axis, value, *key.split("/seed_")] + ([""] * 4 if log is None else [
-                _fmt_optional(log.final().recovery_error),
-                _fmt_optional(iters_to_threshold(log, THRESHOLD)),
-                repr(log.train_seconds()), repr(log.svd_init_s)]))
-    header = ("axis,value,model,seed,final_recovery_error,"
+            rows.append([axis, value, *key.split("/seed_"), status] + (
+                [""] * 4 if log is None else [
+                    _fmt_optional(log.final().recovery_error),
+                    _fmt_optional(iters_to_threshold(log, THRESHOLD)),
+                    repr(log.train_seconds()), repr(log.svd_init_s)]))
+    header = ("axis,value,model,seed,status,final_recovery_error,"
               "iters_to_threshold,train_seconds,svd_init_seconds")
     lines = [header] + [",".join(str(c) for c in row) for row in rows]
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
-    return out
+    return result
 
 
 def _fmt_optional(v) -> str:

@@ -4,7 +4,8 @@ Three variants: full observation (identity map), dense Gaussian sensing
 matrices, and an entrywise completion mask. Each maps a target-shaped matrix
 to a measurement vector of length ``m``, provides the adjoint scatter back to
 matrix space, and builds the surrogate matrix whose leading singular vectors
-seed the compressed network's outer layers.
+seed the compressed network's outer layers. A result may be a view of its
+input (the identity's maps are reshapes), so callers do not write into one.
 
 Surrogate normalization is deliberately case by case: the identity variant
 returns the back-projection exactly (no 1/m), Gaussian sensing averages by
@@ -73,10 +74,10 @@ class Identity:
 
     def apply(self, M: Matrix) -> Measurement:
         _check_target(self.shape, M)
-        return M.ravel().copy()
+        return M.ravel()
 
     def adjoint(self, y: Measurement) -> Matrix:
-        return _check_measurement(self.m, y).reshape(self.d, self.d).copy()
+        return _check_measurement(self.m, y).reshape(self.d, self.d)
 
     def surrogate(self, y: Measurement) -> Matrix:
         # full observation: the back-projection is the target itself, so no

@@ -122,6 +122,30 @@ def test_missing_file_is_flagged(runs, capsys, tmp_path):
     assert set(seen.values()) == {"identical"}
 
 
+def test_layout_difference_names_the_odd_column(runs, capsys, tmp_path):
+    edited = tmp_path / "c"
+    shutil.copytree(runs / "b", edited)
+    status = edited / "status.json"
+    status.write_text(status.read_text().replace("{", '{"compressed/seed_0/oracle": "pass",', 1))
+    path = edited / "compressed" / "seed_0" / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    path.write_text("\n".join(",".join(line.split(",")[:-1]) for line in lines) + "\n")
+    path = edited / "wide" / "seed_0" / "trajectory.csv"
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(rows[:-1]) + "\n")
+    rc, seen, _ = verdicts(capsys, runs / "a", edited)
+    assert rc == 1
+    assert seen.pop("status.json") == "differs in layout (compressed/seed_0/oracle only in B)"
+    assert seen.pop("compressed/seed_0/trajectory.csv") == (
+        f"differs in layout ({header[-1]} only in A)")
+    # the same columns in fewer rows: only the counts tell them apart
+    n = len(header)
+    assert seen.pop("wide/seed_0/trajectory.csv") == (
+        f"differs in layout ({n * (len(rows) - 1)} against {n * (len(rows) - 2)} cells)")
+    assert set(seen.values()) == {"identical"}
+
+
 def test_not_a_directory_exits_two(tmp_path, capsys):
     assert compare_runs.main([str(tmp_path), str(tmp_path / "absent")]) == 2
     assert compare_runs.main([str(tmp_path), str(tmp_path)]) == 2  # nothing to compare

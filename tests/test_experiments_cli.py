@@ -63,7 +63,7 @@ class TestConfig:
     def test_oracle_replays_alpha_two(self, tmp_path):
         # the oracle replays the run's own outer-layer rate
         res = run(tiny_config(tmp_path, oracle=True, alpha=2.0, model="compressed"))
-        assert res.statuses["compressed/seed_0/oracle"] == "pass"
+        assert res.statuses == {"compressed/seed_0": "ok"}
         report = json.loads((tmp_path / "out" / "compressed" / "seed_0" / "oracle.json").read_text())
         assert report["max_rel_dev"] <= 1e-10
 
@@ -184,7 +184,8 @@ class TestRun:
         cfg = default_config("oracle", out_dir=str(tmp_path / "out"), d=20, r=2, r_hat=4,
                              T=200, sigma_values=(0.2, 0.1), seeds=(0,))
         res = run(cfg)
-        assert res.statuses["compressed/seed_0/oracle"] == "pass"
+        assert res.statuses == {"compressed/seed_0": "ok"}
+        assert json.loads((tmp_path / "out" / "status.json").read_text()) == res.statuses
         report = json.loads((tmp_path / "out" / "compressed" / "seed_0" / "oracle.json").read_text())
         assert report["pass"] is True and report["max_rel_dev"] <= 1e-6
 
@@ -258,6 +259,21 @@ class TestRun:
         fits = payload["fit_iterations"]
         assert len(fits) == 2 and all(f is not None for f in fits)
         assert fits[0] <= fits[1]
+
+    def test_every_tracked_net_writes_incremental(self, tmp_path):
+        # the compressed net's file is the one it writes when it runs alone
+        cfg = tiny_config(tmp_path, model="wide,compressed", track_spectral=2, T=400,
+                          eta=10.0, log_every=25, sigma_values=(0.1, 0.04))
+        assert run(cfg).ok
+        alone = replace(cfg, model="compressed", out_dir=str(tmp_path / "alone"))
+        assert run(alone).ok
+        for model in ("wide", "compressed"):
+            payload = json.loads((tmp_path / "out" / model / "seed_0" / "incremental.json")
+                                 .read_text())
+            assert len(payload["fit_iterations"]) == 2, model
+        name = Path("compressed", "seed_0", "incremental.json")
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+        assert not (tmp_path / "alone" / "wide").exists()
 
 
     def test_spectral_rows_leave_out_t0(self, tmp_path):
@@ -571,9 +587,13 @@ class TestModelTable:
 class TestAblate:
     def test_alpha_sweep_summary(self, tmp_path):
         cfg = tiny_config(tmp_path, problem="complete", p=0.6, model="compressed", T=80)
-        out = ablate(cfg, "alpha", [1.0, 2.0])
+        res = ablate(cfg, "alpha", [1.0, 2.0])
+        assert res.ok and res.statuses == {
+            "alpha_1.0/compressed/seed_0": "ok", "alpha_2.0/compressed/seed_0": "ok"}
+        out = res.out_dir
         lines = (out / "summary.csv").read_text().strip().split("\n")
-        assert lines[0].startswith("axis,value,model,seed,final_recovery_error")
+        assert lines[0].startswith("axis,value,model,seed,status,final_recovery_error")
+        assert lines[1].startswith("alpha,1.0,compressed,0,ok,")
         assert len(lines) == 3
         assert (out / "alpha_1.0" / "compressed" / "seed_0" / "trajectory.csv").exists()
 
@@ -583,9 +603,10 @@ class TestAblate:
         cfg = default_config("factorize", d=8, r=2, r_hat=3, L=3, eps=0.1, eta=0.5, T=200,
                              log_every=10, seeds=(0,), sigma_values=(1.0, 0.5),
                              out_dir=str(tmp_path / "out"))
-        out = ablate(cfg, "alpha", [1.0, 1e4])
+        out = ablate(cfg, "alpha", [1.0, 1e4]).out_dir
         with open(out / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
+        assert list(rows[0])[:5] == ["axis", "value", "model", "seed", "status"]
         assert [(r["value"], r["model"]) for r in rows] == [
             ("1.0", "wide"), ("1.0", "compressed"), ("10000.0", "wide"),
             ("10000.0", "compressed")]
@@ -594,10 +615,12 @@ class TestAblate:
         for row in rows:
             run_dir = out / f"alpha_{row['value']}"
             status = json.loads((run_dir / "status.json").read_text())
+            assert row["status"] == status[f"{row['model']}/seed_0"]
             if row["value"] == "10000.0" and row["model"] == "compressed":
-                assert status["compressed/seed_0"].startswith("diverged@")
+                assert row["status"].startswith("diverged@")
                 assert all(row[c] == "" for c in results)
                 continue
+            assert row["status"] == "ok"
             with open(run_dir / row["model"] / "seed_0" / "trajectory.csv") as fh:
                 traj = list(csv.DictReader(fh))
             first = next(int(r["t"]) for r in traj
@@ -618,7 +641,7 @@ class TestAblate:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "train_wide", diverge_first)
-        out = ablate(tiny_config(tmp_path, T=5, seeds=(0, 1)), "alpha", [1.0, 2.0])
+        out = ablate(tiny_config(tmp_path, T=5, seeds=(0, 1)), "alpha", [1.0, 2.0]).out_dir
         with open(out / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["value"], r["model"], r["seed"]) for r in rows] == [
@@ -628,8 +651,37 @@ class TestAblate:
 
     def test_depth_sweep(self, tmp_path):
         cfg = tiny_config(tmp_path, model="compressed", T=40)
-        out = ablate(cfg, "depth", [2, 3])
+        out = ablate(cfg, "depth", [2, 3]).out_dir
         assert (out / "depth_2" / "manifest.json").exists()
+
+    def test_all_diverged_sweep_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["ablate", "--problem", "factorize", "--axis", "alpha", "--values", "1,5",
+                     "--eta", "1e6", "--T", "20", "--d", "6", "--r", "2", "--rhat", "3",
+                     "--out", str(out)]) == 3
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["model"], r["status"]) for r in rows] == [
+            ("1.0", "wide", "diverged@3"), ("1.0", "compressed", "diverged@3"),
+            ("5.0", "wide", "diverged@3"), ("5.0", "compressed", "diverged@2")]
+        for row in rows:
+            status = json.loads((out / f"alpha_{row['value']}" / "status.json").read_text())
+            assert row["status"] == status[f"{row['model']}/seed_0"]
+            assert row["final_recovery_error"] == row["train_seconds"] == ""
+        table = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split() for line in table] == [
+            ["alpha_1.0/compressed/seed_0", "diverged@3"], ["alpha_1.0/wide/seed_0", "diverged@3"],
+            ["alpha_5.0/compressed/seed_0", "diverged@2"], ["alpha_5.0/wide/seed_0", "diverged@3"]]
+
+    def test_spaced_string_values_sweep(self, tmp_path):
+        # string values are stripped as a config file's are
+        out = tmp_path / "o"
+        assert main(["ablate", "--problem", "factorize", "--axis", "init", "--values",
+                     "orthogonal, uniform", "--model", "wide", *TINY_ARGV[1:],
+                     "--out", str(out)]) == 0
+        with open(out / "summary.csv") as fh:
+            assert [r["value"] for r in csv.DictReader(fh)] == ["orthogonal", "uniform"]
+        assert (out / "init_uniform" / "wide" / "seed_0" / "trajectory.csv").exists()
 
     def test_unknown_axis(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -947,7 +999,17 @@ class TestCli:
     def test_oracle_subcommand_prints_pass(self, tmp_path, capsys):
         rc = main(["oracle", *self.ORACLE_RUN, "--out", str(tmp_path / "o")])
         assert rc == 0
-        assert "oracle seed_0: PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[1:] == ["  compressed/seed_0  ok"]
+
+    def test_oracle_fail_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["oracle", "--eta", "12", "--T", "500", "--out", str(out)]) == 3
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  compressed/seed_0  oracle_fail@463"]
+        assert json.loads((out / "status.json").read_text()) == {
+            "compressed/seed_0": "oracle_fail@463"}
+        report = json.loads((out / "compressed" / "seed_0" / "oracle.json").read_text())
+        assert report["pass"] is False and report["first_fail_iter"] == 463
 
     def test_oracle_rhat_below_r_exit_two_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -960,7 +1022,8 @@ class TestCli:
         # recipe defaults (alpha = 5, both networks) at a shorter T
         out = tmp_path / "o"
         assert main(["factorize", "--oracle", "--T", "300", "--out", str(out)]) == 0
-        assert "oracle seed_0: PASS" in capsys.readouterr().out
+        assert [line.split() for line in capsys.readouterr().out.splitlines()[1:]] == [
+            ["compressed/seed_0", "ok"], ["wide/seed_0", "ok"]]
         report = json.loads((out / "compressed" / "seed_0" / "oracle.json").read_text())
         assert report["pass"] is True and report["max_rel_dev"] <= 1e-10
 
@@ -1016,7 +1079,12 @@ class TestCli:
         rc = main(["factorize", "--manifest", str(out1 / "manifest.json"), "--out", str(out2)])
         assert rc == 0
         assert (out2 / "compressed" / "seed_0" / "oracle.json").exists()
-        assert "oracle seed_0: PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[1:] == ["  compressed/seed_0  ok"]
+
+    def test_spaced_init_flag_accepted(self, tmp_path):
+        out = tmp_path / "o"
+        assert main([*TINY_ARGV, "--model", "wide", "--init", " uniform", "--out", str(out)]) == 0
+        assert load_manifest(out / "manifest.json").init_mode == "uniform"
 
     def _manifest_exit(self, tmp_path, capsys, text):
         path = tmp_path / "manifest.json"
