@@ -13,7 +13,7 @@ Each case then runs once in a fresh subprocess with one BLAS thread:
   80% train split of seed 0 at the ratings recipe's r_hat, L and eps, reading
   the surrogate through ``functools.partial(mask.surrogate, y)`` as ``dln``
   runs do;
-- ``experiments.run`` on the ``sense`` recipe (d = 100, m = 2000, a 160 MB
+- ``experiments.run`` on the ``sense`` recipe (d = 100, m = 2000, an 80 MB
   operator) with ``model=compressed``, ``T=5``, over seeds 0 and over 0,1,2;
 - ``experiments.run`` on the ``movielens`` recipe at 943 x 1682 with
   ``model=wide``, ``T=2``, over seeds 0 and over 0,1.

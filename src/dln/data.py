@@ -20,6 +20,8 @@ from .operators import CompletionMask, GaussianSensing
 
 # hard cap on dense sensing-operator storage before we refuse to allocate
 SENSING_BUDGET_BYTES = 4 * 2**30
+# gen_gaussian_ops draws its float64 normals this many bytes at a time
+_DRAW_CHUNK_BYTES = 1 << 20
 
 MOVIELENS_SHAPE = (943, 1682)
 
@@ -84,17 +86,34 @@ def gen_mcar_mask(d: int, p: float, seed: int) -> CompletionMask:
     return CompletionMask(rows, cols, d, d)
 
 
+def gaussian_ops_bytes(d: int, m: int) -> int:
+    """Bytes of the operator :func:`gen_gaussian_ops` stores: m d x d float32
+    matrices; :data:`SENSING_BUDGET_BYTES` caps this count."""
+    return m * d * d * np.dtype(np.float32).itemsize
+
+
 def gen_gaussian_ops(d: int, m: int, seed: int) -> GaussianSensing:
-    """m dense d x d sensing matrices with i.i.d. standard normal entries."""
+    """m dense d x d sensing matrices with i.i.d. standard normal entries,
+    stored in float32, so :class:`GaussianSensing` computes in float32.
+
+    The entries are bit for bit ``make_rng(seed, 1).standard_normal((m, d,
+    d)).astype(np.float32)``: the float64 normals are drawn in order, a chunk
+    of ``_DRAW_CHUNK_BYTES`` at a time, and each chunk is rounded into the
+    operator, so the full float64 draw is never held.
+    """
     if m < 1:
         raise ContractViolationError("need m >= 1")
-    need = m * d * d * 8
+    need = gaussian_ops_bytes(d, m)
     if need > SENSING_BUDGET_BYTES:
         raise ResourceBudgetError(
             f"sensing operator needs {need} bytes > budget {SENSING_BUDGET_BYTES}"
         )
     rng = make_rng(seed, 1)
-    return GaussianSensing(rng.standard_normal((m, d, d)))
+    out = np.empty((m, d, d), dtype=np.float32)
+    flat, step = out.reshape(-1), _DRAW_CHUNK_BYTES // 8
+    for start in range(0, flat.size, step):
+        flat[start:start + step] = rng.standard_normal(min(step, flat.size - start))
+    return GaussianSensing(out)
 
 
 @dataclass

@@ -47,6 +47,7 @@ from .data import (
     MOVIELENS_SHAPE,
     SENSING_BUDGET_BYTES,
     SyntheticSpec,
+    gaussian_ops_bytes,
     gen_gaussian_ops,
     gen_lowrank,
     gen_mcar_mask,
@@ -181,7 +182,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("altmin_iters", "need at least one sweep")
     if not cfg.seeds or len(set(cfg.seeds)) != len(cfg.seeds):
         raise ConfigError("seeds", "need at least one seed, all distinct")
-    need = cfg.m * cfg.d * cfg.d * 8
+    need = gaussian_ops_bytes(cfg.d, cfg.m)
     if cfg.problem == "sense" and need > SENSING_BUDGET_BYTES:
         raise ConfigError("m", f"sensing operator needs {need} bytes > budget "
                                f"{SENSING_BUDGET_BYTES}")

@@ -91,12 +91,31 @@ class Identity:
 # arrays have no single truth value for the generated field-wise __eq__
 @dataclass(frozen=True, eq=False)
 class GaussianSensing:
-    """m dense d x d sensing matrices; y_i = <A_i, M> = trace(A_i^T M)."""
+    """m dense d x d sensing matrices; y_i = <A_i, M> = trace(A_i^T M).
+
+    ``apply`` and ``adjoint`` compute in the dtype of the stored matrices.
+    Float32 matrices, as :func:`dln.data.gen_gaussian_ops` draws them, stay
+    float32, which halves the bytes each call streams; any other array is
+    stored as float64. Both return float64. On float32 matrices the input is
+    rounded to float32 and each result entry is an n-term float32 dot
+    product, so with u = 2^-24 and gamma_k = k u / (1 - k u) (Higham,
+    "Accuracy and Stability of Numerical Algorithms", ch. 3)
+
+        |apply(M) - A w|       <= gamma_{n+1} |A| |w|,     n = d^2, w = vec(M)
+        |adjoint(y) - A^T y|   <= gamma_{m+1} |A|^T |y|
+
+    entrywise, where A is the m x d^2 matrix of the stored entries, exact in
+    float64. On float64 matrices both maps are float64 dot products. An
+    input beyond the dtype's range gives inf or nan without a warning; the
+    trainers' divergence guard reports it.
+    """
 
     matrices: np.ndarray  # (m, d, d)
 
     def __post_init__(self):
-        a = np.asarray(self.matrices, dtype=np.float64)
+        a = np.asarray(self.matrices)
+        if a.dtype != np.float32:
+            a = np.asarray(a, dtype=np.float64)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise ContractViolationError(
                 f"sensing matrices must be (m, d, d), got {a.shape}"
@@ -117,11 +136,17 @@ class GaussianSensing:
 
     def apply(self, M: Matrix) -> Measurement:
         _check_target(self.shape, M)
-        return self.matrices.reshape(self.m, -1) @ M.ravel()
+        a = self.matrices.reshape(self.m, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = a @ M.ravel().astype(a.dtype, copy=False)
+        return out.astype(np.float64, copy=False)
 
     def adjoint(self, y: Measurement) -> Matrix:
+        a = self.matrices.reshape(self.m, -1)
         y = _check_measurement(self.m, y)
-        return (y @ self.matrices.reshape(self.m, -1)).reshape(self.d, self.d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = y.astype(a.dtype, copy=False) @ a
+        return out.astype(np.float64, copy=False).reshape(self.d, self.d)
 
     def surrogate(self, y: Measurement) -> Matrix:
         out = self.adjoint(y)

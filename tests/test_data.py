@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from dln.data import (
     RatingsDataset,
     SyntheticSpec,
+    _DRAW_CHUNK_BYTES,
     _scan_movielens,
+    gaussian_ops_bytes,
     gen_gaussian_ops,
     gen_lowrank,
     gen_mcar_mask,
@@ -100,8 +102,30 @@ class TestGaussianOps:
         assert op.matrices.shape == (1, 1, 1)
 
     def test_budget_enforced(self):
+        # 1100 float32 1000 x 1000 matrices take 4.4e9 bytes > 4 GiB
         with pytest.raises(ResourceBudgetError):
-            gen_gaussian_ops(1000, 600, 0)
+            gen_gaussian_ops(1000, 1100, 0)
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (5, 3), (8, 2048), (7, 3001), (60, 37)])
+    def test_chunked_draw_is_the_one_shot_draw_rounded(self, d, m):
+        # 8 x 8 x 2048 entries fill one draw chunk exactly; 7 x 7 x 3001 and
+        # 60 x 60 x 37 end in a partial one
+        op = gen_gaussian_ops(d, m, 4)
+        ref = make_rng(4, 1).standard_normal((m, d, d)).astype(np.float32)
+        assert op.matrices.dtype == np.float32 and op.matrices.shape == (m, d, d)
+        assert op.matrices.tobytes() == ref.tobytes()
+
+    def test_float64_draw_never_held_whole(self):
+        # the operator plus one float64 draw chunk, and a little for the
+        # generator's own objects; a one-shot float64 draw adds 52 MB here
+        tracemalloc.start()
+        try:
+            op = gen_gaussian_ops(60, 1800, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.matrices.nbytes == gaussian_ops_bytes(60, 1800) == 25_920_000
+        assert peak < op.matrices.nbytes + _DRAW_CHUNK_BYTES + 64 * 1024
 
 
 CANONICAL_LINES = [

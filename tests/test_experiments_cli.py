@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dln import experiments
 from dln.cli import main, read_config_file
+from dln.data import gaussian_ops_bytes
 from dln.errors import ConfigError
 from dln.operators import CompletionMask
 from dataclasses import replace
@@ -79,10 +80,10 @@ class TestConfig:
             validate_config(cfg)
 
     def test_sensing_budget_checked(self, tmp_path):
-        # 4 GiB is 8 * 100^2 * 53687 bytes
-        validate_config(tiny_config(tmp_path, problem="sense", d=100, m=53_687))
+        # 4 GiB is 4 * 100^2 * 107374 bytes, rounded down: float32 entries
+        validate_config(tiny_config(tmp_path, problem="sense", d=100, m=107_374))
         with pytest.raises(ConfigError) as exc:
-            validate_config(tiny_config(tmp_path, problem="sense", d=100, m=53_688))
+            validate_config(tiny_config(tmp_path, problem="sense", d=100, m=107_375))
         assert exc.value.field == "m"
 
     @pytest.mark.parametrize("r_hat", [0, 6])
@@ -189,11 +190,16 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "compressed" / "seed_0" / "oracle.json").read_text())
         assert report["pass"] is True and report["max_rel_dev"] <= 1e-6
 
-    def test_divergence_reported_not_raised(self, tmp_path):
-        cfg = tiny_config(tmp_path, eta=5e4, model="wide", eps=0.5)
+    @pytest.mark.parametrize("problem", ["factorize", "sense"])
+    def test_divergence_reported_not_raised(self, tmp_path, problem, recwarn):
+        # on sense the unstable steps run through the float32 operator, and
+        # an overflowing cast ends the run as diverged, with no warning
+        cfg = tiny_config(tmp_path, problem, eta=5e4, model="wide", eps=0.5)
         res = run(cfg)
         assert not res.ok
         assert res.statuses["wide/seed_0"].startswith("diverged@")
+        assert json.loads((tmp_path / "out" / "status.json").read_text()) == res.statuses
+        assert len(recwarn) == 0
 
     def test_altmin_divergence_reported_not_raised(self, tmp_path, monkeypatch):
         from dln import baselines
@@ -413,10 +419,11 @@ class TestRun:
         assert alive and not any(alive)
 
     def test_one_sensing_operator_held_at_a_time(self, tmp_path):
-        # each seed's problem goes before the next seed's operator is drawn
-        cfg = default_config("sense", d=30, r=2, r_hat=4, m=500, T=2, seeds=(0, 1),
+        # each seed's problem goes before the next seed's operator is drawn;
+        # at m = 2000 the 1 MiB draw chunk is well below half the operator
+        cfg = default_config("sense", d=30, r=2, r_hat=4, m=2000, T=2, seeds=(0, 1),
                              out_dir=str(tmp_path / "out"))
-        op_bytes = cfg.m * cfg.d * cfg.d * 8
+        op_bytes = gaussian_ops_bytes(cfg.d, cfg.m)
         tracemalloc.start()
         try:
             res = run(cfg)

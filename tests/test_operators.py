@@ -167,6 +167,65 @@ def test_gaussian_surrogate_concentration():
     assert max_angle < 30.0
 
 
+def _gamma(n, u):
+    """Higham's gamma_n = n u / (1 - n u), the relative bound of an n-term dot product."""
+    return n * u / (1 - n * u)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 12),
+    m=st.integers(1, 80),
+    scale=st.integers(-6, 6),
+)
+def test_float32_sensing_within_its_rounding_bound(seed, d, m, scale):
+    # the generator's float32 operator against the float64 maps on the same
+    # entries, upcast: each result entry is within gamma_{n+1} |A| |w| (one
+    # rounding of the input, n terms), plus the reference's own gamma_n
+    op = gen_gaussian_ops(d, m, seed)
+    assert op.matrices.dtype == np.float32
+    ref = GaussianSensing(op.matrices.astype(np.float64))
+    a = np.abs(ref.matrices.reshape(m, -1))
+    u32, u64 = 2.0**-24, 2.0**-53
+    rng = make_rng(seed, 7)
+    M = rng.standard_normal((d, d)) * 10.0**scale
+    got = op.apply(M)
+    assert got.dtype == np.float64
+    n = d * d
+    bound = (_gamma(n + 1, u32) + _gamma(n, u64)) * (a @ np.abs(M.ravel()))
+    assert np.all(np.abs(got - ref.apply(M)) <= bound)
+    y = rng.standard_normal(m) * 10.0**scale
+    got = op.adjoint(y)
+    assert got.dtype == np.float64 and got.shape == (d, d)
+    bound = (_gamma(m + 1, u32) + _gamma(m, u64)) * (np.abs(y) @ a)
+    assert np.all(np.abs(got.ravel() - ref.adjoint(y).ravel()) <= bound)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_sensing_from_other_arrays_keeps_float64_bits(rng, dtype):
+    # only float32 matrices take the float32 path; any other array is stored
+    # and computed in float64
+    a = (rng.standard_normal((9, 4, 4)) * 10).astype(dtype)
+    op = GaussianSensing(a)
+    a64 = a.astype(np.float64).reshape(9, -1)
+    assert op.matrices.dtype == np.float64
+    M = rng.standard_normal((4, 4))
+    y = rng.standard_normal(9)
+    assert same_bits(op.apply(M), a64 @ M.ravel())
+    assert same_bits(op.adjoint(y), (y @ a64).reshape(4, 4))
+
+
+def test_float32_sensing_overflow_is_silent_inf(recwarn):
+    # a float32 input cast past the dtype's range becomes inf or nan, with
+    # no warning; the trainers' divergence guard reports it
+    op = gen_gaussian_ops(3, 5, 0)
+    M = np.full((3, 3), 1e300)
+    assert not np.all(np.isfinite(op.apply(M)))
+    assert not np.all(np.isfinite(op.adjoint(np.full(5, 1e300))))
+    assert len(recwarn) == 0
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
