@@ -66,7 +66,7 @@ def _maxrss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _init_case(path: str, shape: list[int], init: str):
+def _init_case(path: str, init: str):
     """One init on the ratings file at ``path``: the call and its figures."""
     from dln.baselines import altmin_init
     from dln.data import load_movielens, split_ratings
@@ -74,7 +74,7 @@ def _init_case(path: str, shape: list[int], init: str):
     from dln.models import init_compressed
 
     cfg = default_config("movielens")
-    mask, y, _ = split_ratings(load_movielens(path, tuple(shape)), cfg.train_frac, 0)
+    mask, y, _ = split_ratings(load_movielens(path), cfg.train_frac, 0)
     surrogate = functools.partial(mask.surrogate, y)
     if init == "init_compressed":
         call = functools.partial(init_compressed, surrogate, cfg.L, cfg.r_hat, cfg.eps)
@@ -83,12 +83,11 @@ def _init_case(path: str, shape: list[int], init: str):
     return call, {"train_ratings": int(mask.m), "r_hat": cfg.r_hat}
 
 
-def _run_case(recipe: str, overrides: dict, path: str | None, shape: list[int] | None,
-              out_dir: str):
+def _run_case(recipe: str, overrides: dict, path: str | None, out_dir: str):
     """One ``experiments.run`` of ``recipe``: the call and its figures."""
     from dln.experiments import default_config, run
 
-    data = {} if path is None else {"movielens_path": path, "movielens_shape": tuple(shape)}
+    data = {} if path is None else {"movielens_path": path}
     cfg = default_config(recipe, **{**overrides, "seeds": tuple(overrides["seeds"])},
                          **data, out_dir=out_dir)
     return functools.partial(run, cfg), {}
@@ -98,7 +97,7 @@ def measure(case: dict) -> dict:
     """One case in this process, and the process's environment."""
     from dln.experiments import _environment
 
-    args = {k: v for k, v in case.items() if k != "kind"}
+    args = {k: v for k, v in case.items() if k not in ("kind", "shape")}
     call, figures = (_init_case if case["kind"] == "init" else _run_case)(**args)
     before = _maxrss_mb()
     t0 = time.process_time()

@@ -3,13 +3,12 @@
 
 Useful where the real MovieLens 100K download is unavailable: the file
 exercises the identical parsing, splitting, and training pipeline at a
-configurable scale. Standard output is the one config line that runs the
-ratings recipe at the file's own shape, so
+configurable scale. The ratings recipe reads the shape from the file, so
 
-    python scripts/make_movielens_standin.py standin.data > standin.cfg
-    dln movielens --data standin.data --config standin.cfg
+    python scripts/make_movielens_standin.py standin.data
+    dln movielens --data standin.data
 
-trains all three models on the stand-in; the summary goes to stderr.
+trains all three models on the stand-in; a summary goes to stderr.
 """
 
 import argparse
@@ -27,13 +26,12 @@ def main() -> None:
     ap.add_argument("--rank", type=int, default=14)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    shape = gen_ratings_standin(
+    gen_ratings_standin(
         args.path, n_users=args.users, n_items=args.items,
         n_ratings=args.ratings, rank=args.rank, seed=args.seed,
     )
-    print(f"wrote {args.ratings} ratings on a {shape[0]}x{shape[1]} grid to {args.path}",
+    print(f"wrote {args.ratings} ratings on a {args.users}x{args.items} grid to {args.path}",
           file=sys.stderr)
-    print(f"movielens_shape = {shape[0]},{shape[1]}")
 
 
 if __name__ == "__main__":

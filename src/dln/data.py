@@ -18,12 +18,11 @@ from .errors import ContractViolationError, ParseError, ResourceBudgetError
 from .linalg import Matrix, make_rng, sample_semi_orthogonal
 from .operators import CompletionMask, GaussianSensing
 
-# hard cap on dense sensing-operator storage before we refuse to allocate
-SENSING_BUDGET_BYTES = 4 * 2**30
+# hard cap on the largest array a problem asks for, refused before it is
+# allocated: the sensing operator, and the largest dense matrix the models form
+ARRAY_BUDGET_BYTES = 4 * 2**30
 # gen_gaussian_ops draws its float64 normals this many bytes at a time
 _DRAW_CHUNK_BYTES = 1 << 20
-
-MOVIELENS_SHAPE = (943, 1682)
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,16 @@ def gen_mcar_mask(d: int, p: float, seed: int) -> CompletionMask:
     return CompletionMask(rows, cols, d, d)
 
 
+def dense_bytes(d_out: int, d_in: int) -> int:
+    """Bytes of a dense d_out x d_in float64 matrix. :data:`ARRAY_BUDGET_BYTES`
+    caps the largest one the models form: the end-to-end product, or the wide
+    net's max(d_out, d_in)-square layers."""
+    return 8 * d_out * d_in
+
+
 def gaussian_ops_bytes(d: int, m: int) -> int:
     """Bytes of the operator :func:`gen_gaussian_ops` stores: m d x d float32
-    matrices; :data:`SENSING_BUDGET_BYTES` caps this count."""
+    matrices; :data:`ARRAY_BUDGET_BYTES` caps this count."""
     return m * d * d * np.dtype(np.float32).itemsize
 
 
@@ -104,9 +110,9 @@ def gen_gaussian_ops(d: int, m: int, seed: int) -> GaussianSensing:
     if m < 1:
         raise ContractViolationError("need m >= 1")
     need = gaussian_ops_bytes(d, m)
-    if need > SENSING_BUDGET_BYTES:
+    if need > ARRAY_BUDGET_BYTES:
         raise ResourceBudgetError(
-            f"sensing operator needs {need} bytes > budget {SENSING_BUDGET_BYTES}"
+            f"sensing operator needs {need} bytes > budget {ARRAY_BUDGET_BYTES}"
         )
     rng = make_rng(seed, 1)
     out = np.empty((m, d, d), dtype=np.float32)
@@ -129,11 +135,13 @@ class RatingsDataset:
         return self.users.size
 
 
-def load_movielens(path: str | Path, shape: tuple[int, int] = MOVIELENS_SHAPE) -> RatingsDataset:
+def load_movielens(path: str | Path) -> RatingsDataset:
     """Parse a `u.data`-format file: tab-separated user, item, rating, timestamp.
 
-    IDs are 1-based in the file and mapped to 0-based indices; the canonical
-    100K file has 943 users, 1682 items, and 100000 lines.
+    IDs are 1-based in the file and mapped to 0-based indices. The file spans
+    a (largest user id) x (largest item id) matrix: 943 x 1682 for the
+    canonical 100K file of 100000 lines. A file whose ids span a matrix
+    beyond :data:`ARRAY_BUDGET_BYTES` (:func:`dense_bytes`) is refused.
 
     numpy's C reader parses the file from an open handle, so the text is never
     held whole, and the ranges are checked on whole columns. When either
@@ -141,7 +149,6 @@ def load_movielens(path: str | Path, shape: tuple[int, int] = MOVIELENS_SHAPE) -
     its line number. The result, whose four columns are views of one table,
     always comes from the C reader.
     """
-    n_users, n_items = shape
     try:
         with open(path) as fh, warnings.catch_warnings():
             # an empty file only warns, and so does a field such as 1.0 read
@@ -150,20 +157,30 @@ def load_movielens(path: str | Path, shape: tuple[int, int] = MOVIELENS_SHAPE) -
             table = np.loadtxt(fh, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
     except (ValueError, Warning):  # a decoding error too; the scanner reports it
         table = None
-    if table is None or table.shape[1] != 4 or not np.all(
-            (table[:, :3] >= 1) & (table[:, :3] <= (n_users, n_items, 5))):
+    if table is None or table.shape[1] != 4 or not (
+            np.all(table[:, :3] >= 1) and np.all(table[:, 2] <= 5)):
         try:
             text = Path(path).read_text()
         except UnicodeDecodeError as exc:
             raise ParseError(f"cannot decode the ratings file: {exc}") from None
-        _scan_movielens(text, shape)
+        _scan_movielens(text)
         # Python's int() reads some fields the C reader does not, such as 1_000
         raise ParseError("fields must be plain decimal integers")
+    n_users, n_items = _spanned_shape(int(table[:, 0].max()), int(table[:, 1].max()))
     table[:, :2] -= 1
     _reject_duplicates(table[:, 0], table[:, 1], n_items)
     ratings = table.view(np.float64)[:, 2]  # cast in its own column: no second table
     ratings[:] = table[:, 2]
     return RatingsDataset(table[:, 0], table[:, 1], ratings, table[:, 3], n_users, n_items)
+
+
+def _spanned_shape(max_user: int, max_item: int) -> tuple[int, int]:
+    """The matrix the largest 1-based ids span, within the array budget."""
+    need = dense_bytes(max_user, max_item)
+    if need > ARRAY_BUDGET_BYTES:
+        raise ParseError(f"ids span a {max_user}x{max_item} ratings matrix: {need} bytes "
+                         f"> budget {ARRAY_BUDGET_BYTES}")
+    return max_user, max_item
 
 
 def _reject_duplicates(users: np.ndarray, items: np.ndarray, n_items: int) -> None:
@@ -177,10 +194,9 @@ def _reject_duplicates(users: np.ndarray, items: np.ndarray, n_items: int) -> No
         )
 
 
-def _scan_movielens(text: str, shape: tuple[int, int]) -> RatingsDataset:
+def _scan_movielens(text: str) -> RatingsDataset:
     """Line-by-line reader of a `u.data` text: the reference for
     :func:`load_movielens`, which calls it only to report a refused file."""
-    n_users, n_items = shape
     users, items, ratings, stamps = [], [], [], []
     for line_no, line in enumerate(io.StringIO(text), start=1):
         line = line.rstrip("\n")
@@ -193,10 +209,10 @@ def _scan_movielens(text: str, shape: tuple[int, int]) -> RatingsDataset:
             u, i, r, ts = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
         except ValueError as exc:
             raise ParseError(f"non-integer field: {exc}", line_no) from exc
-        if not 1 <= u <= n_users:
-            raise ParseError(f"user id {u} outside 1..{n_users}", line_no)
-        if not 1 <= i <= n_items:
-            raise ParseError(f"item id {i} outside 1..{n_items}", line_no)
+        if u < 1:
+            raise ParseError(f"user id {u} is below 1", line_no)
+        if i < 1:
+            raise ParseError(f"item id {i} is below 1", line_no)
         if not 1 <= r <= 5:
             raise ParseError(f"rating {r} outside 1..5", line_no)
         if not -2**63 <= ts < 2**63:
@@ -207,6 +223,7 @@ def _scan_movielens(text: str, shape: tuple[int, int]) -> RatingsDataset:
         stamps.append(ts)
     if not users:
         raise ParseError("empty ratings file")
+    n_users, n_items = _spanned_shape(max(users) + 1, max(items) + 1)
     users_a = np.array(users, dtype=np.int64)
     items_a = np.array(items, dtype=np.int64)
     _reject_duplicates(users_a, items_a, n_items)
@@ -228,13 +245,14 @@ def gen_ratings_standin(
     rank: int = 14,
     seed: int = 0,
     noise: float = 0.5,
-) -> tuple[int, int]:
+) -> None:
     """Write a synthetic ratings file in the tab-separated `u.data` layout.
 
     An approximately low-rank ratings table (integer 1..5, noisy) sampled at
-    random (user, item) pairs. Lets the full ratings pipeline run where the
-    real dataset is not available; returns the (n_users, n_items) shape to
-    pass to :func:`load_movielens`.
+    random (user, item) pairs of an n_users x n_items grid. Lets the full
+    ratings pipeline run where the real dataset is not available;
+    :func:`load_movielens` reads the file at the shape its ids span, which is
+    the grid's unless its last row or column draws no rating.
     """
     rng = make_rng(seed, 5)
     gu = rng.standard_normal((n_users, rank)) / np.sqrt(rank)
@@ -250,7 +268,6 @@ def gen_ratings_standin(
         u, i = divmod(int(f), n_items)
         lines.append(f"{u + 1}\t{i + 1}\t{table[u, i]}\t{874000000 + k}")
     Path(path).write_text("\n".join(lines) + "\n")
-    return n_users, n_items
 
 
 def split_ratings(

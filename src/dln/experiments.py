@@ -44,9 +44,9 @@ import numpy as np
 from . import __version__, diagnostics
 from .baselines import altmin_complete
 from .data import (
-    MOVIELENS_SHAPE,
-    SENSING_BUDGET_BYTES,
+    ARRAY_BUDGET_BYTES,
     SyntheticSpec,
+    dense_bytes,
     gaussian_ops_bytes,
     gen_gaussian_ops,
     gen_lowrank,
@@ -91,7 +91,6 @@ class ExperimentConfig:
     sigma_values: tuple[float, ...] | None = None
     init_mode: str = "orthogonal"
     movielens_path: str = ""
-    movielens_shape: tuple[int, int] = MOVIELENS_SHAPE
     train_frac: float = 0.8
     altmin_iters: int = 60
     track_spectral: int = 0
@@ -107,7 +106,7 @@ class ExperimentConfig:
 FIELD_DOMAINS: dict[str, tuple[Callable[[object], bool], str]] = {
     "problem": (lambda v: v in PROBLEMS, f"one of {', '.join(PROBLEMS)}"),
     "init_mode": (lambda v: v in INIT_MODES, f"one of {', '.join(INIT_MODES)}"),
-    **dict.fromkeys(("d", "r", "r_hat", "T", "m", "log_every", "movielens_shape"),
+    **dict.fromkeys(("d", "r", "r_hat", "T", "m", "log_every"),
                     (lambda v: v >= 1, "at least 1")),
     "L": (lambda v: v >= 2, "at least 2"),
     # a seed names its run directory, seed_<k>, so it stays a 64-bit integer
@@ -165,12 +164,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.problem == "movielens":
         if not cfg.movielens_path:
             raise ConfigError("movielens_path", "ratings file path is required")
-        if cfg.r_hat > min(cfg.movielens_shape):
-            raise ConfigError("r_hat", f"must lie in 1..{min(cfg.movielens_shape)} for ratings "
-                              f"of shape {cfg.movielens_shape[0]}x{cfg.movielens_shape[1]}")
         if cfg.track_spectral > 0:
             raise ConfigError("track_spectral", "ratings have no synthetic target to align with")
     else:
+        # before anything d x d is drawn, the complete mask pre-draw below too
+        _check_budget("d", f"a {cfg.d}x{cfg.d} target", dense_bytes(cfg.d, cfg.d))
         for name in ("r", "r_hat"):
             if getattr(cfg, name) > cfg.d:
                 raise ConfigError(name, f"must lie in 1..{cfg.d}")
@@ -182,10 +180,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("altmin_iters", "need at least one sweep")
     if not cfg.seeds or len(set(cfg.seeds)) != len(cfg.seeds):
         raise ConfigError("seeds", "need at least one seed, all distinct")
-    need = gaussian_ops_bytes(cfg.d, cfg.m)
-    if cfg.problem == "sense" and need > SENSING_BUDGET_BYTES:
-        raise ConfigError("m", f"sensing operator needs {need} bytes > budget "
-                               f"{SENSING_BUDGET_BYTES}")
+    if cfg.problem == "sense":
+        _check_budget("m", "sensing operator", gaussian_ops_bytes(cfg.d, cfg.m))
     if cfg.oracle and (cfg.problem != "factorize" or "compressed" not in models):
         raise ConfigError("oracle", "oracle verification requires the factorize problem "
                                     "and the compressed model")
@@ -201,6 +197,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 gen_mcar_mask(cfg.d, cfg.p, seed)
             except ContractViolationError as exc:
                 raise ConfigError("p", f"seed {seed}: {exc}") from exc
+
+
+def _check_budget(field: str, what: str, need: int) -> None:
+    if need > ARRAY_BUDGET_BYTES:
+        raise ConfigError(field, f"{what} needs {need} bytes > budget {ARRAY_BUDGET_BYTES}")
 
 
 def effective_eta(cfg: ExperimentConfig, m: int) -> float:
@@ -277,7 +278,9 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
     top-level keys (version, environment) are not read. A file that cannot be
     read or is not a manifest is a ParseError; a missing, unknown or mistyped
     config field is a ConfigError, as is a retired field at any value but the
-    one in :data:`RETIRED_FIELDS`, which is dropped."""
+    one in :data:`RETIRED_FIELDS`, which is dropped. So is a ratings
+    manifest's ``movielens_shape`` at any value but the shape its file spans,
+    which this reads; the field was never read on other problems."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, ValueError, RecursionError) as exc:
@@ -289,6 +292,7 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
         if name in raw and (value := raw.pop(name)) != old:
             raise ConfigError(name, f"retired field: only {json.dumps(old)} re-runs, "
                                     f"got {json.dumps(value)}")
+    old_shape = raw.pop("movielens_shape", None)
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(raw) - set(fields)
     if unknown:
@@ -296,7 +300,15 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
     missing = set(fields) - set(raw)
     if missing:
         raise ConfigError(sorted(missing)[0], "missing from manifest")
-    return ExperimentConfig(**{name: _manifest_value(fields[name], v) for name, v in raw.items()})
+    cfg = ExperimentConfig(**{name: _manifest_value(fields[name], v) for name, v in raw.items()})
+    if old_shape is not None and cfg.problem == "movielens":
+        ratings = load_movielens(cfg.movielens_path)
+        shape = [ratings.n_users, ratings.n_items]
+        if old_shape != shape:
+            raise ConfigError("movielens_shape", f"retired field: only {json.dumps(shape)}, "
+                                                 f"the shape its file spans, re-runs, got "
+                                                 f"{json.dumps(old_shape)}")
+    return cfg
 
 
 def _archive_measurements(dest: Path, op, y) -> None:
@@ -446,13 +458,11 @@ def run(cfg: ExperimentConfig) -> RunResult:
     """Execute one experiment config; returns statuses keyed by model/seed."""
     validate_config(cfg)
     models = resolve_models(cfg)
-    # a ratings file that does not parse, or that the split leaves without a
-    # train or a test rating, leaves no output directory behind
-    ratings = (load_movielens(cfg.movielens_path, shape=tuple(cfg.movielens_shape))
-               if cfg.problem == "movielens" else None)
-    if ratings is not None and not 1 <= math.floor(cfg.train_frac * len(ratings)) < len(ratings):
-        raise ConfigError("train_frac", f"splitting {len(ratings)} ratings leaves an empty "
-                                        "train or test set")
+    # a ratings file that does not parse, or that the config does not fit,
+    # leaves no output directory behind
+    ratings = load_movielens(cfg.movielens_path) if cfg.problem == "movielens" else None
+    if ratings is not None:
+        _check_ratings(cfg, ratings)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out)
@@ -492,6 +502,22 @@ def run(cfg: ExperimentConfig) -> RunResult:
     return result
 
 
+def _check_ratings(cfg: ExperimentConfig, ratings) -> None:
+    """The settings a ratings file decides: a split with a train and a test
+    rating, r_hat within the shape its ids span, and the wide net's layers
+    within the array budget."""
+    shape = (ratings.n_users, ratings.n_items)
+    if not 1 <= math.floor(cfg.train_frac * len(ratings)) < len(ratings):
+        raise ConfigError("train_frac", f"splitting {len(ratings)} ratings leaves an empty "
+                                        "train or test set")
+    if cfg.r_hat > min(shape):
+        raise ConfigError("r_hat", f"must lie in 1..{min(shape)} for ratings of shape "
+                                   f"{shape[0]}x{shape[1]}")
+    if "wide" in resolve_models(cfg):
+        _check_budget("model", f"the wide net at ratings of shape {shape[0]}x{shape[1]}",
+                      dense_bytes(max(shape), max(shape)))
+
+
 def _alignment(cfg: ExperimentConfig, log: TrajectoryLog, pb: _Problem):
     """The tracked spectrum's alignment with the synthetic target, or None (as
     for ALS, which tracks no spectrum). Its width, ``left_align.shape[1]``, is
@@ -525,6 +551,11 @@ def ablate(cfg: ExperimentConfig, axis: str, values) -> RunResult:
             for value in values]
     for sub in subs:
         validate_config(sub)
+    if cfg.problem == "movielens":  # every swept config reads the one file
+        ratings = load_movielens(cfg.movielens_path)
+        for sub in subs:
+            _check_ratings(sub, ratings)
+        del ratings
     out.mkdir(parents=True, exist_ok=True)
     result, rows = RunResult(out_dir=out), []
     for value, sub in zip(values, subs):

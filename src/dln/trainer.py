@@ -183,15 +183,20 @@ def descend(record: Recorder, step: Callable[[int], None], iters: int,
             log_every: int) -> TrajectoryLog:
     """The training loop: ``step(t)`` moves the iterate from t - 1 to t, and
     ``record`` logs t = 0, every ``log_every``-th iterate and the last one,
-    with the seconds spent in ``step`` so far."""
-    record(0, 0.0)
-    train_time = 0.0
-    for t in range(1, iters + 1):
-        t0 = time.perf_counter()
-        step(t)
-        train_time += time.perf_counter() - t0
-        if t % log_every == 0 or t == iters:
-            record(t, train_time)
+    with the seconds spent in ``step`` so far.
+
+    An iterate that overflows is reported by the loss guards as a
+    :class:`DivergenceError`, so numpy's overflow and invalid-value warnings
+    are off for the whole loop."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, 0.0)
+        train_time = 0.0
+        for t in range(1, iters + 1):
+            t0 = time.perf_counter()
+            step(t)
+            train_time += time.perf_counter() - t0
+            if t % log_every == 0 or t == iters:
+                record(t, train_time)
     return record.log
 
 

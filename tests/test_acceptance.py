@@ -286,9 +286,9 @@ def test_criterion_09_gradient_flow_oracle():
     report(9, "RK4 matches the closed form; gated flow is dominated")
 
 
-def _ratings_protocol(path, shape, T_wide, eps, out_prefix=""):
+def _ratings_protocol(path, T_wide, eps, out_prefix=""):
     """Shared ratings-completion protocol: wide vs compressed vs baseline."""
-    ds = load_movielens(path, shape=shape)
+    ds = load_movielens(path)
     mask, y, holdout = split_ratings(ds, 0.8, seed=0)
     eta = 0.5 / mask.m
     surr = mask.surrogate(y)
@@ -323,8 +323,8 @@ def _ratings_protocol(path, shape, T_wide, eps, out_prefix=""):
 
 def test_criterion_10_ratings_standin_protocol(tmp_path):
     path = tmp_path / "standin.data"
-    shape = gen_ratings_standin(path, seed=0)
-    t_cross, wall_wide, alt_rmse, wf, cf = _ratings_protocol(path, shape, T_wide=2000, eps=0.3)
+    gen_ratings_standin(path, seed=0)
+    t_cross, wall_wide, alt_rmse, wf, cf = _ratings_protocol(path, T_wide=2000, eps=0.3)
     report(10, (
         "ratings protocol (synthetic stand-in): crossing at "
         f"{t_cross:.2f}s of {wall_wide:.1f}s wide wall-clock, baseline holdout {alt_rmse:.2f} "
@@ -338,9 +338,7 @@ def test_criterion_10_ratings_standin_protocol(tmp_path):
 )
 def test_criterion_10_movielens_real_data():
     t0 = time.monotonic()
-    t_cross, wall_wide, alt_rmse, wf, cf = _ratings_protocol(
-        ML100K_PATH, (943, 1682), T_wide=1000, eps=0.3
-    )
+    t_cross, wall_wide, alt_rmse, wf, cf = _ratings_protocol(ML100K_PATH, T_wide=1000, eps=0.3)
     elapsed = time.monotonic() - t0
     assert elapsed < 900.0
     report(10, (

@@ -38,10 +38,8 @@ def ratings_runs(tmp_path_factory):
     """A tiny ratings run of every model on a stand-in file, with checkpoints,
     and its ``--manifest`` re-run."""
     root = tmp_path_factory.mktemp("ratings")
-    n_users, n_items = gen_ratings_standin(root / "u.data", n_users=30, n_items=40,
-                                           n_ratings=600, rank=3)
-    (root / "run.cfg").write_text(f"movielens_shape = {n_users},{n_items}\n"
-                                  "save_models = true\n")
+    gen_ratings_standin(root / "u.data", n_users=30, n_items=40, n_ratings=600, rank=3)
+    (root / "run.cfg").write_text("save_models = true\n")
     assert main(["movielens", "--data", str(root / "u.data"), "--model", "all", "--rhat", "3",
                  "--T", "20", "--log-every", "5", "--altmin-iters", "3",
                  "--config", str(root / "run.cfg"), "--out", str(root / "a")]) == 0

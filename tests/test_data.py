@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dln.data import (
+    ARRAY_BUDGET_BYTES,
     RatingsDataset,
     SyntheticSpec,
     _DRAW_CHUNK_BYTES,
@@ -141,8 +142,8 @@ class TestLoadMovielens:
     def test_parse_small_file(self, tmp_path):
         path = tmp_path / "u.data"
         path.write_text("\n".join(CANONICAL_LINES) + "\n")
-        ds = load_movielens(path, shape=(3, 3))
-        assert len(ds) == 5
+        ds = load_movielens(path)
+        assert len(ds) == 5 and (ds.n_users, ds.n_items) == (3, 3)
         assert ds.users[0] == 0 and ds.items[0] == 0 and ds.ratings[0] == 5.0
         assert ds.timestamps[0] == 874965758
 
@@ -150,26 +151,49 @@ class TestLoadMovielens:
         path = tmp_path / "u.data"
         path.write_text(CANONICAL_LINES[0] + "\n1\t2\t3\n")
         with pytest.raises(ParseError) as exc:
-            load_movielens(path, shape=(3, 3))
+            load_movielens(path)
         assert "line 2" in str(exc.value)
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "u.data"
         path.write_text(CANONICAL_LINES[0] + "\n" + CANONICAL_LINES[0] + "\n")
         with pytest.raises(ParseError):
-            load_movielens(path, shape=(3, 3))
+            load_movielens(path)
 
     def test_rating_out_of_range(self, tmp_path):
         path = tmp_path / "u.data"
         path.write_text("1\t1\t6\t874965758\n")
         with pytest.raises(ParseError):
-            load_movielens(path, shape=(3, 3))
+            load_movielens(path)
 
     def test_id_out_of_range(self, tmp_path):
+        # ids start at 1; the largest of each column sets the shape
         path = tmp_path / "u.data"
+        for text, line in (("1\t1\t5\t7\n0\t1\t5\t8\n", 2), ("1\t0\t5\t7\n", 1)):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="below 1") as exc:
+                load_movielens(path)
+            assert exc.value.line == line
         path.write_text("4\t1\t5\t874965758\n")
-        with pytest.raises(ParseError):
-            load_movielens(path, shape=(3, 3))
+        ds = load_movielens(path)
+        assert (ds.n_users, ds.n_items) == (4, 1) and ds.users.tolist() == [3]
+
+    @pytest.mark.parametrize("text", ["{u}\t{i}\t5\t7\n", "1\t1\t5\t7\n{u}\t{i}\t3\t8\n"])
+    def test_ids_past_the_array_budget_refused(self, tmp_path, text):
+        # 2**14 x 2**15 float64 entries are the budget exactly; one more item is past it
+        path = tmp_path / "u.data"
+        u, i = 2**14, 2**15
+        assert 8 * u * i == ARRAY_BUDGET_BYTES
+        path.write_text(text.format(u=u, i=i))
+        ds = load_movielens(path)
+        assert (ds.n_users, ds.n_items) == (u, i)
+        for u, i in ((u, i + 1), (u + 1, i), (2**62, 1), (10**30, 1)):
+            path.write_text(text.format(u=u, i=i))
+            with pytest.raises(ParseError, match="budget") as exc:
+                load_movielens(path)
+            assert exc.value.line is None
+            with pytest.raises(ParseError, match="budget"):
+                _scan_movielens(path.read_text())
 
     def test_canonical_file_when_available(self):
         path = os.environ.get("DLN_ML100K", "data/ml-100k/u.data")
@@ -184,29 +208,29 @@ def test_load_traces_at_most_two_and_a_half_files(tmp_path):
     # the C reader streams the file, so its text is never held whole; the
     # parsed int64 table alone is about 1.6 files at this line length
     path = tmp_path / "u.data"
-    shape = gen_ratings_standin(path, n_users=943, n_items=1682, n_ratings=100_000)
+    gen_ratings_standin(path, n_users=943, n_items=1682, n_ratings=100_000)
     tracemalloc.start()
     try:
-        ds = load_movielens(path, shape=shape)
+        ds = load_movielens(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * path.stat().st_size
-    ref = _scan_movielens(path.read_text(), shape)
+    ref = _scan_movielens(path.read_text())
     for name in ("users", "items", "ratings", "timestamps"):
         a, b = getattr(ds, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert (ds.n_users, ds.n_items) == (ref.n_users, ref.n_items) == (943, 1682)
 
 
 RATINGS_ALPHABET = "0123456789\t\n +-.#\r"
-SMALL_SHAPE = (3, 4)
 
 
 @st.composite
 def ratings_texts(draw):
-    """Texts near the `u.data` layout: mostly well-formed lines over a 3 x 4
-    shape with damaged fields, field counts and line ends mixed in, or raw
-    text over the same alphabet."""
+    """Texts near the `u.data` layout: mostly well-formed lines with ids up
+    to 3 and 4, with damaged fields (ids of any size among them), field
+    counts and line ends mixed in, or raw text over the same alphabet."""
     if draw(st.integers(0, 4)) == 0:
         return draw(st.text(RATINGS_ALPHABET, max_size=40))
     good = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5),
@@ -229,8 +253,8 @@ def _read_both(text: str):
         path = Path(td) / "u.data"
         path.write_bytes(text.encode())
         outcomes = []
-        for read in (lambda: _scan_movielens(path.read_text(), SMALL_SHAPE),
-                     lambda: load_movielens(path, shape=SMALL_SHAPE)):
+        for read in (lambda: _scan_movielens(path.read_text()),
+                     lambda: load_movielens(path)):
             try:
                 outcomes.append(read())
             except Exception as exc:  # compared by type, message and line below
@@ -247,6 +271,9 @@ class TestLoaderMatchesScanner:
     @example(" +1 \t1\t5\t7\n \n")
     @example("1\t1\t5.0\t7\n")
     @example("1\t1\t5\t7\n2\t5\t3\t8\n")
+    @example("1\t1\t5\t7\n9223372036854775807\t1\t3\t8\n")
+    @example("1\t1\t5\t7\n18446744073709551616\t1\t3\t8\n1\t1\t4\t9\n")
+    @example("16384\t32769\t5\t7\n")
     @example("1\t0\t5\t7\n")
     @example("0\t1\t5\t7\n")
     @example("1\t1\t0\t7\n")
@@ -262,13 +289,15 @@ class TestLoaderMatchesScanner:
         for name in ("users", "items", "ratings", "timestamps"):
             a, b = getattr(loaded, name), getattr(scanned, name)
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert (loaded.n_users, loaded.n_items) == SMALL_SHAPE
+        # the shape both derive is the largest id of each column
+        shape = (int(loaded.users.max()) + 1, int(loaded.items.max()) + 1)
+        assert (loaded.n_users, loaded.n_items) == (scanned.n_users, scanned.n_items) == shape
 
     def test_field_python_reads_but_c_does_not_is_refused(self, tmp_path):
         path = tmp_path / "u.data"
         path.write_text("1\t1\t5\t1_000\n")
         with pytest.raises(ParseError, match="plain decimal integers"):
-            load_movielens(path, shape=SMALL_SHAPE)
+            load_movielens(path)
 
 
 def _split_via_dense_table(ds, train_frac, seed):
@@ -310,8 +339,8 @@ class TestSplitRatings:
 
         with tempfile.TemporaryDirectory() as td:
             path = os.path.join(td, "standin.data")
-            shape = gen_ratings_standin(path, n_users=10, n_items=12, n_ratings=n, rank=2, seed=seed)
-            return load_movielens(path, shape=shape)
+            gen_ratings_standin(path, n_users=10, n_items=12, n_ratings=n, rank=2, seed=seed)
+            return load_movielens(path)
 
     def test_counts_exact(self):
         ds = self._dataset(n=50)
@@ -355,9 +384,9 @@ class TestSplitRatings:
 
 def test_standin_generator_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.data", tmp_path / "b.data"
-    shape1 = gen_ratings_standin(p1, seed=4)
-    shape2 = gen_ratings_standin(p2, seed=4)
-    assert shape1 == shape2
+    gen_ratings_standin(p1, seed=4)
+    gen_ratings_standin(p2, seed=4)
     assert p1.read_bytes() == p2.read_bytes()
-    ds = load_movielens(p1, shape=shape1)
+    ds = load_movielens(p1)
     assert len(ds) == 12000
+    assert (ds.n_users, ds.n_items) == (200, 350)  # the default grid, spanned

@@ -300,7 +300,9 @@ class TestRecordedHoldout:
         path = tmp_path / "u.data"
         workloads.write_ratings(path, seed)
         shape = workloads.RATINGS_SHAPE
-        mask, y, holdout = split_ratings(load_movielens(path, shape=shape), 0.8, seed)
+        ds = load_movielens(path)
+        assert (ds.n_users, ds.n_items) == shape
+        mask, y, holdout = split_ratings(ds, 0.8, seed)
         table = np.loadtxt(path, dtype=np.int64, delimiter="\t")
         n_train = int(np.floor(0.8 * len(table)))
         held = table[make_rng(seed, 4).permutation(len(table))[n_train:]]

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -34,6 +36,7 @@ from dln.experiments import (
     write_manifest,
 )
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # a valid tiny factorize command line
 TINY_ARGV = ["factorize", "--d", "4", "--r", "1", "--rhat", "2", "--T", "2"]
 TINY = dict(d=16, r=2, r_hat=4, T=60, log_every=20, seeds=(0,),
@@ -88,12 +91,27 @@ class TestConfig:
 
     @pytest.mark.parametrize("r_hat", [0, 6])
     def test_ratings_rhat_checked_against_shape(self, tmp_path, r_hat):
-        cfg = default_config("movielens", out_dir="x", movielens_path="u.data",
-                             movielens_shape=(5, 8), r_hat=r_hat)
+        # the file spans 5 x 8, so r_hat lies in 1..5; a run past it writes nothing
+        data = tmp_path / "u.data"
+        data.write_text("".join(f"{u}\t{u + 3}\t3\t{u}\n" for u in range(1, 6)))
+        cfg = default_config("movielens", out_dir=str(tmp_path / "out"), r_hat=r_hat,
+                             movielens_path=str(data), T=1, log_every=1, altmin_iters=1)
         with pytest.raises(ConfigError) as exc:
-            validate_config(cfg)
+            run(cfg)
         assert exc.value.field == "r_hat"
-        validate_config(replace(cfg, r_hat=5))
+        assert not (tmp_path / "out").exists()
+        assert run(replace(cfg, r_hat=5)).statuses.keys() == {
+            f"{m}/seed_0" for m in ("wide", "compressed", "altmin")}
+
+    @pytest.mark.parametrize("problem", ["factorize", "sense", "complete"])
+    def test_synthetic_d_past_the_array_budget_refused(self, tmp_path, problem):
+        # a 23170 x 23170 float64 target fits 4 GiB, one more row and column
+        # does not; refused before complete's mask pre-draw would allocate it
+        validate_config(tiny_config(tmp_path, problem="factorize", d=23_170))
+        for d in (23_171, 10**6):
+            with pytest.raises(ConfigError, match="budget") as exc:
+                validate_config(tiny_config(tmp_path, problem=problem, d=d, m=1))
+            assert exc.value.field == "d"
 
     @pytest.mark.parametrize("problem,field,value", [
         ("factorize", "log_every", 0),
@@ -126,7 +144,7 @@ class TestConfig:
         ("alpha", math.nan), ("seeds", (2**64,)), ("L", 1),
         ("sigma_values", (0.1, math.inf)), ("sigma_range", (0.05, 0.02)),
         ("sigma_range", (0.0, 0.05)), ("m", 0), ("p", 0.0), ("train_frac", 1.0),
-        ("movielens_shape", (0, 5)), ("init_mode", "foo"), ("problem", "fit"),
+        ("init_mode", "foo"), ("problem", "fit"),
     ])
     def test_out_of_domain_value_refused(self, tmp_path, field, value):
         # a domain holds whatever the problem: m, p and train_frac on factorize too
@@ -190,16 +208,20 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "compressed" / "seed_0" / "oracle.json").read_text())
         assert report["pass"] is True and report["max_rel_dev"] <= 1e-6
 
-    @pytest.mark.parametrize("problem", ["factorize", "sense"])
-    def test_divergence_reported_not_raised(self, tmp_path, problem, recwarn):
-        # on sense the unstable steps run through the float32 operator, and
-        # an overflowing cast ends the run as diverged, with no warning
-        cfg = tiny_config(tmp_path, problem, eta=5e4, model="wide", eps=0.5)
-        res = run(cfg)
-        assert not res.ok
-        assert res.statuses["wide/seed_0"].startswith("diverged@")
-        assert json.loads((tmp_path / "out" / "status.json").read_text()) == res.statuses
-        assert len(recwarn) == 0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("problem", ["factorize", "sense", "complete"])
+    def test_divergence_reported_not_raised(self, tmp_path, problem):
+        # unstable steps overflow in the products, the backprop and, on
+        # sense, the float32 operator; each net's run ends as diverged, and
+        # no numpy warning is raised on the way
+        for eta in (5e4, 1e100, 1e200):
+            out = tmp_path / f"out_{eta}"
+            res = run(replace(tiny_config(tmp_path, problem, eta=eta, model="all", eps=0.5,
+                                          p=0.6, altmin_iters=2), out_dir=str(out)))
+            assert not res.ok
+            for net in ("wide", "compressed"):
+                assert res.statuses[f"{net}/seed_0"].startswith("diverged@"), (eta, net)
+            assert json.loads((out / "status.json").read_text()) == res.statuses
 
     def test_altmin_divergence_reported_not_raised(self, tmp_path, monkeypatch):
         from dln import baselines
@@ -458,8 +480,8 @@ class TestRun:
         from dln.data import gen_ratings_standin
 
         data = tmp_path / "u.data"
-        shape = gen_ratings_standin(data, n_users=12, n_items=15, n_ratings=120, rank=2)
-        cfg = default_config("movielens", movielens_path=str(data), movielens_shape=shape,
+        gen_ratings_standin(data, n_users=12, n_items=15, n_ratings=120, rank=2)
+        cfg = default_config("movielens", movielens_path=str(data),
                              r_hat=2, T=4, log_every=2, altmin_iters=3,
                              out_dir=str(tmp_path / "out"))
         res = run(cfg)
@@ -592,6 +614,17 @@ class TestModelTable:
 
 
 class TestAblate:
+    def test_ratings_rhat_past_the_files_shape_writes_nothing(self, tmp_path):
+        # the file spans 5 x 8; the refused value comes after one that runs
+        data = tmp_path / "u.data"
+        data.write_text("".join(f"{u}\t{u + 3}\t3\t{u}\n" for u in range(1, 6)))
+        cfg = default_config("movielens", movielens_path=str(data), T=1, altmin_iters=1,
+                             out_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError) as exc:
+            ablate(cfg, "rhat", [2, 6])
+        assert exc.value.field == "r_hat"
+        assert not (tmp_path / "out").exists()
+
     def test_alpha_sweep_summary(self, tmp_path):
         cfg = tiny_config(tmp_path, problem="complete", p=0.6, model="compressed", T=80)
         res = ablate(cfg, "alpha", [1.0, 2.0])
@@ -841,6 +874,77 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_standin_trains_at_its_own_shape_without_a_config(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the script prints only its summary, and the run reads the file's shape
+        data = tmp_path / "standin.data"
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "make_movielens_standin.py"), str(data),
+             "--users", "30", "--items", "40", "--ratings", "600", "--rank", "3"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")})
+        assert done.stdout == "" and "30x40" in done.stderr
+        shapes = []
+
+        def recorded(trainer):
+            def wrapper(model, op, *args, **kwargs):
+                shapes.append((model.layers[-1].shape[0], model.layers[0].shape[1], op.shape))
+                return trainer(model, op, *args, **kwargs)
+            return wrapper
+
+        for name in ("train_wide", "train_compressed"):
+            monkeypatch.setattr(experiments, name, recorded(getattr(experiments, name)))
+        out = tmp_path / "o"
+        assert main(["movielens", "--data", str(data), "--rhat", "3", "--T", "2",
+                     "--altmin-iters", "1", "--out", str(out)]) == 0
+        assert shapes == [(30, 40, (30, 40))] * 2
+        assert "movielens_shape" not in json.loads((out / "manifest.json").read_text())["config"]
+
+    def test_manifest_movielens_shape_rereads_only_its_files_shape(self, tmp_path, capsys):
+        # a manifest written while the shape was a setting re-runs when the
+        # setting is the shape the file spans, and is refused otherwise
+        data = tmp_path / "u.data"
+        data.write_text("".join(f"{u}\t{u + 3}\t3\t{u}\n" for u in range(1, 6)))
+        cfg = default_config("movielens", movielens_path=str(data), r_hat=2, T=2,
+                             altmin_iters=1, out_dir=str(tmp_path / "old"))
+        manifest = tmp_path / "manifest.json"
+        for shape, code in (([5, 8], 0), ([943, 1682], 2), ([5, 9], 2)):
+            config = {**dataclasses.asdict(cfg), "movielens_shape": shape}
+            manifest.write_text(json.dumps({"version": "0", "config": config}))
+            out = tmp_path / f"o_{shape[1]}"
+            rc = main(["movielens", "--manifest", str(manifest), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == code, err
+            if code:
+                assert err.startswith("error: config field 'movielens_shape'") and "[5, 8]" in err
+                assert "Traceback" not in err and not out.exists()
+        # the field was never read on other problems, so any value re-runs there
+        config = {**dataclasses.asdict(tiny_config(tmp_path)), "movielens_shape": [943, 1682]}
+        manifest.write_text(json.dumps({"version": "0", "config": config}))
+        assert load_manifest(manifest) == tiny_config(tmp_path)
+
+    @pytest.mark.parametrize("argv,code,needle", [
+        (["factorize", "--d", "1000000", "--r", "2", "--rhat", "4", "--T", "1"], 2,
+         "error: config field 'd'"),
+        (["movielens", "--T", "1", "--data", "{big}"], 4, "error: ids span a 1000000x5000 "),
+        (["movielens", "--T", "1", "--rhat", "2", "--data", "{skewed}"], 2,
+         "error: config field 'model': the wide net"),
+    ], ids=["factorize", "ratings", "ratings-wide"])
+    def test_past_the_array_budget_exits_with_one_line_and_writes_nothing(
+            self, tmp_path, capsys, argv, code, needle):
+        # the skewed file fits as a 2 x 600000 product, not as the wide
+        # net's 600000-square layers
+        files = {"big": "1\t1\t5\t7\n1000000\t5000\t3\t8\n",
+                 "skewed": "1\t1\t5\t7\n2\t600000\t3\t8\n1\t2\t4\t9\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "o"
+        argv = [a.format(**{n: str(tmp_path / n) for n in files}) for a in argv]
+        assert main(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(needle) and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_ratings_rhat_too_large_writes_nothing(self, tmp_path, capsys):
         # rejected before the wide net trains, so no manifest or seed directory
         data = tmp_path / "u.data"
@@ -858,9 +962,9 @@ class TestCli:
         from dln.data import gen_ratings_standin
 
         data = tmp_path / "u.data"
-        shape = gen_ratings_standin(data, n_users=12, n_items=15, n_ratings=120, rank=2)
+        gen_ratings_standin(data, n_users=12, n_items=15, n_ratings=120, rank=2)
         write_manifest(default_config("movielens", movielens_path=str(data), r_hat=2, T=2,
-                                      movielens_shape=shape, track_spectral=3,
+                                      track_spectral=3,
                                       out_dir=str(tmp_path / "old")), tmp_path)
         for argv in (["movielens", "--data", str(data), "--rhat", "2", "--T", "2",
                       "--track-spectral", "3"],

@@ -33,14 +33,14 @@ def test_tracer_hooks_fire_and_restore(tmp_path):
             super().patch(owner, attr, name, work)
 
     ratings = tmp_path / "u.data"
-    shape = gen_ratings_standin(ratings, n_users=30, n_items=40, n_ratings=600, rank=3)
+    gen_ratings_standin(ratings, n_users=30, n_items=40, n_ratings=600, rank=3)
     small = dict(r_hat=3, T=10, log_every=5, seeds=(0,), altmin_iters=3)
     configs = [
         default_config("sense", d=8, r=2, m=100, out_dir=str(tmp_path / "sense"), **small),
         default_config("complete", d=12, r=2, p=0.6, model="all",
                        out_dir=str(tmp_path / "complete"), **small),
-        default_config("movielens", movielens_path=str(ratings), movielens_shape=shape,
-                       model="all", out_dir=str(tmp_path / "movielens"), **small),
+        default_config("movielens", movielens_path=str(ratings), model="all",
+                       out_dir=str(tmp_path / "movielens"), **small),
     ]
     tracer = RecordingTracer()
     try:  # a name missing from dln fails install_layers half way
