@@ -74,7 +74,7 @@ def _init_case(path: str, init: str):
     from dln.models import init_compressed
 
     cfg = default_config("movielens")
-    mask, y, _ = split_ratings(load_movielens(path), cfg.train_frac, 0)
+    mask, y, _ = split_ratings(load_movielens(path), 0)
     surrogate = functools.partial(mask.surrogate, y)
     if init == "init_compressed":
         call = functools.partial(init_compressed, surrogate, cfg.L, cfg.r_hat, cfg.eps)

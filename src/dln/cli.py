@@ -79,12 +79,13 @@ def _parse_value(field: dataclasses.Field, raw: str):
 
 
 def read_config_file(path: str | Path) -> dict:
-    """Flat `key = value` file; '#' starts a comment; keys are config fields."""
+    """Flat `key = value` UTF-8 file; '#' starts a comment; keys are config
+    fields. A file that cannot be read or decoded is a ParseError."""
     out = {}
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read config file: {exc}") from exc
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read config file {path}: {exc}") from None
     for no, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -122,14 +123,13 @@ FLAGS: dict[str, tuple[str, str]] = {
     "--m": ("m", "Gaussian measurements"),
     "--p": ("p", "observation probability"),
     "--data": ("movielens_path", "path to the u.data ratings file"),
-    "--train-frac": ("train_frac", "share of the ratings used for training"),
 }
 # subcommand -> help and the config flags only it takes
 SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "factorize": ("run the factorize experiment", ("--oracle",)),
     "sense": ("run the sense experiment", ("--m",)),
     "complete": ("run the complete experiment", ("--p",)),
-    "movielens": ("ratings-data completion experiment", ("--data", "--train-frac")),
+    "movielens": ("ratings-data completion experiment", ("--data",)),
     "ablate": ("sweep one axis of an experiment", ("--p", "--m")),
     "oracle": ("train and check against the scalar recursion", ()),
 }

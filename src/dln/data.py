@@ -1,5 +1,5 @@
-"""Problem generators (synthetic low-rank targets, masks, sensing operators)
-and the MovieLens 100K ratings loader.
+"""Problem generators (synthetic low-rank targets, masks, sensing operators),
+the MovieLens 100K ratings loader and its fixed train/hold-out split.
 
 Every generator is seeded through named Philox streams, so a (seed, stream)
 pair fully determines the draw; see ``linalg.make_rng``.
@@ -8,6 +8,7 @@ pair fully determines the draw; see ``linalg.make_rng``.
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,8 @@ from .operators import CompletionMask, GaussianSensing
 ARRAY_BUDGET_BYTES = 4 * 2**30
 # gen_gaussian_ops draws its float64 normals this many bytes at a time
 _DRAW_CHUNK_BYTES = 1 << 20
+# the share of a ratings file each seed trains on; the rest is held out
+TRAIN_FRAC = 0.8
 
 
 @dataclass(frozen=True)
@@ -244,23 +247,30 @@ def gen_ratings_standin(
     n_ratings: int = 12000,
     rank: int = 14,
     seed: int = 0,
-    noise: float = 0.5,
 ) -> None:
     """Write a synthetic ratings file in the tab-separated `u.data` layout.
 
-    An approximately low-rank ratings table (integer 1..5, noisy) sampled at
-    random (user, item) pairs of an n_users x n_items grid. Lets the full
-    ratings pipeline run where the real dataset is not available;
-    :func:`load_movielens` reads the file at the shape its ids span, which is
-    the grid's unless its last row or column draws no rating.
+    An approximately low-rank ratings table (integer 1..5, with N(0, 0.5^2)
+    noise) sampled at random (user, item) pairs of an n_users x n_items grid.
+    Lets the full ratings pipeline run where the real dataset is not
+    available; :func:`load_movielens` reads the file at the shape its ids
+    span, which is the grid's unless its last row or column draws no rating.
+    Sizes below 1, more ratings than cells, or a score or factor table past
+    :data:`ARRAY_BUDGET_BYTES` are refused before anything is drawn.
     """
+    if min(n_users, n_items, n_ratings, rank) < 1 or n_ratings > n_users * n_items:
+        raise ContractViolationError(
+            f"need sizes of at least 1 and at most one rating per cell, got {n_ratings} "
+            f"ratings of rank {rank} on a {n_users}x{n_items} grid")
+    need = max(dense_bytes(n_users, n_items), dense_bytes(max(n_users, n_items), rank))
+    if need > ARRAY_BUDGET_BYTES:
+        raise ResourceBudgetError(f"a {n_users}x{n_items} grid of rank {rank} needs {need} "
+                                  f"bytes > budget {ARRAY_BUDGET_BYTES}")
     rng = make_rng(seed, 5)
     gu = rng.standard_normal((n_users, rank)) / np.sqrt(rank)
     gv = rng.standard_normal((n_items, rank)) / np.sqrt(rank)
-    scores = 3.5 + 1.4 * (gu @ gv.T) + noise * rng.standard_normal((n_users, n_items))
+    scores = 3.5 + 1.4 * (gu @ gv.T) + 0.5 * rng.standard_normal((n_users, n_items))
     table = np.clip(np.rint(scores), 1, 5).astype(int)
-    if n_ratings > n_users * n_items:
-        raise ContractViolationError("more ratings than cells")
     flat = rng.choice(n_users * n_items, size=n_ratings, replace=False)
     flat.sort()
     lines = []
@@ -270,22 +280,28 @@ def gen_ratings_standin(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def can_split(n_ratings: int) -> bool:
+    """Whether the split of n ratings keeps a train and a held-out rating,
+    which holds from 2 ratings on."""
+    return 1 <= math.floor(TRAIN_FRAC * n_ratings) < n_ratings
+
+
 def split_ratings(
-    ds: RatingsDataset, train_frac: float, seed: int
+    ds: RatingsDataset, seed: int
 ) -> tuple[CompletionMask, np.ndarray, tuple[CompletionMask, np.ndarray]]:
-    """Uniform split without replacement; train count is floor(frac * n).
+    """Uniform split without replacement, drawn from the seed; the train count
+    is floor(TRAIN_FRAC * n), and a file :func:`can_split` refuses is a
+    ContractViolationError.
 
     Returns the train mask with its measurement vector and the hold-out as a
     (mask, values) pair of the same form; each mask is sorted row-major and
     its values follow that order. The recorder takes the pair as its
     ``holdout`` (:class:`dln.trainer.Recorder`).
     """
-    if not 0 < train_frac < 1:
-        raise ContractViolationError("need train_frac in (0, 1)")
     n = len(ds)
-    n_train = int(np.floor(train_frac * n))
-    if n_train < 1 or n_train >= n:
-        raise ContractViolationError("split leaves an empty train or test set")
+    if not can_split(n):
+        raise ContractViolationError(f"{n} ratings leave an empty train or test set")
+    n_train = math.floor(TRAIN_FRAC * n)
     perm = make_rng(seed, 4).permutation(n)
 
     def entries(idx: np.ndarray) -> tuple[CompletionMask, np.ndarray]:

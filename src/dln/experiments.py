@@ -17,8 +17,9 @@ the requested models, and writes a self-describing output tree::
         incremental.json       per-component fit iterations (each net, when tracked)
 
 Random streams are split by purpose: (seed, 0) target, (seed, 1) operator or
-mask, (seed, 2) wide init, (seed, 4) ratings split. Tag 3 is unused: the ALS
-baseline starts from the surrogate, like the compressed network.
+mask, (seed, 2) wide init, (seed, 4) ratings split, which trains on a fixed
+``data.TRAIN_FRAC`` (80%) of the file and holds out the rest. Tag 3 is unused:
+the ALS baseline starts from the surrogate, like the compressed network.
 
 Step-size normalization: the training loss is always the raw half squared
 residual, so the problems whose measurement count stacks many observations of
@@ -46,6 +47,8 @@ from .baselines import altmin_complete
 from .data import (
     ARRAY_BUDGET_BYTES,
     SyntheticSpec,
+    TRAIN_FRAC,
+    can_split,
     dense_bytes,
     gaussian_ops_bytes,
     gen_gaussian_ops,
@@ -68,7 +71,8 @@ ABLATION_AXES = {"alpha": "alpha", "rhat": "r_hat", "depth": "L", "init": "init_
 THRESHOLD = 1e-2
 # config fields that runs no longer carry, with the one value every run that
 # wrote them used; a manifest holding one at that value re-runs exactly
-RETIRED_FIELDS = {"top_k": None, "stop_tol": None, "normalize_eta": None, "threshold": 0.01}
+RETIRED_FIELDS = {"top_k": None, "stop_tol": None, "normalize_eta": None, "threshold": 0.01,
+                  "train_frac": TRAIN_FRAC}
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,6 @@ class ExperimentConfig:
     sigma_values: tuple[float, ...] | None = None
     init_mode: str = "orthogonal"
     movielens_path: str = ""
-    train_frac: float = 0.8
     altmin_iters: int = 60
     track_spectral: int = 0
     oracle: bool = False
@@ -115,7 +118,6 @@ FIELD_DOMAINS: dict[str, tuple[Callable[[object], bool], str]] = {
     **dict.fromkeys(("eps", "eta", "alpha", "sigma_values", "sigma_range"),
                     (lambda v: 0 < v < math.inf, "finite and positive")),
     "p": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "train_frac": (lambda v: 0 < v < 1, "in (0, 1)"),
 }
 
 
@@ -136,7 +138,7 @@ RECIPES: dict[str, dict] = {
     ),
     "movielens": dict(
         r_hat=10, L=3, eps=0.3, eta=0.5, alpha=5.0, T=1000, log_every=10,
-        train_frac=0.8, altmin_iters=40, model="all",
+        altmin_iters=40, model="all",
     ),
     # the recursion oracle: spectrum kept in the monotone regime so the whole
     # window exercises the growth phase
@@ -346,7 +348,7 @@ class _Problem:
 
 def _seed_problem(cfg: ExperimentConfig, seed: int, ratings) -> _Problem:
     if cfg.problem == "movielens":
-        op, y, holdout = split_ratings(ratings, cfg.train_frac, seed)
+        op, y, holdout = split_ratings(ratings, seed)
         M = U = s = V = None
     else:
         spec = SyntheticSpec(
@@ -503,13 +505,13 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
 
 def _check_ratings(cfg: ExperimentConfig, ratings) -> None:
-    """The settings a ratings file decides: a split with a train and a test
-    rating, r_hat within the shape its ids span, and the wide net's layers
-    within the array budget."""
+    """What a ratings file decides: whether the fixed split can cut it, r_hat
+    within the shape its ids span, and the wide net's layers within the array
+    budget."""
     shape = (ratings.n_users, ratings.n_items)
-    if not 1 <= math.floor(cfg.train_frac * len(ratings)) < len(ratings):
-        raise ConfigError("train_frac", f"splitting {len(ratings)} ratings leaves an empty "
-                                        "train or test set")
+    if not can_split(len(ratings)):
+        raise ConfigError("movielens_path", f"{len(ratings)} ratings cannot be split into "
+                                            "a train and a held-out set")
     if cfg.r_hat > min(shape):
         raise ConfigError("r_hat", f"must lie in 1..{min(shape)} for ratings of shape "
                                    f"{shape[0]}x{shape[1]}")

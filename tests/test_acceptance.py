@@ -289,7 +289,7 @@ def test_criterion_09_gradient_flow_oracle():
 def _ratings_protocol(path, T_wide, eps, out_prefix=""):
     """Shared ratings-completion protocol: wide vs compressed vs baseline."""
     ds = load_movielens(path)
-    mask, y, holdout = split_ratings(ds, 0.8, seed=0)
+    mask, y, holdout = split_ratings(ds, seed=0)
     eta = 0.5 / mask.m
     surr = mask.surrogate(y)
     d_out, d_in = mask.shape

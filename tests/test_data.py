@@ -5,15 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dln.data import (
     ARRAY_BUDGET_BYTES,
     RatingsDataset,
     SyntheticSpec,
+    TRAIN_FRAC,
     _DRAW_CHUNK_BYTES,
     _scan_movielens,
+    can_split,
     gaussian_ops_bytes,
     gen_gaussian_ops,
     gen_lowrank,
@@ -300,9 +302,9 @@ class TestLoaderMatchesScanner:
             load_movielens(path)
 
 
-def _split_via_dense_table(ds, train_frac, seed):
+def _split_via_dense_table(ds, seed):
     # reference: the measurement order read back through a dense table
-    n_train = int(np.floor(train_frac * len(ds)))
+    n_train = int(np.floor(TRAIN_FRAC * len(ds)))
     perm = make_rng(seed, 4).permutation(len(ds))
     train_idx, test_idx = perm[:n_train], perm[n_train:]
     mask = CompletionMask(ds.users[train_idx], ds.items[train_idx], ds.n_users, ds.n_items)
@@ -316,16 +318,14 @@ def _split_via_dense_table(ds, train_frac, seed):
 @given(st.integers(1, 30), st.integers(2, 40), st.data())
 def test_split_matches_dense_table_reference(n_users, n_items, data):
     n = data.draw(st.integers(2, n_users * n_items))
-    frac = data.draw(st.floats(0.05, 0.95))
-    assume(1 <= int(np.floor(frac * n)) < n)
     seed = data.draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     cells = rng.choice(n_users * n_items, size=n, replace=False)
     users, items = np.divmod(cells, n_items)
     ds = RatingsDataset(users, items, rng.integers(1, 6, n).astype(np.float64),
                         np.arange(n, dtype=np.int64), n_users, n_items)
-    mask, y, holdout = split_ratings(ds, frac, seed)
-    ref_mask, ref_y, ref_holdout = _split_via_dense_table(ds, frac, seed)
+    mask, y, holdout = split_ratings(ds, seed)
+    ref_mask, ref_y, ref_holdout = _split_via_dense_table(ds, seed)
     for (got, values), (ref, ref_values) in (((mask, y), (ref_mask, ref_y)),
                                              (holdout, ref_holdout)):
         assert np.array_equal(got.rows, ref.rows) and np.array_equal(got.cols, ref.cols)
@@ -344,12 +344,12 @@ class TestSplitRatings:
 
     def test_counts_exact(self):
         ds = self._dataset(n=50)
-        mask, y, (held, held_y) = split_ratings(ds, 0.8, seed=0)
+        mask, y, (held, held_y) = split_ratings(ds, seed=0)
         assert mask.m == y.size == 40 and held.m == held_y.size == 10
 
     def test_disjoint_union(self):
         ds = self._dataset(n=60)
-        mask, y, (held, _) = split_ratings(ds, 0.8, seed=1)
+        mask, y, (held, _) = split_ratings(ds, seed=1)
         train_set = set(zip(mask.rows.tolist(), mask.cols.tolist()))
         test_set = set(zip(held.rows.tolist(), held.cols.tolist()))
         assert not (train_set & test_set)
@@ -358,28 +358,29 @@ class TestSplitRatings:
 
     def test_measurements_follow_mask_order(self):
         ds = self._dataset(n=40)
-        mask, y, holdout = split_ratings(ds, 0.75, seed=2)
+        mask, y, holdout = split_ratings(ds, seed=2)
         lookup = {(u, i): r for u, i, r in zip(ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist())}
         for m, values in ((mask, y), holdout):
             for k in range(m.m):
                 assert values[k] == lookup[(int(m.rows[k]), int(m.cols[k]))]
 
     def test_single_test_entry(self):
-        ds = self._dataset(n=30)
-        mask, y, (held, held_y) = split_ratings(ds, 1.0 - 1.0 / 30.0, seed=3)
-        assert held.m == held_y.size == 1
+        # the smallest files the split cuts hold out one rating
+        for n in (2, 3):
+            mask, y, (held, held_y) = split_ratings(self._dataset(n=n), seed=3)
+            assert held.m == held_y.size == 1 and mask.m == y.size == n - 1
 
     def test_same_seed_identical(self):
         ds = self._dataset(n=40)
-        m1, y1, (h1, hy1) = split_ratings(ds, 0.8, seed=5)
-        m2, y2, (h2, hy2) = split_ratings(ds, 0.8, seed=5)
+        m1, y1, (h1, hy1) = split_ratings(ds, seed=5)
+        m2, y2, (h2, hy2) = split_ratings(ds, seed=5)
         assert np.array_equal(m1.flat, m2.flat) and np.array_equal(y1, y2)
         assert np.array_equal(h1.flat, h2.flat) and np.array_equal(hy1, hy2)
 
-    def test_bad_fraction(self):
-        ds = self._dataset(n=20)
-        with pytest.raises(ContractViolationError):
-            split_ratings(ds, 1.0, seed=0)
+    def test_single_rating_refused(self):
+        assert [can_split(n) for n in range(4)] == [False, False, True, True]
+        with pytest.raises(ContractViolationError, match="1 ratings"):
+            split_ratings(self._dataset(n=1), seed=0)
 
 
 def test_standin_generator_deterministic(tmp_path):

@@ -302,7 +302,7 @@ class TestRecordedHoldout:
         shape = workloads.RATINGS_SHAPE
         ds = load_movielens(path)
         assert (ds.n_users, ds.n_items) == shape
-        mask, y, holdout = split_ratings(ds, 0.8, seed)
+        mask, y, holdout = split_ratings(ds, seed)
         table = np.loadtxt(path, dtype=np.int64, delimiter="\t")
         n_train = int(np.floor(0.8 * len(table)))
         held = table[make_rng(seed, 4).permutation(len(table))[n_train:]]

@@ -116,12 +116,11 @@ class TestConfig:
     @pytest.mark.parametrize("problem,field,value", [
         ("factorize", "log_every", 0),
         ("complete", "altmin_iters", 0),
-        ("movielens", "train_frac", 0.0),
-        ("movielens", "train_frac", 1.0),
+        ("movielens", "movielens_path", ""),
     ])
     def test_fields_read_during_the_run_are_checked_up_front(self, problem, field, value):
-        cfg = default_config(problem, out_dir="x", movielens_path="u.data", p=1.0,
-                             **{field: value})
+        cfg = default_config(problem, **{"out_dir": "x", "movielens_path": "u.data", "p": 1.0,
+                                         field: value})
         with pytest.raises(ConfigError) as exc:
             validate_config(cfg)
         assert exc.value.field == field
@@ -143,11 +142,11 @@ class TestConfig:
         ("seeds", (0, -1)), ("track_spectral", -3), ("eps", math.inf), ("eta", math.inf),
         ("alpha", math.nan), ("seeds", (2**64,)), ("L", 1),
         ("sigma_values", (0.1, math.inf)), ("sigma_range", (0.05, 0.02)),
-        ("sigma_range", (0.0, 0.05)), ("m", 0), ("p", 0.0), ("train_frac", 1.0),
+        ("sigma_range", (0.0, 0.05)), ("m", 0), ("p", 0.0),
         ("init_mode", "foo"), ("problem", "fit"),
     ])
     def test_out_of_domain_value_refused(self, tmp_path, field, value):
-        # a domain holds whatever the problem: m, p and train_frac on factorize too
+        # a domain holds whatever the problem: m and p on factorize too
         cfg = replace(tiny_config(tmp_path, sigma_values=None), **{field: value})
         with pytest.raises(ConfigError) as exc:
             validate_config(cfg)
@@ -900,6 +899,23 @@ class TestCli:
         assert shapes == [(30, 40, (30, 40))] * 2
         assert "movielens_shape" not in json.loads((out / "manifest.json").read_text())["config"]
 
+    @pytest.mark.parametrize("sizes", [
+        ["--users", "2", "--items", "2", "--ratings", "10"], ["--users", "0"],
+        ["--ratings", "0"], ["--rank", "0"], ["--users", "100000", "--items", "100000"],
+        ["--rank", "10000000"],
+    ], ids=["more-ratings-than-cells", "users", "ratings", "rank", "past-the-budget",
+            "rank-past-the-budget"])
+    def test_standin_script_refuses_impossible_sizes(self, tmp_path, sizes):
+        # refused before the score table is drawn: one line, exit 2, no file
+        data = tmp_path / "standin.data"
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "make_movielens_standin.py"), str(data), *sizes],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")})
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert not data.exists()
+
     def test_manifest_movielens_shape_rereads_only_its_files_shape(self, tmp_path, capsys):
         # a manifest written while the shape was a setting re-runs when the
         # setting is the shape the file spans, and is refused otherwise
@@ -975,15 +991,51 @@ class TestCli:
             assert not out.exists()
 
     def test_empty_ratings_split_writes_nothing(self, tmp_path, capsys):
-        # floor(0.01 * 20) leaves no train rating; found before the manifest is written
+        # the fixed split leaves one rating no train rating; found before the
+        # manifest is written
         data = tmp_path / "u.data"
-        data.write_text("".join(f"{u}\t{u + 1}\t3\t88125{u:04d}\n" for u in range(1, 21)))
+        data.write_text("1\t1\t3\t881250001\n")
         out = tmp_path / "o"
         self._assert_config_error(
-            ["movielens", "--data", str(data), "--train-frac", "0.01", "--rhat", "2",
-             "--T", "2", "--out", str(out)], capsys, "'train_frac'",
+            ["movielens", "--data", str(data), "--rhat", "1", "--T", "2", "--out", str(out)],
+            capsys, "error: config field 'movielens_path': 1 ratings",
         )
         assert not out.exists()
+
+    def test_train_frac_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["movielens", "--data", "u.data", "--train-frac", "0.9", "--out", str(out)])
+        assert exc.value.code == 2 and "--train-frac" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_train_frac_reruns_only_at_the_fixed_split(self, tmp_path, capsys):
+        # a manifest written while the split was a setting re-runs at 0.8 with
+        # the files of today's run, and is refused otherwise
+        from dln.data import gen_ratings_standin
+
+        data = tmp_path / "u.data"
+        gen_ratings_standin(data, n_users=12, n_items=15, n_ratings=120, rank=2)
+        cfg = default_config("movielens", movielens_path=str(data), r_hat=2, T=4, log_every=2,
+                             altmin_iters=2, out_dir=str(tmp_path / "new"))
+        assert run(cfg).ok
+        manifest = tmp_path / "manifest.json"
+        for frac, code in ((0.8, 0), (0.9, 2)):
+            config = {**dataclasses.asdict(cfg), "train_frac": frac}
+            manifest.write_text(json.dumps({"version": "0", "config": config}))
+            out = tmp_path / f"o_{frac}"
+            rc = main(["movielens", "--manifest", str(manifest), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == code, err
+        assert err.startswith("error: config field 'train_frac'") and "0.9" in err
+        assert "Traceback" not in err and not (tmp_path / "o_0.9").exists()
+        new, old = tmp_path / "new", tmp_path / "o_0.8"
+        files = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+        assert files == {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+        for rel in files - {Path("manifest.json")}:
+            if rel.name != "timing.csv":  # wall-clock seconds
+                assert (new / rel).read_bytes() == (old / rel).read_bytes(), rel
+        assert load_manifest(old / "manifest.json") == replace(cfg, out_dir=str(old))
 
     @pytest.mark.parametrize("argv,field", [
         (TINY_ARGV + ["--sigma-range", "0.05,0.02"], "sigma_range"),
@@ -1013,6 +1065,16 @@ class TestCli:
             ["factorize", "--sigma", "0.1,zz", "--r", "2", "--out", str(tmp_path / "o")],
             capsys, "'sigma_values'",
         )
+
+    def test_undecodable_config_file_exit_four_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"d = 5\xff\n")
+        out = tmp_path / "o"
+        assert main(["factorize", "--config", str(path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: 'utf-8' codec")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_malformed_config_file_value_exit_two(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
