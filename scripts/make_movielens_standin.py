@@ -11,11 +11,13 @@ configurable scale. The ratings recipe reads the shape from the file, so
 trains all three models on the stand-in; a summary goes to stderr. Sizes
 the generator refuses (below 1, more ratings than cells, or a score or factor
 table past the array budget) end in one `error:` line and exit 2, with no file
-written.
+written; an output path it cannot write (a missing directory is found before
+anything is drawn) ends in one `error:` line and exit 4, as in `dln`.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 from dln.data import gen_ratings_standin
 from dln.errors import ContractViolationError, ResourceBudgetError
@@ -30,14 +32,20 @@ def main() -> int:
     ap.add_argument("--rank", type=int, default=14)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    out = Path(args.path)
     try:
+        if not out.parent.is_dir():
+            raise FileNotFoundError(f"no directory {out.parent}")
         gen_ratings_standin(
-            args.path, n_users=args.users, n_items=args.items,
+            out, n_users=args.users, n_items=args.items,
             n_ratings=args.ratings, rank=args.rank, seed=args.seed,
         )
     except (ContractViolationError, ResourceBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 4
     print(f"wrote {args.ratings} ratings on a {args.users}x{args.items} grid to {args.path}",
           file=sys.stderr)
     return 0

@@ -69,10 +69,6 @@ PROBLEMS = ("factorize", "sense", "complete", "movielens")
 ABLATION_AXES = {"alpha": "alpha", "rhat": "r_hat", "depth": "L", "init": "init_mode"}
 # recovery error that ablate's iters_to_threshold counts to
 THRESHOLD = 1e-2
-# config fields that runs no longer carry, with the one value every run that
-# wrote them used; a manifest holding one at that value re-runs exactly
-RETIRED_FIELDS = {"top_k": None, "stop_tol": None, "normalize_eta": None, "threshold": 0.01,
-                  "train_frac": TRAIN_FRAC}
 
 
 @dataclass(frozen=True)
@@ -100,6 +96,21 @@ class ExperimentConfig:
     oracle: bool = False
     save_models: bool = False
     out_dir: str = ""
+
+
+def _ratings_shape(cfg: ExperimentConfig, value):
+    # read only on ratings problems, where it was the shape the file spans
+    if cfg.problem != "movielens":
+        return value
+    ratings = load_movielens(cfg.movielens_path)
+    return [ratings.n_users, ratings.n_items]
+
+
+# config fields that runs no longer carry, each with the one value every run
+# that wrote it used, or with a check ``(cfg, value)`` that gives that value
+# for the manifest's config; a manifest holding one at that value re-runs exactly
+RETIRED_FIELDS = {"top_k": None, "stop_tol": None, "normalize_eta": None, "threshold": 0.01,
+                  "train_frac": TRAIN_FRAC, "movielens_shape": _ratings_shape}
 
 
 # what each config field may hold, as (test, description), applied to each
@@ -280,9 +291,7 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
     top-level keys (version, environment) are not read. A file that cannot be
     read or is not a manifest is a ParseError; a missing, unknown or mistyped
     config field is a ConfigError, as is a retired field at any value but the
-    one in :data:`RETIRED_FIELDS`, which is dropped. So is a ratings
-    manifest's ``movielens_shape`` at any value but the shape its file spans,
-    which this reads; the field was never read on other problems."""
+    one :data:`RETIRED_FIELDS` gives it, which is dropped."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, ValueError, RecursionError) as exc:
@@ -290,11 +299,7 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
     raw = payload.get("config") if isinstance(payload, dict) else None
     if not isinstance(raw, dict):
         raise ParseError(f"{path} is not a manifest: no 'config' object")
-    for name, old in RETIRED_FIELDS.items():
-        if name in raw and (value := raw.pop(name)) != old:
-            raise ConfigError(name, f"retired field: only {json.dumps(old)} re-runs, "
-                                    f"got {json.dumps(value)}")
-    old_shape = raw.pop("movielens_shape", None)
+    retired = {name: raw.pop(name) for name in RETIRED_FIELDS if name in raw}
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(raw) - set(fields)
     if unknown:
@@ -303,13 +308,12 @@ def load_manifest(path: str | Path) -> ExperimentConfig:
     if missing:
         raise ConfigError(sorted(missing)[0], "missing from manifest")
     cfg = ExperimentConfig(**{name: _manifest_value(fields[name], v) for name, v in raw.items()})
-    if old_shape is not None and cfg.problem == "movielens":
-        ratings = load_movielens(cfg.movielens_path)
-        shape = [ratings.n_users, ratings.n_items]
-        if old_shape != shape:
-            raise ConfigError("movielens_shape", f"retired field: only {json.dumps(shape)}, "
-                                                 f"the shape its file spans, re-runs, got "
-                                                 f"{json.dumps(old_shape)}")
+    for name, value in retired.items():
+        old = RETIRED_FIELDS[name]
+        old = old(cfg, value) if callable(old) else old
+        if value != old:
+            raise ConfigError(name, f"retired field: only {json.dumps(old)} re-runs, "
+                                    f"got {json.dumps(value)}")
     return cfg
 
 

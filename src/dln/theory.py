@@ -203,12 +203,6 @@ class FlowSeries:
 FIT_REL_TOL = 1e-2
 
 
-def default_flow_dt(params: FlowParams) -> float:
-    smax = float(np.max(params.sigma_star)) if params.sigma_star.size else 1.0
-    smax = max(smax, 1e-12)
-    return 1e-3 * smax ** (-(1.0 - 2.0 / params.L))
-
-
 def _flow_rhs(sigma: np.ndarray, params: FlowParams, active: np.ndarray | None) -> np.ndarray:
     s = np.maximum(sigma, 0.0)
     rhs = -params.L * s ** (2.0 - 2.0 / params.L) * (s - params.sigma_star)

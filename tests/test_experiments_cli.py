@@ -916,6 +916,19 @@ class TestCli:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert not data.exists()
 
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_standin_script_unwritable_path_exits_four(self, tmp_path, where):
+        # an OS error ends in one line and exit 4, as in dln, and leaves no file
+        data = tmp_path / "no" / "x.data" if where == "missing-directory" else tmp_path
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "make_movielens_standin.py"), str(data)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")})
+        assert done.returncode == 4 and done.stdout == "", done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "no").exists() and list(tmp_path.iterdir()) == []
+
     def test_manifest_movielens_shape_rereads_only_its_files_shape(self, tmp_path, capsys):
         # a manifest written while the shape was a setting re-runs when the
         # setting is the shape the file spans, and is refused otherwise

@@ -10,7 +10,6 @@ from dln.theory import (
     OracleReport,
     RecursionParams,
     RecursionState,
-    default_flow_dt,
     dominance_witness,
     fit_times,
     flow_series,
@@ -247,11 +246,6 @@ class TestFlow:
             assert np.array_equal(run.sigmas[0], [1e-2, 1e-2])
             assert np.array_equal(run.sigmas[-1], runs[0].sigmas[-1])
         assert [len(run.times) for run in runs] == [301, 44, 2]
-
-    def test_default_dt_scales_with_target(self):
-        p_small = FlowParams(L=3, sigma_star=np.array([0.1]))
-        p_big = FlowParams(L=3, sigma_star=np.array([10.0]))
-        assert default_flow_dt(p_big) < default_flow_dt(p_small)
 
 
 class TestDominance:
